@@ -30,7 +30,6 @@ from .loading import (
 )
 from .mapgen import (
     PairArrangement,
-    RegionCell,
     RegionMap,
     classify,
     scan_map,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure
 
@@ -14,6 +13,10 @@ def adaptive_quad(func, a, b, *, rtol, atol=0.0, points=None, limit=256) -> floa
 
     points (interior breakpoints) are only legal on finite intervals.
     """
+    # imported here: scipy.integrate takes most of the import time and
+    # memory, and point-force work never integrates
+    from scipy import integrate
+
     kwargs = dict(epsabs=atol, epsrel=rtol, limit=limit, full_output=1)
     if points is not None and np.isfinite(a) and np.isfinite(b):
         pts = [p for p in points if a < p < b]

@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pair", choices=("a", "b"), help="companion arrangement rule")
     parser.add_argument("--max-iter", type=int, help="propagation iteration budget")
     parser.add_argument("--arrest-tol", type=float, help="propagation arrest threshold")
-    parser.add_argument("--threads", type=int, help="map worker threads (capped by CRACKWAKE_THREADS)")
+    parser.add_argument("--threads", type=int, help="ignored; kept so older command lines parse")
     parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
     return parser
 
@@ -178,6 +178,11 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(text)
         params = _merge_params(scenario.params, args)
+        if params.threads != 1:
+            print(
+                f"warning: threads = {params.threads} is ignored; maps run in one vectorized pass",
+                file=sys.stderr,
+            )
         if args.dump_config:
             from dataclasses import replace
 
@@ -195,6 +200,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -34,7 +34,7 @@ class ScenarioParams:
     out: str | None = None
     pgm: bool = False
     pair: str = "a"
-    threads: int = 1
+    threads: int = 1  # ignored; kept so older scenario files parse
 
 
 @dataclass(frozen=True)

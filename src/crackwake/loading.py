@@ -41,6 +41,11 @@ class Bimaterial:
     def contrast(self) -> float:
         return (self.mu_minus - self.mu_plus) / (self.mu_plus + self.mu_minus)
 
+    @property
+    def mu_series(self) -> float:
+        """mu_plus mu_minus / (mu_plus + mu_minus), the modulus factor of the closed-form dK."""
+        return self.mu_plus * self.mu_minus / self.mu_sum
+
 
 def contrast(bimaterial: Bimaterial) -> float:
     """Contrast parameter (mu_minus - mu_plus)/(mu_plus + mu_minus) in (-1, 1)."""
@@ -106,13 +111,19 @@ class DistributedLoad:
 
     def jump_resultant(self) -> float:
         # piecewise-linear profile integrates exactly by the trapezoid rule
-        return float(np.trapz(self.jump, self.x))
+        return _trapezoid(np.asarray(self.jump), np.asarray(self.x))
 
     def abs_scale(self) -> float:
         x = np.asarray(self.x)
         up = np.abs(np.asarray(self.avg) + 0.5 * np.asarray(self.jump))
         lo = np.abs(np.asarray(self.avg) - 0.5 * np.asarray(self.jump))
-        return float(np.trapz(up + lo, x))
+        return _trapezoid(up + lo, x)
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid rule, written out because np.trapz is gone from NumPy 2.4
+    and np.trapezoid is missing before NumPy 2.0."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
 @dataclass(frozen=True)

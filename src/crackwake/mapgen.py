@@ -3,24 +3,23 @@ orientation.
 
 A map scans the microcrack angles (phi1, alpha1) on cell centers of a
 regular grid; the rigid-line companion is derived per arrangement rule
-for every cell.  Cells are independent, may be computed in parallel,
-and the output ordering is fixed row-major (phi1 outer, alpha1 inner).
+for every cell.  The whole grid is one vectorized evaluation of the
+closed form, and the output ordering is fixed row-major (phi1 outer,
+alpha1 inner).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defects import Defect
+from .defects import Defect, dipole_matrix
 from .errors import NumericalError, ValidationError
-from .loading import Bimaterial, Loading
-from .perturbation import delta_k_defect, neutral_pair_a, neutral_pair_b
-from .tipfields import sif_k0
+from .loading import Bimaterial, Loading, decompose
+from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
+from .tipfields import _check_face, _grad_distributed, _grad_station_sum, _phi_trig, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -30,8 +29,8 @@ INVALID = "invalid"
 REGION_LETTER = {SHIELDING: "S", AMPLIFICATION: "A", NEUTRAL: "N", INVALID: "X"}
 # grey levels mirroring light/medium/dark map shading
 REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
-
-THREADS_ENV = "CRACKWAKE_THREADS"
+# region labels by the integer code scan_map classifies into
+_LABELS = np.array([NEUTRAL, SHIELDING, AMPLIFICATION, INVALID], dtype=object)
 
 # map cells tolerate a looser gradient quadrature; the classification
 # margin delta is far above it
@@ -51,14 +50,6 @@ def classify(ratio: float, delta: float) -> str:
     if ratio > delta:
         return AMPLIFICATION
     return NEUTRAL
-
-
-@dataclass(frozen=True)
-class RegionCell:
-    phi1: float
-    alpha1: float
-    ratio: float
-    region: str
 
 
 @dataclass(frozen=True)
@@ -93,22 +84,44 @@ class RegionMap:
     region: np.ndarray  # dtype object of region labels
     delta: float
 
-    def cells(self):
-        """Row-major iteration (phi1 outer, alpha1 inner)."""
-        for i, p in enumerate(self.phi1):
-            for j, a in enumerate(self.alpha1):
-                yield RegionCell(p, a, float(self.ratio[i, j]), str(self.region[i, j]))
-
     def count(self, region: str) -> int:
         return int(np.sum(self.region == region))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    n = 1 if threads is None else max(1, int(threads))
-    if cap is not None:
-        n = min(n, max(1, int(cap)))
-    return n
+def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
+    """Closed-form dK of one pair member over a block of rows and all
+    columns, plus the rows whose gradient failed.
+
+    centers holds the member's defect per row, all at one distance;
+    matrices its dipole matrix per column.
+    """
+    d = centers[0].d
+    phis = [c.phi for c in centers]
+    trigs = [_phi_trig(p) for p in phis]
+    mu_b = [bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis]
+    trig = tuple(np.array(col)[:, None] for col in zip(*trigs))
+    mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
+    grad = _grad_station_sum(
+        ((s.x1, s.avg, s.jump) for s in dec.stations),
+        d, trig, np.array(mu_b)[:, None], mu_sum, eta,
+    )
+    # writable per-row columns, also when no station made the sums arrays
+    g1, g2 = (np.broadcast_to(g, (len(phis), 1)).copy() for g in grad)
+    failed = np.zeros(len(phis), dtype=bool)
+    for i, phi in enumerate(phis):
+        try:
+            _check_face(dec, d, phi)
+            if dec.distributed is not None:
+                q1, q2 = _grad_distributed(
+                    dec.distributed, d, trigs[i], mu_b[i], mu_sum, eta, MAP_RTOL
+                )
+                g1[i] += q1
+                g2[i] += q2
+        except NumericalError:
+            failed[i] = True
+    m11, m12, m22 = (np.array(v) for v in zip(*((m.m11, m.m12, m.m22) for m in matrices)))
+    dk = _delta_k_closed((g1, g2), d, trig, m11, m12, m22, bimaterial.mu_series)
+    return dk, failed
 
 
 def scan_map(
@@ -122,8 +135,12 @@ def scan_map(
     """Classify every (phi1, alpha1) cell of the grid.
 
     phi1 spans (-pi, pi) and alpha1 spans (0, pi), both sampled at cell
-    centers.  Cells whose evaluation fails numerically are marked
-    invalid, never skipped.
+    centers.  A member's gradient varies along phi1 (rows) and its dipole
+    matrix along alpha1 (columns), and the cells are their broadcast
+    contraction, bit-identical to delta_k_defect cell by cell.  Cells
+    whose evaluation fails numerically, or whose ratio is not finite,
+    are marked invalid, never skipped.  threads is accepted so older
+    callers keep working, and ignored.
     """
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
@@ -136,44 +153,54 @@ def scan_map(
     if k0 == 0.0:
         raise ValidationError("map needs a loading with non-zero K0")
 
-    ratio = np.empty((n_phi, n_alpha))
-    region = np.empty((n_phi, n_alpha), dtype=object)
+    dec = decompose(loading)
+    alphas = alpha_axis.tolist()
+    row_pairs = [arrangement.defects(p, alphas[0], bimaterial) for p in phi_axis.tolist()]
+    # A pair's dipole matrices depend on phi1 only through the members'
+    # sizes (pair b sizes its companion by the side of the interface), so
+    # rows whose members share distance and size share per-column matrices.
+    blocks: dict[tuple, list[int]] = {}
+    for i, pair in enumerate(row_pairs):
+        blocks.setdefault(tuple((m.d, m.l_a) for m in pair), []).append(i)
 
-    def fill_column(i: int) -> None:
-        p = float(phi_axis[i])
-        for j in range(n_alpha):
-            a = float(alpha_axis[j])
-            try:
-                mc, companion = arrangement.defects(p, a, bimaterial)
-                dk = delta_k_defect(mc, loading, bimaterial, rtol=MAP_RTOL)
-                dk += delta_k_defect(companion, loading, bimaterial, rtol=MAP_RTOL)
-                r = dk / k0
-            except NumericalError:
-                ratio[i, j] = math.nan
-                region[i, j] = INVALID
-                continue
-            ratio[i, j] = r
-            region[i, j] = classify(r, delta)
+    dk = np.empty((n_phi, n_alpha))
+    failed = np.zeros(n_phi, dtype=bool)
+    with np.errstate(all="ignore"):  # failed rows and non-finite cells become invalid below
+        for rows in blocks.values():
+            phi_rep = row_pairs[rows[0]][0].phi
+            columns = [arrangement.defects(phi_rep, a, bimaterial) for a in alphas]
+            terms = []
+            for k in (0, 1):
+                term, bad = _member_dk(
+                    dec,
+                    bimaterial,
+                    [row_pairs[i][k] for i in rows],
+                    [dipole_matrix(pair[k]) for pair in columns],
+                )
+                terms.append(term)
+                failed[rows] |= bad
+            dk[rows] = terms[0] + terms[1]
+        ratio = dk / k0
 
-    n_threads = _resolve_threads(threads)
-    if n_threads <= 1:
-        for i in range(n_phi):
-            fill_column(i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill_column, range(n_phi)))
-
+    invalid = failed[:, None] | ~np.isfinite(ratio)
+    ratio[invalid] = math.nan
+    code = np.where(ratio < -delta, 1, np.where(ratio > delta, 2, 0))
+    code[invalid] = 3
+    region = _LABELS[code]
     return RegionMap(phi_axis, alpha_axis, ratio, region, delta)
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:
     """CSV rows phi1,alpha1,ratio,region in fixed row-major order."""
     fh.write("phi1,alpha1,ratio,region\n")
-    for cell in region_map.cells():
-        fh.write(
-            f"{cell.phi1:.9g},{cell.alpha1:.9g},{cell.ratio:.9g},"
-            f"{REGION_LETTER[cell.region]}\n"
-        )
+    alphas = [f"{a:.9g}" for a in region_map.alpha1.tolist()]
+    for p, ratios, regions in zip(
+        region_map.phi1.tolist(), region_map.ratio.tolist(), region_map.region.tolist()
+    ):
+        lead = f"{p:.9g},"
+        fh.write("".join(
+            f"{lead}{a},{r:.9g},{REGION_LETTER[g]}\n" for a, r, g in zip(alphas, ratios, regions)
+        ))
 
 
 def write_map_pgm(region_map: RegionMap, fh) -> None:
@@ -181,6 +208,6 @@ def write_map_pgm(region_map: RegionMap, fh) -> None:
     n_phi = len(region_map.phi1)
     n_alpha = len(region_map.alpha1)
     fh.write(f"P2\n{n_phi} {n_alpha}\n255\n")
-    for j in range(n_alpha - 1, -1, -1):
-        row = " ".join(str(REGION_GREY[str(region_map.region[i, j])]) for i in range(n_phi))
-        fh.write(row + "\n")
+    grey = {region: str(level) for region, level in REGION_GREY.items()}
+    for row in region_map.region.T[::-1].tolist():
+        fh.write(" ".join(grey[r] for r in row) + "\n")

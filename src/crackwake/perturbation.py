@@ -17,8 +17,8 @@ from typing import Sequence
 from ._quad import adaptive_quad
 from .defects import Defect, dipole_matrix
 from .errors import InvalidDefect
-from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, FieldPoint, grad_u0
+from .loading import Bimaterial, Loading, decompose
+from .tipfields import SQRT_2_OVER_PI, FieldPoint, _grad, _phi_trig, grad_u0
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -78,20 +78,30 @@ def effective_tractions(
     )
 
 
-def _delta_k_closed(defect: Defect, grad: tuple[float, float], bimaterial: Bimaterial) -> float:
-    m = dipole_matrix(defect)
-    c1, c2 = tip_weight_vector(defect.d, defect.phi)
-    mc1, mc2 = m.apply(c1, c2)
-    mu_fac = bimaterial.mu_plus * bimaterial.mu_minus / bimaterial.mu_sum
-    return -SQRT_2_OVER_PI * mu_fac * (grad[0] * mc1 + grad[1] * mc2)
+def _delta_k_closed(grad, d: float, trig, m11, m12, m22, mu_series: float):
+    """Contraction -sqrt(2/pi) mu_series grad . M c of the background
+    gradient with the dipole matrix M and the tip weight vector c.
+
+    trig is _phi_trig(phi) of the defect center; like the gradient, the
+    trig entries and the matrix entries may be floats or broadcastable
+    numpy arrays.
+    """
+    f = 0.5 / d**1.5
+    c1 = -f * trig[4]
+    c2 = f * trig[5]
+    mc1 = m11 * c1 + m12 * c2
+    mc2 = m12 * c1 + m22 * c2
+    return -SQRT_2_OVER_PI * mu_series * (grad[0] * mc1 + grad[1] * mc2)
 
 
 def delta_k_defect(
     defect: Defect, loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-10
 ) -> float:
     """Closed-form SIF perturbation of one defect."""
-    grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi), rtol=rtol)
-    return _delta_k_closed(defect, grad, bimaterial)
+    trig = _phi_trig(defect.phi)
+    grad = _grad(decompose(loading), bimaterial, defect.d, defect.phi, trig, rtol)
+    m = dipole_matrix(defect)
+    return _delta_k_closed(grad, defect.d, trig, m.m11, m.m12, m.m22, bimaterial.mu_series)
 
 
 @dataclass(frozen=True)

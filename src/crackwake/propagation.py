@@ -20,8 +20,8 @@ import numpy as np
 from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, PointForce, decompose
-from .perturbation import delta_k_total
-from .tipfields import SQRT_2_OVER_PI, _grad_station_sum, coeff_a0, sif_k0
+from .perturbation import _delta_k_closed, delta_k_total
+from .tipfields import SQRT_2_OVER_PI, _grad_station_sum, _phi_trig, coeff_a0, sif_k0
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
@@ -115,7 +115,7 @@ class _Engine:
         self.mu_minus = bm.mu_minus
         self.mu_sum = bm.mu_sum
         self.eta = bm.contrast
-        self.mu_fac = bm.mu_plus * bm.mu_minus / bm.mu_sum
+        self.mu_series = bm.mu_series
         self.base_loading = state.loading
         self.generic = state.loading.distributed is not None
         self.orig_defects = state.defects
@@ -161,6 +161,7 @@ class _Engine:
         k0 = -SQRT_2_OVER_PI * k0s
         a3 = SQRT_2_OVER_PI * a0s
 
+        shifted = [(xs - tip, a, j) for xs, a, j in self.stations]
         per = []
         for xd, yd, m11, m12, m22, la, kind in self.defects:
             dx = xd - tip
@@ -171,16 +172,9 @@ class _Engine:
                 )
             phij = math.atan2(yd, dx)
             mu_b = self.mu_plus if phij >= 0.0 else self.mu_minus
-            g1, g2 = _grad_station_sum(
-                ((xs - tip, a, j) for xs, a, j in self.stations),
-                dj, phij, mu_b, self.mu_sum, eta,
-            )
-            cf = 0.5 / dj**1.5
-            c1 = -cf * math.sin(1.5 * phij)
-            c2 = cf * math.cos(1.5 * phij)
-            mc1 = m11 * c1 + m12 * c2
-            mc2 = m12 * c1 + m22 * c2
-            per.append(-SQRT_2_OVER_PI * self.mu_fac * (g1 * mc1 + g2 * mc2))
+            trig = _phi_trig(phij)
+            grad = _grad_station_sum(shifted, dj, trig, mu_b, self.mu_sum, eta)
+            per.append(_delta_k_closed(grad, dj, trig, m11, m12, m22, self.mu_series))
         return k0, a3, tuple(per), math.fsum(per)
 
 

@@ -108,18 +108,29 @@ def tip_coefficients(loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-
     )
 
 
-def _grad_station_sum(stations, d: float, phi: float, mu_b: float, mu_sum: float, eta: float):
+def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
+    """Angular factors of the gradient kernel and the tip weight vector:
+    (cos phi, sin phi, sin phi/2, cos phi/2, sin 3phi/2, cos 3phi/2)."""
+    return (
+        math.cos(phi),
+        math.sin(phi),
+        math.sin(0.5 * phi),
+        math.cos(0.5 * phi),
+        math.sin(1.5 * phi),
+        math.cos(1.5 * phi),
+    )
+
+
+def _grad_station_sum(stations, d: float, trig, mu_b, mu_sum: float, eta: float):
     """Delta-sifted displacement gradient at (d, phi) from point stations.
 
-    stations iterates (x1, avg, jump) triples; mu_b is the shear modulus
-    of the half-plane containing the point.
+    stations iterates (x1, avg, jump) triples; trig is _phi_trig(phi) and
+    mu_b the shear modulus of the half-plane containing the point.  The
+    trig entries and mu_b may be floats or numpy arrays of one shape (one
+    entry per angle, all at distance d); the arithmetic is the same
+    elementwise, so both give bit-identical values.
     """
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    shalf = math.sin(0.5 * phi)
-    chalf = math.cos(0.5 * phi)
-    s3half = math.sin(1.5 * phi)
-    c3half = math.cos(1.5 * phi)
+    cphi, sphi, shalf, chalf, s3half, c3half = trig
     sphi2 = sphi * sphi
     g1 = 0.0
     g2 = 0.0
@@ -135,14 +146,9 @@ def _grad_station_sum(stations, d: float, phi: float, mu_b: float, mu_sum: float
     return g1 * scale, g2 * scale
 
 
-def _grad_distributed(dist: DistributedLoad, d, phi, mu_b, mu_sum, eta, rtol):
+def _grad_distributed(dist: DistributedLoad, d, trig, mu_b, mu_sum, eta, rtol):
     """Quadrature part of the gradient, on the substituted axis t = sqrt(-x1/d)."""
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    shalf = math.sin(0.5 * phi)
-    chalf = math.cos(0.5 * phi)
-    s3half = math.sin(1.5 * phi)
-    c3half = math.cos(1.5 * phi)
+    cphi, sphi, shalf, chalf, s3half, c3half = trig
     sphi2 = sphi * sphi
     lo, hi = dist.support
     t_lo = math.sqrt(-hi / d)
@@ -176,6 +182,39 @@ def _grad_distributed(dist: DistributedLoad, d, phi, mu_b, mu_sum, eta, rtol):
     return g1, g2
 
 
+def _check_face(dec, d: float, phi: float) -> None:
+    """Raise OnCrackFaceUnderLoad for a point on a loaded part of the faces."""
+    if abs(phi) < math.pi - 1e-9:
+        return
+    for s in dec.stations:
+        if abs(-d - s.x1) <= 1e-12 * d and (s.avg != 0.0 or s.jump != 0.0):
+            raise OnCrackFaceUnderLoad(
+                f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
+            )
+    dist = dec.distributed
+    if dist is not None and dist.support[0] <= -d <= dist.support[1]:
+        if abs(dist.avg_at(-d)) > 0.0 or abs(dist.jump_at(-d)) > 0.0:
+            raise OnCrackFaceUnderLoad(
+                f"point (d={d:g}, phi={phi:g}) sits inside the loaded support"
+            )
+
+
+def _grad(dec, bimaterial: Bimaterial, d: float, phi: float, trig, rtol: float):
+    """grad_u0 on a decomposed loading, with the angular factors given."""
+    mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
+    mu_sum = bimaterial.mu_sum
+    eta = bimaterial.contrast
+    _check_face(dec, d, phi)
+    g1, g2 = _grad_station_sum(
+        ((s.x1, s.avg, s.jump) for s in dec.stations), d, trig, mu_b, mu_sum, eta
+    )
+    if dec.distributed is not None:
+        q1, q2 = _grad_distributed(dec.distributed, d, trig, mu_b, mu_sum, eta, rtol)
+        g1 += q1
+        g2 += q2
+    return g1, g2
+
+
 def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint, rtol: float = 1e-10):
     """Displacement gradient (du/dx1, du/dx2) of the unperturbed field.
 
@@ -183,33 +222,7 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint, rtol: f
     phi < 0; on the interface (phi = 0) du/dx2 carries the upper-side
     limit, which differs from the lower one by mu_minus/mu_plus.
     """
-    d, phi = point.d, point.phi
-    mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
-    mu_sum = bimaterial.mu_sum
-    eta = bimaterial.contrast
-    dec = decompose(loading)
-
-    if abs(phi) >= math.pi - 1e-9:
-        for s in dec.stations:
-            if abs(-d - s.x1) <= 1e-12 * d and (s.avg != 0.0 or s.jump != 0.0):
-                raise OnCrackFaceUnderLoad(
-                    f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
-                )
-        dist = dec.distributed
-        if dist is not None and dist.support[0] <= -d <= dist.support[1]:
-            if abs(dist.avg_at(-d)) > 0.0 or abs(dist.jump_at(-d)) > 0.0:
-                raise OnCrackFaceUnderLoad(
-                    f"point (d={d:g}, phi={phi:g}) sits inside the loaded support"
-                )
-
-    g1, g2 = _grad_station_sum(
-        ((s.x1, s.avg, s.jump) for s in dec.stations), d, phi, mu_b, mu_sum, eta
-    )
-    if dec.distributed is not None:
-        q1, q2 = _grad_distributed(dec.distributed, d, phi, mu_b, mu_sum, eta, rtol)
-        g1 += q1
-        g2 += q2
-    return g1, g2
+    return _grad(decompose(loading), bimaterial, point.d, point.phi, _phi_trig(point.phi), rtol)
 
 
 def _sin_over_cospi(omega: float, t: float, theta: float) -> complex:

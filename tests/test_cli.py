@@ -139,3 +139,21 @@ def test_map_outputs_reproducible(cfg, tmp_path):
     assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out1)]) == 0
     assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_unwritable_out_exits_1(cfg, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "map.csv"
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no-such-dir" in err
+
+
+def test_threads_ignored_with_one_warning(cfg, tmp_path, capsys):
+    out1, out4 = tmp_path / "m1.csv", tmp_path / "m4.csv"
+    path = cfg(SYM_PAIR_CFG)
+    assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out1)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out4), "--threads", "4"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning:")
+    assert out1.read_bytes() == out4.read_bytes()

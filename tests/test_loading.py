@@ -6,6 +6,7 @@ from pytest import approx
 
 from crackwake import (
     Bimaterial,
+    DistributedLoad,
     InvalidPreset,
     Loading,
     LoadTooCloseToTip,
@@ -130,3 +131,17 @@ def test_check_balance_detects_tip_proximity():
 
 def test_empty_loading_is_balanced():
     check_balance(Loading(()))
+
+
+def test_check_balance_with_table():
+    """A tabulated jump is balanced by a lower-face force equal to its
+    trapezoid resultant; a wrong force is caught."""
+    table = DistributedLoad((-3.0, -2.0, -1.0), (0.5, -1.0, 0.5), (0.0, 2.0, 0.0))
+    assert table.jump_resultant() == 2.0
+    assert table.abs_scale() == 3.0
+    balanced = Loading((PointForce(-4.0, "-", 2.0),), table)
+    assert check_balance(balanced) is balanced
+    assert balanced.balance_residual() == 0.0
+    assert balanced.abs_scale() == 5.0
+    with pytest.raises(UnbalancedLoading):
+        check_balance(Loading((PointForce(-4.0, "-", 1.0),), table))

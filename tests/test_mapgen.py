@@ -1,13 +1,19 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crackwake import (
     Bimaterial,
+    DistributedLoad,
+    Loading,
     PairArrangement,
+    PointForce,
     ValidationError,
     classify,
     delta_k_defect,
@@ -103,14 +109,6 @@ def test_scan_map_deterministic_across_threads(bm_equal):
     assert np.all(serial.region == threaded.region)
 
 
-def test_scan_map_thread_env_cap(bm_equal, monkeypatch):
-    monkeypatch.setenv("CRACKWAKE_THREADS", "1")
-    loading = three_point_preset(1.0, 3.0, 1.0)
-    capped = small_map(bm_equal, loading, threads=8)
-    serial = small_map(bm_equal, loading)
-    assert np.array_equal(capped.ratio, serial.ratio)
-
-
 def test_scan_map_validates_grid_and_delta(bm_equal):
     arrangement = PairArrangement("a", l1=0.1, d1=1.0)
     with pytest.raises(ValidationError):
@@ -135,6 +133,20 @@ def test_map_csv_format(bm_equal):
     phis = [float(l.split(",")[0]) for l in lines[1:6]]
     assert phis[0] == phis[1] == phis[2] == phis[3] != phis[4]
 
+    # exact bytes of an odd grid, whose middle row sits on phi1 = 0
+    m = small_map(bm_equal, three_point_preset(1.0, 3.0, 1.0), grid=(3, 2))
+    buf = io.StringIO()
+    write_map_csv(m, buf)
+    assert buf.getvalue() == (
+        "phi1,alpha1,ratio,region\n"
+        "-2.0943951,0.785398163,-0.000368035967,S\n"
+        "-2.0943951,2.35619449,-0.00070217933,S\n"
+        "0,0.785398163,0.000184159694,A\n"
+        "0,2.35619449,0.000194494054,A\n"
+        "2.0943951,0.785398163,-0.000527793772,S\n"
+        "2.0943951,2.35619449,-0.000523821944,S\n"
+    )
+
 
 def test_map_pgm_format(bm_equal):
     m = small_map(bm_equal, three_point_preset(1.0, 3.0, 0.0), grid=(6, 3))
@@ -154,27 +166,101 @@ def test_map_pgm_format(bm_equal):
 
 
 def test_scan_map_marks_failed_cells_invalid(bm_equal, monkeypatch):
-    """A numerical failure poisons only its own cell, never the scan."""
+    """A numerical failure poisons only the cells it touches, never the scan."""
     import crackwake.mapgen as mapgen
     from crackwake.errors import QuadratureFailure
 
-    real = mapgen.delta_k_defect
+    real = mapgen._grad_distributed
     target = {}
 
-    def flaky(defect, loading, bm, rtol=1e-10):
-        if defect.kind == "microcrack" and abs(defect.phi - target["phi"]) < 1e-12:
+    def flaky(dist, d, trig, *args):
+        if d == 1.0 and abs(math.atan2(trig[1], trig[0]) - target["phi"]) < 1e-12:
             raise QuadratureFailure("boom")
-        return real(defect, loading, bm, rtol)
+        return real(dist, d, trig, *args)
 
-    loading = three_point_preset(1.0, 3.0, 0.0)
+    loading = Loading(
+        (PointForce(-3.0, "+", 1.0),),
+        DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)),
+    )
     arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
     probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
+    assert probe.count("invalid") == 0
     target["phi"] = float(probe.phi1[1])
-    monkeypatch.setattr(mapgen, "delta_k_defect", flaky)
+    monkeypatch.setattr(mapgen, "_grad_distributed", flaky)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert m.count("invalid") == 4
     assert all(str(r) == "invalid" for r in m.region[1, :])
     assert np.all(np.isnan(m.ratio[1, :]))
+    keep = [0, 2, 3]
+    assert np.array_equal(m.ratio[keep], probe.ratio[keep])
     buf = io.StringIO()
     write_map_csv(m, buf)
     assert buf.getvalue().count(",X") == 4
+
+
+def test_scan_map_non_finite_ratio_is_invalid():
+    """Moduli so small that the gradient overflows while K0 stays finite:
+    every ratio is inf or nan, and every cell is X rather than S/A/N."""
+    bm = Bimaterial(1e-300, 1e-300)
+    m = small_map(bm, three_point_preset(1e10, 3.0, 1.0), grid=(4, 2))
+    assert m.count("invalid") == 8
+    assert np.all(np.isnan(m.ratio))
+    buf = io.StringIO()
+    write_map_csv(m, buf)
+    assert buf.getvalue().count(",nan,X\n") == 8
+
+
+mu_values = st.floats(min_value=0.2, max_value=5.0)
+stations = st.lists(
+    st.tuples(
+        st.floats(min_value=-5.0, max_value=-0.2),
+        st.sampled_from("+-"),
+        st.floats(min_value=-2.0, max_value=2.0).filter(lambda p: abs(p) > 1e-3),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mu_values,
+    mu_values,
+    stations,
+    st.sampled_from("ab"),
+    st.floats(min_value=0.5, max_value=2.0),
+    st.one_of(st.none(), st.floats(min_value=0.5, max_value=3.0)),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=4),
+)
+def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n_phi, n_alpha):
+    """The batched grid equals the sum of the two scalar delta_k_defect
+    values of each cell, over K0."""
+    bm = Bimaterial(mu_p, mu_m)
+    loading = Loading(tuple(PointForce(x1, face, p) for x1, face, p in forces))
+    k0 = sif_k0(loading, bm)
+    assume(abs(k0) > 1e-9)
+    arrangement = PairArrangement(pair, l1=0.05 * d1, d1=d1, d2=d2)
+    m = scan_map(arrangement, loading, bm, grid=(n_phi, n_alpha), delta=1e-6)
+    for i, phi1 in enumerate(m.phi1):
+        for j, alpha1 in enumerate(m.alpha1):
+            mc, companion = arrangement.defects(float(phi1), float(alpha1), bm)
+            dk = delta_k_defect(mc, loading, bm, rtol=MAP_RTOL)
+            dk += delta_k_defect(companion, loading, bm, rtol=MAP_RTOL)
+            expected = dk / k0
+            assert abs(m.ratio[i, j] - expected) <= 1e-12 * abs(expected)
+            assert str(m.region[i, j]) == classify(expected, 1e-6)
+
+
+def test_point_force_map_never_imports_scipy():
+    """scipy is loaded lazily, by the quadrature paths only."""
+    code = (
+        "import sys, crackwake as cw\n"
+        "bm = cw.Bimaterial(1.0, 5.0)\n"
+        "loading = cw.three_point_preset(1.0, 3.0, 1.0)\n"
+        "cw.sif_k0(loading, bm)\n"
+        "cw.scan_map(cw.PairArrangement('a', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
