@@ -71,6 +71,8 @@ def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
     if args.pgm:
         updates["pgm"] = True
     if args.threads is not None:
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         updates["threads"] = args.threads
     if not updates:
         return params

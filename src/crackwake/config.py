@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 from .defects import Defect
@@ -197,6 +198,15 @@ def _as_number(value, key: str, line: int) -> float:
     return float(value)
 
 
+def _as_count(entry, key: str) -> int:
+    """Value of a (value, line) entry that must be a positive integer."""
+    value, line = entry
+    number = _as_number(value, key, line)
+    if not (number.is_integer() and number >= 1):
+        raise ConfigSyntaxError(f"key {key!r} expects a positive integer, got {value!r}", line)
+    return int(number)
+
+
 def _build_loading(block: _Block) -> Loading:
     if block.entries:
         key, _, line = block.entries[0]
@@ -245,15 +255,22 @@ def _build_defect(block: _Block) -> Defect:
     cart = "x" in e or "y" in e
     if polar and cart:
         raise ConfigSyntaxError("defect position must be (d, phi) or (x, y), not both", block.line)
-    if polar:
-        d = _as_number(_need(e, "d", block), "d", block.line)
-        phi = _as_number(_need(e, "phi", block), "phi", block.line)
-        return Defect(kind, d=d, phi=phi, alpha=alpha, l_a=la, **kwargs)
-    if cart:
-        x = _as_number(_need(e, "x", block), "x", block.line)
-        y = _as_number(_need(e, "y", block), "y", block.line)
-        return Defect.from_cartesian(kind, x, y, alpha=alpha, l_a=la, **kwargs)
-    raise MissingBlock("defect needs a position: (d, phi) or (x, y)", block.line)
+    if not (polar or cart):
+        raise MissingBlock("defect needs a position: (d, phi) or (x, y)", block.line)
+    # raise the constructor's warnings again at the defect's line of the scenario
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if polar:
+            d = _as_number(_need(e, "d", block), "d", block.line)
+            phi = _as_number(_need(e, "phi", block), "phi", block.line)
+            defect = Defect(kind, d=d, phi=phi, alpha=alpha, l_a=la, **kwargs)
+        else:
+            x = _as_number(_need(e, "x", block), "x", block.line)
+            y = _as_number(_need(e, "y", block), "y", block.line)
+            defect = Defect.from_cartesian(kind, x, y, alpha=alpha, l_a=la, **kwargs)
+    for w in caught:
+        warnings.warn_explicit(f"line {block.line}: {w.message}", w.category, "scenario", block.line)
+    return defect
 
 
 def _build_params(block: _Block) -> ScenarioParams:
@@ -271,7 +288,7 @@ def _build_params(block: _Block) -> ScenarioParams:
     if "delta" in e:
         kwargs["delta"] = _as_number(e["delta"][0], "delta", e["delta"][1])
     if "max_iter" in e:
-        kwargs["max_iter"] = int(_as_number(e["max_iter"][0], "max_iter", e["max_iter"][1]))
+        kwargs["max_iter"] = _as_count(e["max_iter"], "max_iter")
     if "arrest_tol" in e:
         kwargs["arrest_tol"] = _as_number(e["arrest_tol"][0], "arrest_tol", e["arrest_tol"][1])
     if "out" in e:
@@ -290,7 +307,7 @@ def _build_params(block: _Block) -> ScenarioParams:
             raise ConfigSyntaxError(f'pair expects "a" or "b", got {value!r}', line)
         kwargs["pair"] = value
     if "threads" in e:
-        kwargs["threads"] = int(_as_number(e["threads"][0], "threads", e["threads"][1]))
+        kwargs["threads"] = _as_count(e["threads"], "threads")
     return ScenarioParams(**kwargs)
 
 

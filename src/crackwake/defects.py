@@ -45,10 +45,15 @@ class Defect:
     def __post_init__(self):
         if self.kind not in DEFECT_KINDS:
             raise InvalidDefect(f"unknown defect kind {self.kind!r}")
+        for name in ("d", "phi", "alpha", "l_a", "l_b", "mu_star", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidDefect(f"defect {name} must be finite, got {getattr(self, name)}")
         if not self.d > 0.0:
             raise InvalidDefect(f"defect distance must be positive, got d = {self.d}")
-        if not abs(self.phi) <= math.pi:
-            raise InvalidDefect(f"defect angle must satisfy |phi| <= pi, got {self.phi}")
+        if not abs(self.phi) < math.pi:
+            raise InvalidDefect(
+                f"defect angle must satisfy |phi| < pi (the faces are excluded), got {self.phi}"
+            )
         if not self.l_a > 0.0:
             raise InvalidDefect(f"defect size must be positive, got l_a = {self.l_a}")
         if self.kind in AREA_KINDS:
@@ -66,7 +71,7 @@ class Defect:
                 f"defect size l/d = {self.l_a / self.d:.3g} exceeds {DILUTENESS_RATIO}; "
                 "the dipole approximation degrades",
                 DilutenessWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
     @classmethod

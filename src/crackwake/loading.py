@@ -7,6 +7,7 @@ upper face.  The crack occupies x1 < 0, the tip sits at the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ class Bimaterial:
     mu_minus: float
 
     def __post_init__(self):
-        if not (self.mu_plus > 0.0 and self.mu_minus > 0.0):
+        if not (0.0 < self.mu_plus < math.inf and 0.0 < self.mu_minus < math.inf):
             raise ValidationError(
-                f"shear moduli must be positive, got ({self.mu_plus}, {self.mu_minus})"
+                f"shear moduli must be positive and finite, got ({self.mu_plus}, {self.mu_minus})"
             )
 
     @property
@@ -68,8 +69,10 @@ class PointForce:
     def __post_init__(self):
         if self.face not in ("+", "-"):
             raise ValidationError(f'face must be "+" or "-", got {self.face!r}')
-        if not self.x1 < 0.0:
+        if not -math.inf < self.x1 < 0.0:
             raise ValidationError(f"point force must sit behind the tip, got x1 = {self.x1}")
+        if not math.isfinite(self.magnitude):
+            raise ValidationError(f"point force magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ class DistributedLoad:
             raise ValidationError("distributed-load support must lie on x1 < 0")
         if len(self.avg) != x.size or len(self.jump) != x.size:
             raise ValidationError("avg/jump tables must match the station grid")
+        if not np.all(np.isfinite([x, self.avg, self.jump])):
+            raise ValidationError("distributed-load tables must be finite")
         object.__setattr__(self, "x", tuple(float(v) for v in x))
         object.__setattr__(self, "avg", tuple(float(v) for v in self.avg))
         object.__setattr__(self, "jump", tuple(float(v) for v in self.jump))
@@ -252,8 +257,10 @@ def three_point_preset(P: float, a: float, b: float) -> Loading:
     Self-balanced for every 0 <= b < a; the skew part vanishes
     identically only for b = 0.
     """
-    if not a > 0.0:
-        raise InvalidPreset(f"a must be positive, got {a}")
+    if not math.isfinite(P):
+        raise InvalidPreset(f"P must be finite, got {P}")
+    if not 0.0 < a < math.inf:
+        raise InvalidPreset(f"a must be positive and finite, got {a}")
     if not 0.0 <= b < a:
         raise InvalidPreset(f"b must satisfy 0 <= b < a, got b = {b}, a = {a}")
     return Loading(

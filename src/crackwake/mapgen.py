@@ -19,7 +19,7 @@ from .defects import Defect, dipole_matrix
 from .errors import NumericalError, ValidationError
 from .loading import Bimaterial, Loading, decompose
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _check_face, _grad_distributed, _grad_station_sum, _phi_trig, sif_k0
+from .tipfields import _check_face, _lowered_grad, _phi_trig, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -32,8 +32,8 @@ REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
 # region labels by the integer code scan_map classifies into
 _LABELS = np.array([NEUTRAL, SHIELDING, AMPLIFICATION, INVALID], dtype=object)
 
-# map cells tolerate a looser gradient quadrature; the classification
-# margin delta is far above it
+# map cells tolerate a looser check of the table lowering; the
+# classification margin delta is far above it
 MAP_RTOL = 1e-7
 
 
@@ -90,38 +90,31 @@ class RegionMap:
 
 def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
     """Closed-form dK of one pair member over a block of rows and all
-    columns, plus the rows whose gradient failed.
+    columns, plus the rows that failed: on a loaded face, or missing the
+    n-against-2n check of the table lowering.
 
     centers holds the member's defect per row, all at one distance;
-    matrices its dipole matrix per column.
+    matrices its dipole matrix per column.  A table is lowered once for
+    the block, graded for the row closest to a face.
     """
     d = centers[0].d
     phis = [c.phi for c in centers]
-    trigs = [_phi_trig(p) for p in phis]
-    mu_b = [bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis]
-    trig = tuple(np.array(col)[:, None] for col in zip(*trigs))
-    mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
-    grad = _grad_station_sum(
-        ((s.x1, s.avg, s.jump) for s in dec.stations),
-        d, trig, np.array(mu_b)[:, None], mu_sum, eta,
-    )
-    # writable per-row columns, also when no station made the sums arrays
-    g1, g2 = (np.broadcast_to(g, (len(phis), 1)).copy() for g in grad)
     failed = np.zeros(len(phis), dtype=bool)
     for i, phi in enumerate(phis):
         try:
             _check_face(dec, d, phi)
-            if dec.distributed is not None:
-                q1, q2 = _grad_distributed(
-                    dec.distributed, d, trigs[i], mu_b[i], mu_sum, eta, MAP_RTOL
-                )
-                g1[i] += q1
-                g2[i] += q2
         except NumericalError:
             failed[i] = True
+    trig = tuple(np.array(col)[:, None] for col in zip(*(_phi_trig(p) for p in phis)))
+    mu_b = np.array([bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis])
+    grad, bad = _lowered_grad(
+        [(s.x1, s.avg, s.jump) for s in dec.stations], dec.distributed, d,
+        min(math.pi - abs(p) for p in phis), trig, mu_b[:, None],
+        bimaterial.mu_sum, bimaterial.contrast, MAP_RTOL,
+    )
     m11, m12, m22 = (np.array(v) for v in zip(*((m.m11, m.m12, m.m22) for m in matrices)))
-    dk = _delta_k_closed((g1, g2), d, trig, m11, m12, m22, bimaterial.mu_series)
-    return dk, failed
+    dk = _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
+    return dk, failed | np.ravel(bad)
 
 
 def scan_map(

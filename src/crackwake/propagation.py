@@ -18,13 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .defects import Defect, dipole_matrix
-from .errors import DegenerateA0, TipReachesDefect, TipReachesLoad, ValidationError
+from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, PointForce, decompose
-from .perturbation import _delta_k_closed, delta_k_total
-from .tipfields import SQRT_2_OVER_PI, _grad_station_sum, _phi_trig, coeff_a0, sif_k0
+from .perturbation import _delta_k_closed
+from .tipfields import SQRT_2_OVER_PI, _lowered_grad, _phi_trig, _table_moment
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
+# relative accuracy of the defect gradients when the loading has a table
+GRAD_RTOL = 1e-10
 
 ARREST_FLAG = 1
 STEADY_FLAG = 2
@@ -104,21 +106,19 @@ class PropagationTrace:
 class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
-    Point-force loadings run on a flat float path; a distributed part
-    falls back to the generic quadrature operations per iteration.
+    Point forces and a table go the same way at every tip: both shift
+    with the tip, the table adds its exact moments to K0 and A0, and it
+    is lowered to point stations for each defect's gradient.
     """
 
     def __init__(self, state: CrackState):
         bm = state.bimaterial
-        self.bm = bm
         self.mu_plus = bm.mu_plus
         self.mu_minus = bm.mu_minus
         self.mu_sum = bm.mu_sum
         self.eta = bm.contrast
         self.mu_series = bm.mu_series
-        self.base_loading = state.loading
-        self.generic = state.loading.distributed is not None
-        self.orig_defects = state.defects
+        self.table = state.loading.distributed
         dec = decompose(state.loading)
         self.stations = [(s.x1, s.avg, s.jump) for s in dec.stations]
         self.defects = []
@@ -130,23 +130,6 @@ class _Engine:
 
     def evaluate(self, tip: float):
         """Return (k0, a3, per-defect dK tuple, dK total) at tip."""
-        if self.generic:
-            loading = _shift_loading(self.base_loading, tip)
-            cur = []
-            for df in self.orig_defects:
-                dx = df.x - tip
-                dj = math.hypot(dx, df.y)
-                if dj <= df.l_a:
-                    raise TipReachesDefect(
-                        f"tip at {tip:g} is within {df.l_a:g} of the {df.kind} "
-                        f"centered at ({df.x:g}, {df.y:g})"
-                    )
-                cur.append(replace(df, d=dj, phi=math.atan2(df.y, dx)))
-            k0 = sif_k0(loading, self.bm)
-            a3 = coeff_a0(loading, self.bm)
-            res = delta_k_total(cur, loading, self.bm)
-            return k0, a3, res.per_defect, res.total
-
         eta = self.eta
         k0s = 0.0
         a0s = 0.0
@@ -158,6 +141,11 @@ class _Engine:
             inv = 1.0 / math.sqrt(r)
             k0s += w * inv
             a0s += w * inv / r
+        table = self.table
+        if table is not None:
+            table = DistributedLoad(tuple(x - tip for x in table.x), table.avg, table.jump)
+            k0s += _table_moment(table, eta, -0.5)
+            a0s += _table_moment(table, eta, -1.5)
         k0 = -SQRT_2_OVER_PI * k0s
         a3 = SQRT_2_OVER_PI * a0s
 
@@ -173,7 +161,9 @@ class _Engine:
             phij = math.atan2(yd, dx)
             mu_b = self.mu_plus if phij >= 0.0 else self.mu_minus
             trig = _phi_trig(phij)
-            grad = _grad_station_sum(shifted, dj, trig, mu_b, self.mu_sum, eta)
+            grad = _lowered_grad(
+                shifted, table, dj, math.pi - abs(phij), trig, mu_b, self.mu_sum, eta, GRAD_RTOL
+            )[0]
             per.append(_delta_k_closed(grad, dj, trig, m11, m12, m22, self.mu_series))
         return k0, a3, tuple(per), math.fsum(per)
 
@@ -194,7 +184,10 @@ def _increment(total: float, a3: float, k0: float, d_ref: float) -> float:
         return 0.0
     if abs(a3) < 1e-14 * abs(k0) / d_ref:
         raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0:.3e}")
-    return -2.0 * total / a3
+    phi = -2.0 * total / a3
+    if not math.isfinite(phi):
+        raise NumericalError(f"advance is not finite: dK = {total:g}, A0 = {a3:g}")
+    return phi
 
 
 def step(state: CrackState, phi: float) -> CrackState:

@@ -157,3 +157,31 @@ def test_threads_ignored_with_one_warning(cfg, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning:")
     assert out1.read_bytes() == out4.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("propagate", 'force { face = "+", x1 = -1, p = -1 }',
+         "three_point { P = nan, a = 3, b = 1 }\n  " + 'force { face = "+", x1 = -1, p = -1 }'),
+        ("sif", 'force { face = "+", x1 = -1, p = -1 }',
+         "three_point { P = 1, a = inf, b = 1 }\n  " + 'force { face = "+", x1 = -1, p = -1 }'),
+        ("perturb", "alpha = 0,", "alpha = nan,"),
+        ("perturb", "phi = 22.5 deg", "phi = 180 deg"),
+        ("perturb", "d = 1, phi = 22.5 deg", "x = -1, y = 0"),
+    ],
+    ids=["nan-load", "inf-distance", "nan-orientation", "defect-on-face", "cartesian-on-face"],
+)
+def test_invalid_values_exit_1(cfg, capsys, command, old, new):
+    """Non-finite numbers and defects on the crack faces end in an error
+    line and exit 1, never in NaN output or a meaningless dK with exit 0."""
+    assert old in SYM_PAIR_CFG
+    assert main([command, "--config", cfg(SYM_PAIR_CFG.replace(old, new))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_negative_threads_flag_exits_1(cfg, capsys):
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--threads", "-3", "--dump-config"]) == 1
+    assert "--threads" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from pytest import approx
 
 from crackwake import (
     Defect,
+    DilutenessWarning,
     LoadTooCloseToTip,
     Scenario,
     ScenarioParams,
@@ -165,3 +166,28 @@ params { grid = 64x32, delta = 1e-5, pair = b, out = "x.csv" }
 """
     )
     assert parse_scenario(dump_scenario(s)) == s
+
+
+@pytest.mark.parametrize(
+    "entry", ["max_iter = 2.7", "max_iter = inf", "max_iter = 0", "threads = 1.5", "threads = -3"]
+)
+def test_integer_keys_reject_other_values(entry):
+    with pytest.raises(ConfigSyntaxError) as err:
+        parse_scenario(MINIMAL + f"params {{\n  {entry}\n}}\n")
+    assert str(err.value).startswith("line 9: ")
+    assert "expects a positive integer" in str(err.value)
+
+
+def test_integer_keys_accept_integral_numbers():
+    params = parse_scenario(MINIMAL + "params { max_iter = 1e3, threads = 2 }\n").params
+    assert params.max_iter == 1000 and isinstance(params.max_iter, int)
+    assert params.threads == 2
+
+
+def test_diluteness_warning_names_the_defect_line():
+    text = MINIMAL + "defect { kind = rigid_line, d = 1, phi = 0.3, alpha = 0, la = 0.5 }\n"
+    with pytest.warns(DilutenessWarning) as caught:
+        parse_scenario(text)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith("line 8: defect size l/d = 0.5")
+    assert caught[0].lineno == 8

@@ -170,3 +170,31 @@ def test_invalid_defects_rejected(kwargs):
 def test_diluteness_warning():
     with pytest.warns(DilutenessWarning):
         Defect("microcrack", d=1.0, phi=0.0, alpha=0.0, l_a=0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("d", math.inf), ("phi", math.nan), ("alpha", math.nan), ("alpha", math.inf),
+     ("l_a", math.inf), ("l_b", math.nan), ("mu_star", math.inf), ("kappa", math.nan)],
+)
+def test_non_finite_defect_parameters_rejected(field, value):
+    kwargs = dict(kind="elastic_ellipse", d=1.0, phi=0.3, alpha=0.2, l_a=0.1, l_b=0.05)
+    kwargs[field] = value
+    with pytest.raises(InvalidDefect):
+        Defect(**kwargs)
+
+
+def test_defect_on_the_crack_faces_rejected():
+    for phi in (math.pi, -math.pi):
+        with pytest.raises(InvalidDefect):
+            Defect("microcrack", d=1.0, phi=phi, alpha=0.0, l_a=0.1)
+    with pytest.raises(InvalidDefect):
+        Defect.from_cartesian("microcrack", -1.0, 0.0, alpha=0.0, l_a=0.1)
+    with pytest.raises(InvalidDefect):
+        Defect.from_cartesian("microcrack", -1.0, -0.0, alpha=0.0, l_a=0.1)
+
+
+def test_diluteness_warning_points_to_the_caller():
+    with pytest.warns(DilutenessWarning) as caught:
+        Defect("microcrack", d=1.0, phi=0.0, alpha=0.0, l_a=0.5)
+    assert caught[0].filename == __file__

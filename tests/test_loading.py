@@ -145,3 +145,25 @@ def test_check_balance_with_table():
     assert balanced.abs_scale() == 5.0
     with pytest.raises(UnbalancedLoading):
         check_balance(Loading((PointForce(-4.0, "-", 1.0),), table))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Bimaterial(math.nan, 1.0),
+        lambda: Bimaterial(1.0, math.inf),
+        lambda: PointForce(-math.inf, "+", 1.0),
+        lambda: PointForce(-1.0, "-", math.nan),
+        lambda: DistributedLoad((-math.inf, -1.0), (0.0, 0.0), (0.0, 0.0)),
+        lambda: DistributedLoad((-2.0, -1.0), (math.nan, 0.0), (0.0, 0.0)),
+        lambda: DistributedLoad((-2.0, -1.0), (0.0, 0.0), (0.0, -math.inf)),
+        lambda: three_point_preset(math.nan, 3.0, 1.0),
+        lambda: three_point_preset(1.0, math.inf, 1.0),
+        lambda: three_point_preset(1.0, 3.0, math.nan),
+    ],
+    ids=["mu_plus", "mu_minus", "x1", "magnitude", "table_x", "table_avg", "table_jump",
+         "preset_P", "preset_a", "preset_b"],
+)
+def test_non_finite_values_rejected(build):
+    with pytest.raises(ValidationError):
+        build()

@@ -170,13 +170,13 @@ def test_scan_map_marks_failed_cells_invalid(bm_equal, monkeypatch):
     import crackwake.mapgen as mapgen
     from crackwake.errors import QuadratureFailure
 
-    real = mapgen._grad_distributed
+    real = mapgen._check_face
     target = {}
 
-    def flaky(dist, d, trig, *args):
-        if d == 1.0 and abs(math.atan2(trig[1], trig[0]) - target["phi"]) < 1e-12:
+    def flaky(dec, d, phi):
+        if d == 1.0 and abs(phi - target["phi"]) < 1e-12:
             raise QuadratureFailure("boom")
-        return real(dist, d, trig, *args)
+        return real(dec, d, phi)
 
     loading = Loading(
         (PointForce(-3.0, "+", 1.0),),
@@ -186,7 +186,7 @@ def test_scan_map_marks_failed_cells_invalid(bm_equal, monkeypatch):
     probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert probe.count("invalid") == 0
     target["phi"] = float(probe.phi1[1])
-    monkeypatch.setattr(mapgen, "_grad_distributed", flaky)
+    monkeypatch.setattr(mapgen, "_check_face", flaky)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert m.count("invalid") == 4
     assert all(str(r) == "invalid" for r in m.region[1, :])
@@ -264,3 +264,39 @@ def test_point_force_map_never_imports_scipy():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_table_loading_never_imports_scipy():
+    """A table is lowered to point stations: K0, the gradient, propagation
+    and maps all run without scipy, which only the oracles load."""
+    code = (
+        "import sys, crackwake as cw\n"
+        "bm = cw.Bimaterial(1.0, 5.0)\n"
+        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
+        "loading = cw.Loading((cw.PointForce(-3.0, '+', 1.0),), table)\n"
+        "cw.sif_k0(loading, bm)\n"
+        "cw.grad_u0(loading, bm, cw.FieldPoint(2.1, 3.0))\n"
+        "mc = cw.Defect('microcrack', d=1.0, phi=0.4, alpha=0.3, l_a=0.1)\n"
+        "cw.propagate(cw.CrackState(0.0, (mc,), loading, bm), max_iter=3)\n"
+        "cw.scan_map(cw.PairArrangement('a', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkeypatch):
+    """A table row whose 16- and 32-node lowerings disagree beyond the map
+    tolerance is X, and the scan carries on."""
+    import crackwake.mapgen as mapgen
+
+    loading = Loading(
+        (PointForce(-3.0, "+", 1.0),),
+        DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)),
+    )
+    arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
+    assert scan_map(arrangement, loading, bm_equal, grid=(4, 4)).count("invalid") == 0
+    monkeypatch.setattr(mapgen, "MAP_RTOL", 0.0)
+    m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
+    assert m.count("invalid") == 16
+    assert np.all(np.isnan(m.ratio))

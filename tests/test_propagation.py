@@ -11,6 +11,7 @@ from crackwake import (
     Defect,
     DegenerateA0,
     Loading,
+    NumericalError,
     PointForce,
     TipReachesDefect,
     TipReachesLoad,
@@ -170,3 +171,28 @@ def test_generic_engine_handles_distributed_loads(bm_equal):
     trace = propagate(state, max_iter=3)
     assert trace.verdict == "max_iterations"
     assert trace.phi[0] == phi0
+
+
+def test_advance_increment_with_table_matches_direct_formula(bm_pos):
+    """The engine shifts a table with the tip and lowers it per defect, as
+    the library functions do on the tip-relative loading."""
+    from helpers import hat_load
+
+    loading = Loading((PointForce(-1.2, "-", 0.25),), hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25))
+    mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
+    state = step(CrackState(0.0, (mc, neutral_pair_a(mc)), loading, bm_pos), 0.05)
+    current = state.current_loading()
+    total = delta_k_total(state.current_defects(), current, bm_pos).total
+    assert advance_increment(state) == approx(-2.0 * total / coeff_a0(current, bm_pos), rel=1e-12)
+
+
+def test_non_finite_increment_raises():
+    """Loads so large against the moduli that dK overflows: propagation
+    stops with NumericalError instead of writing NaN rows."""
+    bm = Bimaterial(1e-300, 1e-300)
+    mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
+    state = CrackState(0.0, (mc,), three_point_preset(1e300, 3.0, 1.0), bm)
+    with pytest.raises(NumericalError):
+        propagate(state, max_iter=3)
+    with pytest.raises(NumericalError):
+        advance_increment(state)

@@ -6,6 +6,7 @@ from pytest import approx
 from crackwake import (
     Bimaterial,
     ContourTruncationFailure,
+    DistributedLoad,
     FieldPoint,
     Loading,
     OnCrackFaceUnderLoad,
@@ -18,7 +19,7 @@ from crackwake import (
     three_point_preset,
 )
 from crackwake._quad import adaptive_quad
-from crackwake.errors import QuadratureFailure
+from crackwake.errors import NumericalError, QuadratureFailure
 
 from helpers import hat_load, rel_err, sym_pair_at
 
@@ -201,3 +202,100 @@ def test_field_point_validation():
         FieldPoint(0.0, 0.0)
     with pytest.raises(ValidationError):
         FieldPoint(1.0, 4.0)
+    for d, phi in ((math.inf, 0.3), (math.nan, 0.3), (1.0, math.nan)):
+        with pytest.raises(ValidationError):
+            FieldPoint(d, phi)
+
+
+# a hat whose panels the displacement oracle resolves at the large |Im s|
+# that a point 1e-3 from the face reaches (its transform uses a fixed
+# 16-node rule per panel, which aliases on coarser tables there)
+FINE_HAT = Loading((PointForce(-1.2, "-", 0.25),), hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25, n=81))
+
+
+@pytest.mark.parametrize("d, phi", [(1.3, 0.7), (2.1, -2.2), (1.95, math.pi - 1e-3)])
+def test_distributed_gradient_matches_displacement_oracle(bm_pos, d, phi):
+    """grad_u0 on a table against finite differences of displacement_u0,
+    including a point 1e-3 rad from the face with -d inside the support."""
+    pt = FieldPoint(d, phi)
+    g = grad_u0(FINE_HAT, bm_pos, pt)
+    x0, y0 = pt.x, pt.y
+
+    def u_at(x, y):
+        return displacement_u0(FINE_HAT, bm_pos, math.hypot(x, y), math.atan2(y, x))
+
+    def central(h):
+        return (
+            (u_at(x0 + h, y0) - u_at(x0 - h, y0)) / (2 * h),
+            (u_at(x0, y0 + h) - u_at(x0, y0 - h)) / (2 * h),
+        )
+
+    h = 1e-4 * d
+    fd = tuple((4 * b - a) / 3.0 for a, b in zip(central(h), central(0.5 * h)))
+    assert math.hypot(fd[0] - g[0], fd[1] - g[1]) < 1e-6 * math.hypot(*g)
+
+
+def _mp_moments(dist, eta, power):
+    """Reference integral of {<p> + (eta/2)[p]}(x1) (-x1)^power over the
+    table, panel by panel with mpmath at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in dist.x]
+        w = [mpmath.mpf(a) + mpmath.mpf(0.5) * mpmath.mpf(eta) * mpmath.mpf(j)
+             for a, j in zip(dist.avg, dist.jump)]
+        total = mpmath.mpf(0)
+        for xa, xb, wa, wb in zip(x[:-1], x[1:], w[:-1], w[1:]):
+            total += mpmath.quad(lambda t: (wa + (wb - wa) * (t - xa) / (xb - xa)) * (-t) ** power,
+                                 [xa, xb])
+        return -mpmath.sqrt(2 / mpmath.pi) * total if power == -0.5 else mpmath.sqrt(2 / mpmath.pi) * total
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        hat_load(-2.0, 2e-3, avg_coeff=-1.3, jump_coeff=0.4, n=41),
+        DistributedLoad((-1.0, -0.5, -1e-3, -1e-6), (0.3, -0.7, 0.2, 1.0), (0.1, 0.4, -0.6, 0.5)),
+    ],
+    ids=["narrow_hat", "ends_at_1e-6"],
+)
+def test_table_tip_coefficients_match_mpmath(bm_pos, table):
+    """K0 and A0 of a table are exact moments of its profile, also where
+    a naive antiderivative cancels (the narrow hat) or the r^(-3/2)
+    weight is steep (the table ending at x1 = -1e-6)."""
+    loading = Loading((), table)
+    eta = bm_pos.contrast
+    assert rel_err(sif_k0(loading, bm_pos), float(_mp_moments(table, eta, -0.5))) < 1e-12
+    assert rel_err(coeff_a0(loading, bm_pos), float(_mp_moments(table, eta, -1.5))) < 1e-12
+
+
+def test_near_face_table_gradient_fails_cleanly(bm_pos):
+    """1e-5 rad from a loaded face the 16- and 32-node lowerings disagree
+    beyond rtol: QuadratureFailure, not NaN or a ZeroDivisionError."""
+    hat = Loading((), hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25))
+    with pytest.raises(QuadratureFailure):
+        grad_u0(hat, bm_pos, FieldPoint(2.05, math.pi - 1e-5))
+    g = grad_u0(hat, bm_pos, FieldPoint(2.05, math.pi - 1e-5), rtol=1e-6)
+    assert all(math.isfinite(v) for v in g)
+
+
+@pytest.mark.parametrize(
+    "table, d, phi",
+    [
+        (((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)), 2.5, math.pi),
+        (((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)), 1.5, -math.pi),
+        (((-3.0, -2.0, -1.0), (0.5, 0.0, 0.5), (0.0, 0.0, 0.0)), 2.0, math.pi),
+    ],
+    ids=["far-end", "near-end", "unloaded-knot"],
+)
+def test_table_gradient_on_the_face_is_finite_or_numerical_error(bm_pos, table, d, phi):
+    """On a face at an unloaded point of the table a lowering node can sit
+    on the kernel's pole: the result is finite or a NumericalError, never
+    a ZeroDivisionError."""
+    loading = Loading((), DistributedLoad(*table))
+    try:
+        g = grad_u0(loading, bm_pos, FieldPoint(d, phi))
+    except NumericalError:
+        return
+    assert all(math.isfinite(v) for v in g)
+
