@@ -6,7 +6,7 @@ delta sifting of the kernels.  A tabulated load enters K0 and A0 through
 exact moments of its piecewise-linear profile, and the gradient as
 weighted point stations at Gauss-Legendre nodes, so one station kernel
 serves every loading.  Only the displacement oracle integrates
-adaptively.
+adaptively, over the exact transform of the loading.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ MELLIN_OMEGA = 0.25
 
 # the n- and 2n-node rules of the table lowering
 _GAUSS = [np.polynomial.legendre.leggauss(n) for n in (16, 32)]
-_GL_NODES, _GL_WEIGHTS = _GAUSS[0]
 
 
 @dataclass(frozen=True)
@@ -244,45 +243,56 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint, rtol: f
     return _grad(decompose(loading), bimaterial, point.d, point.phi, _phi_trig(point.phi), rtol)
 
 
-def _angular_ratios(omega: float, t: float, theta: float) -> tuple[complex, complex]:
-    """sin(s*theta)/cos(pi*s) and cos(s*theta)/sin(pi*s) at s = omega + i*t,
-    overflow-safe for large |t|."""
+def _angular_ratios(omega: float, t, theta: float):
+    """sin(s*theta)/cos(pi*s) and cos(s*theta)/sin(pi*s) at s = omega + i*t
+    for an array t, overflow-safe for large |t|."""
     u = t * theta
     v = math.pi * t
-    eu = math.exp(-2.0 * abs(u))
-    ev = math.exp(-2.0 * abs(v))
-    su, sv = math.copysign(1.0, u), math.copysign(1.0, v)
+    eu = np.exp(-2.0 * np.abs(u))
+    ev = np.exp(-2.0 * np.abs(v))
+    su, sv = np.copysign(1.0, u), np.copysign(1.0, v)
     sin_w, cos_w = math.sin(omega * theta), math.cos(omega * theta)
     sin_p, cos_p = math.sin(math.pi * omega), math.cos(math.pi * omega)
-    f = math.exp(abs(u) - abs(v))
+    f = np.exp(np.abs(u) - np.abs(v))
     return (
         f * (sin_w * (1.0 + eu) + 1j * su * cos_w * (1.0 - eu)) / (cos_p * (1.0 + ev) - 1j * sv * sin_p * (1.0 - ev)),
         f * (cos_w * (1.0 + eu) - 1j * su * sin_w * (1.0 - eu)) / (sin_p * (1.0 + ev) + 1j * sv * cos_p * (1.0 - ev)),
     )
 
 
-def _mellin_tables(dec):
-    """Station logs plus Gauss-Legendre nodes for the transformed loading."""
-    logs = [(math.log(-s.x1), s.avg, s.jump) for s in dec.stations]
-    gl = None
-    if dec.distributed is not None:
-        dist = dec.distributed
-        nodes, weights, avg_v, jump_v = [], [], [], []
-        for a, b in zip(dist.x[:-1], dist.x[1:]):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            xk = mid + half * _GL_NODES
-            nodes.append(xk)
-            weights.append(half * _GL_WEIGHTS)
-            avg_v.append(dist.avg_at(xk))
-            jump_v.append(dist.jump_at(xk))
-        gl = (
-            np.log(-np.concatenate(nodes)),
-            np.concatenate(weights),
-            np.concatenate(avg_v),
-            np.concatenate(jump_v),
-        )
-    return logs, gl
+def _mellin_transform(dec):
+    """The transform s -> sum and integral of (avg, jump)(x1) (-x1)^s of
+    the loading, for an array s; returns shape (len(s), 2).
+
+    Stations enter as (-x1)^s.  A table panel [yb, ya] on y = -x1, with
+    L = log(ya/yb) and c = s + 1, enters exactly: its near-end value
+    times yb^c expm1(cL)/c, plus its rise times the transform of the hat
+    (y - yb)/(ya - yb), yb^c (c e^(cL) expm1(L) - expm1(cL)) / (c (c+1) expm1(L)).
+    No node rule aliases at large |Im s|, and expm1 keeps narrow panels
+    from cancelling.
+    """
+    log_y = np.log([-s.x1 for s in dec.stations])
+    loads = np.array([(s.avg, s.jump) for s in dec.stations]).reshape(-1, 2)
+    dist = dec.distributed
+    if dist is not None:
+        y = -np.asarray(dist.x)
+        p = np.column_stack((dist.avg, dist.jump))
+        near, rise = p[1:], p[:-1] - p[1:]
+        log_yb = np.log(y[1:])
+        em1 = (y[:-1] - y[1:]) / y[1:]  # expm1(L)
+        log_ratio = np.log1p(em1)
+
+    def transform(s):
+        out = np.exp(np.outer(s, log_y)) @ loads
+        if dist is not None:
+            c = (s + 1.0)[:, None]
+            eb = np.exp(c * log_yb)
+            e1 = np.expm1(c * log_ratio)
+            out += (eb * e1 / c) @ near
+            out += (eb * (c * (e1 + 1.0) * em1 - e1) / (c * (c + 1.0) * em1)) @ rise
+        return out
+
+    return transform
 
 
 def displacement_u0(
@@ -307,30 +317,18 @@ def displacement_u0(
     mu_sum = bimaterial.mu_sum
     mu_dif = bimaterial.mu_plus - bimaterial.mu_minus
     omega = MELLIN_OMEGA
-    dec = decompose(loading)
-    logs, gl = _mellin_tables(dec)
+    transform = _mellin_transform(decompose(loading))
     log_r = math.log(r)
 
-    def integrand(t: float) -> float:
-        s = complex(omega, t)
-        avg_t = 0.0 + 0.0j
-        jump_t = 0.0 + 0.0j
-        for la, avg, jump in logs:
-            w = np.exp(s * la)
-            avg_t += avg * w
-            jump_t += jump * w
-        if gl is not None:
-            log_x, wts, avg_v, jump_v = gl
-            w = wts * np.exp(s * log_x)
-            avg_t += complex(np.sum(avg_v * w))
-            jump_t += complex(np.sum(jump_v * w))
+    def integrand(t):
+        s = omega + 1j * t
+        avg_t, jump_t = transform(s).T
         s2c, c2s = _angular_ratios(omega, t, theta)
         u_t = (
             -s2c * avg_t / mu_b
             + (c2s / mu_sum + mu_dif * s2c / (2.0 * mu_b * mu_sum)) * jump_t
         ) / s
-        return (u_t * complex(math.exp(-omega * log_r), 0.0)
-                * complex(math.cos(t * log_r), -math.sin(t * log_r))).real
+        return (u_t * np.exp(-s * log_r)).real
 
     # Decay rate of the transform ratios is pi - |theta|; cap the segment
     # so slow-decay (near-face) cases fail by truncation, not inside quad

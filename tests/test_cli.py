@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +59,27 @@ def test_perturb_shows_both_paths(cfg, capsys):
     assert out.count("(closed)") == 1
     assert out.count("(quadrature)") == 1
     assert "phi = " in out
+
+
+def test_perturb_and_oracles_never_import_scipy(cfg):
+    """Both oracles run on crackwake's own quadrature: perturb, the
+    weight-function oracle and the displacement oracle, on a table too,
+    leave no scipy module loaded."""
+    code = (
+        "import sys, crackwake as cw\n"
+        "from crackwake.cli import main\n"
+        f"assert main(['perturb', '--config', {cfg(SYM_PAIR_CFG)!r}]) == 0\n"
+        "bm = cw.Bimaterial(1.0, 5.0)\n"
+        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
+        "loading = cw.Loading((cw.PointForce(-3.0, '+', 1.0),), table)\n"
+        "mc = cw.Defect('microcrack', d=1.0, phi=0.4, alpha=0.3, l_a=0.1)\n"
+        "cw.delta_k_defect_quadrature(mc, loading, bm)\n"
+        "cw.displacement_u0(loading, bm, 1.7, 2.0)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True)
 
 
 def test_map_cell_count_and_pgm(cfg, tmp_path, capsys):

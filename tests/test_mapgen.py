@@ -253,7 +253,7 @@ def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n
 
 
 def test_point_force_map_never_imports_scipy():
-    """scipy is loaded lazily, by the quadrature paths only."""
+    """crackwake needs numpy only: a point-force map loads no scipy."""
     code = (
         "import sys, crackwake as cw\n"
         "bm = cw.Bimaterial(1.0, 5.0)\n"
@@ -268,7 +268,7 @@ def test_point_force_map_never_imports_scipy():
 
 def test_table_loading_never_imports_scipy():
     """A table is lowered to point stations: K0, the gradient, propagation
-    and maps all run without scipy, which only the oracles load."""
+    and maps all run without scipy."""
     code = (
         "import sys, crackwake as cw\n"
         "bm = cw.Bimaterial(1.0, 5.0)\n"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from pytest import approx
 
@@ -194,7 +195,7 @@ def test_distributed_gradient_matches_point_limit(bm_pos):
 
 def test_adaptive_quad_failure_is_reported():
     with pytest.raises(QuadratureFailure):
-        adaptive_quad(lambda x: math.sin(1.0 / x), 1e-12, 1.0, rtol=1e-12, limit=3)
+        adaptive_quad(lambda x: np.sin(1.0 / x), 1e-12, 1.0, rtol=1e-12, limit=3)
 
 
 def test_field_point_validation():
@@ -207,22 +208,31 @@ def test_field_point_validation():
             FieldPoint(d, phi)
 
 
-# a hat whose panels the displacement oracle resolves at the large |Im s|
-# that a point 1e-3 from the face reaches (its transform uses a fixed
-# 16-node rule per panel, which aliases on coarser tables there)
+# HAT has coarse panels, which a fixed node rule per panel aliases at
+# the large |Im s| a point 1e-3 from the face reaches; FINE_HAT has 81
+# narrow ones, whose exact transforms nearly cancel there.
+HAT = Loading((PointForce(-1.2, "-", 0.25),), hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25))
 FINE_HAT = Loading((PointForce(-1.2, "-", 0.25),), hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25, n=81))
 
 
-@pytest.mark.parametrize("d, phi", [(1.3, 0.7), (2.1, -2.2), (1.95, math.pi - 1e-3)])
-def test_distributed_gradient_matches_displacement_oracle(bm_pos, d, phi):
+@pytest.mark.parametrize(
+    "loading, d, phi",
+    [
+        pytest.param(FINE_HAT, 1.3, 0.7, id="1.3-0.7"),
+        pytest.param(FINE_HAT, 2.1, -2.2, id="2.1--2.2"),
+        pytest.param(FINE_HAT, 1.95, math.pi - 1e-3, id=f"1.95-{math.pi - 1e-3}"),
+        pytest.param(HAT, 1.95, math.pi - 1e-3, id=f"9_knots-1.95-{math.pi - 1e-3}"),
+    ],
+)
+def test_distributed_gradient_matches_displacement_oracle(bm_pos, loading, d, phi):
     """grad_u0 on a table against finite differences of displacement_u0,
     including a point 1e-3 rad from the face with -d inside the support."""
     pt = FieldPoint(d, phi)
-    g = grad_u0(FINE_HAT, bm_pos, pt)
+    g = grad_u0(loading, bm_pos, pt)
     x0, y0 = pt.x, pt.y
 
     def u_at(x, y):
-        return displacement_u0(FINE_HAT, bm_pos, math.hypot(x, y), math.atan2(y, x))
+        return displacement_u0(loading, bm_pos, math.hypot(x, y), math.atan2(y, x))
 
     def central(h):
         return (
