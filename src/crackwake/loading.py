@@ -108,12 +108,6 @@ class DistributedLoad:
     def support(self) -> tuple[float, float]:
         return self.x[0], self.x[-1]
 
-    def avg_at(self, x1):
-        return np.interp(x1, self.x, self.avg, left=0.0, right=0.0)
-
-    def jump_at(self, x1):
-        return np.interp(x1, self.x, self.jump, left=0.0, right=0.0)
-
     def jump_resultant(self) -> float:
         # piecewise-linear profile integrates exactly by the trapezoid rule
         return _trapezoid(np.asarray(self.jump), np.asarray(self.x))

@@ -19,7 +19,7 @@ from .defects import Defect, dipole_matrix
 from .errors import NumericalError, ValidationError
 from .loading import Bimaterial, Loading, decompose
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _check_face, _lowered_grad, _phi_trig, sif_k0
+from .tipfields import _check_face, _lowered_grad, _phi_trig, _table_arrays, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -108,7 +108,7 @@ def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
     trig = tuple(np.array(col)[:, None] for col in zip(*(_phi_trig(p) for p in phis)))
     mu_b = np.array([bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis])
     grad, bad = _lowered_grad(
-        [(s.x1, s.avg, s.jump) for s in dec.stations], dec.distributed, d,
+        [(s.x1, s.avg, s.jump) for s in dec.stations], _table_arrays(dec.distributed), d,
         min(math.pi - abs(p) for p in phis), trig, mu_b[:, None],
         bimaterial.mu_sum, bimaterial.contrast, MAP_RTOL,
     )

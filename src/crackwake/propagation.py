@@ -21,7 +21,7 @@ from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, PointForce, decompose
 from .perturbation import _delta_k_closed
-from .tipfields import SQRT_2_OVER_PI, _lowered_grad, _phi_trig, _table_moment
+from .tipfields import SQRT_2_OVER_PI, _lowered_grad, _phi_trig, _table_arrays, _table_moments
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
@@ -118,7 +118,7 @@ class _Engine:
         self.mu_sum = bm.mu_sum
         self.eta = bm.contrast
         self.mu_series = bm.mu_series
-        self.table = state.loading.distributed
+        self.table = _table_arrays(state.loading.distributed)  # (x, avg, jump), x from the frame origin
         dec = decompose(state.loading)
         self.stations = [(s.x1, s.avg, s.jump) for s in dec.stations]
         self.defects = []
@@ -143,9 +143,10 @@ class _Engine:
             a0s += w * inv / r
         table = self.table
         if table is not None:
-            table = DistributedLoad(tuple(x - tip for x in table.x), table.avg, table.jump)
-            k0s += _table_moment(table, eta, -0.5)
-            a0s += _table_moment(table, eta, -1.5)
+            table = (table[0] - tip, *table[1:])
+            moments = _table_moments(*table, eta)
+            k0s += moments[-0.5]
+            a0s += moments[-1.5]
         k0 = -SQRT_2_OVER_PI * k0s
         a3 = SQRT_2_OVER_PI * a0s
 

@@ -26,8 +26,9 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # in (0, 0.5) is admissible, mid-strip maximizes decay on both sides.
 MELLIN_OMEGA = 0.25
 
-# the n- and 2n-node rules of the table lowering
-_GAUSS = [np.polynomial.legendre.leggauss(n) for n in (16, 32)]
+# the n- and 2n-node Gauss-Legendre rules of the table lowering, in one set
+_N_COARSE = 16
+_NODES, _WEIGHTS = np.hstack([np.polynomial.legendre.leggauss(n) for n in (_N_COARSE, 2 * _N_COARSE)])
 
 
 @dataclass(frozen=True)
@@ -63,26 +64,28 @@ class TipFieldCoefficients:
     a3: float
 
 
-def _table_moment(dist: DistributedLoad, eta: float, power: float) -> float:
-    """Integral of {<p> + (eta/2)[p]}(x1) (-x1)^power over a table, power
-    -1/2 or -3/2, exact for the piecewise-linear profile.
+def _table_arrays(dist: DistributedLoad | None):
+    """A table as float arrays (x, avg, jump); None for no table."""
+    return None if dist is None else tuple(np.array(v) for v in (dist.x, dist.avg, dist.jump))
+
+
+def _table_moments(x, avg, jump, eta: float) -> dict[float, float]:
+    """Integrals of {<p> + (eta/2)[p]}(x1) (-x1)^power over a table of
+    arrays, by power -1/2 and -3/2, exact for the piecewise-linear profile.
 
     On each panel the profile is its end values times two hat functions,
     whose moments are written in s = sqrt(-x1) as products of positive
     terms, so narrow panels lose no digits to cancellation.
     """
-    w = np.asarray(dist.avg) + 0.5 * eta * np.asarray(dist.jump)
-    s = np.sqrt(-np.asarray(dist.x))
+    w = avg + 0.5 * eta * jump
+    wa, wb = w[:-1], w[1:]
+    s = np.sqrt(-x)
     sa, sb = s[:-1], s[1:]  # far and near end of each panel
     ssum = sa + sb
-    ds = np.diff(dist.x) / ssum  # sa - sb
-    if power == -0.5:
-        wa = 2.0 * ds * (sa + 2.0 * sb) / (3.0 * ssum)
-        wb = 2.0 * ds * (2.0 * sa + sb) / (3.0 * ssum)
-    else:
-        wa = 2.0 * ds / (sa * ssum)
-        wb = 2.0 * ds / (sb * ssum)
-    return float(np.sum(w[:-1] * wa + w[1:] * wb))
+    ds2 = 2.0 * ((x[1:] - x[:-1]) / ssum)  # 2 (sa - sb)
+    half = wa * (ds2 * (sa + 2.0 * sb) / (3.0 * ssum)) + wb * (ds2 * (2.0 * sa + sb) / (3.0 * ssum))
+    three_half = wa * (ds2 / (sa * ssum)) + wb * (ds2 / (sb * ssum))
+    return {-0.5: float(half.sum()), -1.5: float(three_half.sum())}
 
 
 def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float:
@@ -93,7 +96,7 @@ def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float
     for s in dec.stations:
         total += (s.avg + 0.5 * eta * s.jump) * (-s.x1) ** power
     if dec.distributed is not None:
-        total += _table_moment(dec.distributed, eta, power)
+        total += _table_moments(*_table_arrays(dec.distributed), eta)[power]
     return total
 
 
@@ -129,34 +132,25 @@ def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
     )
 
 
-def _grad_station_sum(stations, d: float, trig, mu_b, mu_sum: float, eta: float):
-    """Delta-sifted displacement gradient at (d, phi) from point stations.
-
-    stations iterates (x1, avg, jump) triples; trig is _phi_trig(phi) and
-    mu_b the shear modulus of the half-plane containing the point.  The
-    trig entries and mu_b may be floats or numpy arrays of one shape (one
-    entry per angle, all at distance d); the arithmetic is the same
-    elementwise, so both give bit-identical values.
-    """
+def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
+    """Summands (t1, t2) of the gradient (sum t1, -sum t2) / (pi d) at
+    (d, phi) from stations at x1 = -q d, sq = sqrt(q); trig is
+    _phi_trig(phi), mu_b the modulus of the point's half-plane.  Floats
+    and broadcasting numpy arrays give bit-identical terms (angles in the
+    trig entries, stations on a trailing axis)."""
     cphi, sphi, shalf, chalf, s3half, c3half = trig
-    sphi2 = sphi * sphi
-    g1 = 0.0
-    g2 = 0.0
-    for x1, avg, jump in stations:
-        q = -x1 / d
-        sq = math.sqrt(q)
-        den = 2.0 * cphi + q + 1.0 / q
-        qm = q - 1.0 / q
-        coef = (2.0 * avg + eta * jump) / (2.0 * mu_b)
-        g1 += (jump * (sphi2 - 0.5 * cphi * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
-        g2 -= (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
-    scale = 1.0 / (math.pi * d)
-    return g1 * scale, g2 * scale
+    den = 2.0 * cphi + q + 1.0 / q
+    qm = q - 1.0 / q
+    coef = (2.0 * avg + eta * jump) / (2.0 * mu_b)
+    t1 = (jump * (sphi * sphi - 0.5 * cphi * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
+    t2 = (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
+    return t1, t2
 
 
-def _lower_table(dist: DistributedLoad, d: float, gap: float) -> list:
-    """Weighted point stations (x1, avg, jump) that stand for the table in
-    the gradient at distance d, by the 16- and by the 32-node rule.
+def _lower_table(x, avg, jump, d: float, gap: float):
+    """Weighted point stations (x1, w avg, w jump) standing for the table
+    (x, avg, jump) in the gradient at distance d: arrays of the 16-node
+    rule's stations, then the 32-node rule's, and the former's count.
 
     Panels run on s = sqrt(-x1), where the profile is a polynomial and
     the kernel a rational function with poles at sqrt(d) exp(+-i gap/2),
@@ -167,46 +161,57 @@ def _lower_table(dist: DistributedLoad, d: float, gap: float) -> list:
     2 s w times the profile at x1 = -s^2.
     """
     s0 = math.sqrt(d)
-    knots = np.sqrt(-np.asarray(dist.x[::-1]))
+    knots = np.sqrt(-x[::-1]).tolist()
     lo, hi = knots[0], knots[-1]
     h = s0 * math.sin(0.5 * max(gap, 1e-12))  # closer to a face is left to the check
     marks = []
     while s0 - h > lo or s0 + h < hi:
         marks += [m for m in (s0 - h, s0 + h) if lo < m < hi]
         h *= 2.0
-    edges = np.union1d(knots, marks)
-    a, b = edges[:-1, None], edges[1:, None]
-    rules = []
-    for nodes, weights in _GAUSS:
-        s = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        w = (b - a) * weights * s
-        x1 = -(s * s)
-        columns = (x1, w * dist.avg_at(x1), w * dist.jump_at(x1))
-        rules.append(list(zip(*(c.ravel().tolist() for c in columns))))
-    return rules
+    edges = np.array(sorted({*knots, *marks}))
+    a, b = edges[:-1], edges[1:]
+    s = (0.5 * (a + b) + 0.5 * (b - a) * _NODES[:, None]).ravel()  # node-major
+    w = ((b - a) * _WEIGHTS[:, None]).ravel() * s
+    x1 = -(s * s)
+    profile = (np.interp(x1, x, v, left=0.0, right=0.0) for v in (avg, jump))
+    return (x1, *(w * v for v in profile)), _N_COARSE * a.size
 
 
-def _lowered_grad(points: list, dist, d: float, gap: float, trig, mu_b, mu_sum, eta, rtol):
-    """Gradient at distance d from point stations plus a lowered table.
-
-    Returns the 32-node gradient and where the 16-node one misses it by
-    more than rtol relative: an array shaped like the trig entries, whose
-    gap is the smallest over them.  A miss at a single angle raises
-    QuadratureFailure; a station on the kernel's pole, only possible on a
-    face, OnCrackFaceUnderLoad.
-    """
+def _lowered_grad(points: list, table, d: float, gap: float, trig, mu_b, mu_sum, eta, rtol):
+    """Gradient at distance d from point stations (x1, avg, jump), summed
+    in order, plus a table (x, avg, jump) or None, lowered and summed in
+    one array evaluation.  Returns the 32-node gradient and where the
+    16-node one misses it by more than rtol relative: an array shaped like
+    the trig entries, whose gap is the smallest over them.  A miss at a
+    single angle raises QuadratureFailure, or OnCrackFaceUnderLoad where a
+    station sits on the kernel's pole, which happens only on a face."""
+    g1 = g2 = 0.0
     try:
-        if dist is None:
-            return _grad_station_sum(points, d, trig, mu_b, mu_sum, eta), False
-        coarse, fine = (_grad_station_sum(points + st, d, trig, mu_b, mu_sum, eta)
-                        for st in _lower_table(dist, d, gap))
+        for x1, avg, jump in points:
+            q = -x1 / d
+            t1, t2 = _station_terms(q, math.sqrt(q), avg, jump, trig, mu_b, mu_sum, eta)
+            g1 += t1
+            g2 -= t2
     except ZeroDivisionError:
         raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
-    err = np.hypot(fine[0] - coarse[0], fine[1] - coarse[1])
-    bad = np.logical_not(err <= rtol * np.hypot(*fine))
-    if np.ndim(bad) == 0 and bad:
+    scale = 1.0 / (math.pi * d)
+    if table is None:
+        return (g1 * scale, g2 * scale), False
+    (x1, wavg, wjump), n = _lower_table(*table, d, gap)
+    q = -x1 / d
+    keep = np.ndim(trig[0]) > 0  # a sum per angle, shaped like the trig entries
+    with np.errstate(all="ignore"):  # a node on the pole gives inf or NaN, which fails the check
+        t1, t2 = _station_terms(q, np.sqrt(q), wavg, wjump, trig, mu_b, mu_sum, eta)
+        coarse, fine = (((g1 + t1[..., r].sum(axis=-1, keepdims=keep)) * scale,
+                         (g2 - t2[..., r].sum(axis=-1, keepdims=keep)) * scale)
+                        for r in (slice(n), slice(n, None)))
+        err = np.hypot(fine[0] - coarse[0], fine[1] - coarse[1])
+        bad = np.logical_not(err <= rtol * np.hypot(*fine))
+    if not keep and bad:
+        if not math.isfinite(err):
+            raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a lowered table station at the face")
         raise QuadratureFailure(f"table lowering at d={d:g}, {gap:g} rad from a face, missed rtol {rtol:g}")
-    return fine, bad
+    return (fine if keep else (float(fine[0]), float(fine[1]))), bad
 
 
 def _check_face(dec, d: float, phi: float) -> None:
@@ -219,7 +224,7 @@ def _check_face(dec, d: float, phi: float) -> None:
                 f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
             )
     dist = dec.distributed  # its profiles vanish outside the support
-    if dist is not None and (dist.avg_at(-d) != 0.0 or dist.jump_at(-d) != 0.0):
+    if dist is not None and any(np.interp(-d, dist.x, p, left=0.0, right=0.0) for p in (dist.avg, dist.jump)):
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
@@ -228,7 +233,7 @@ def _grad(dec, bimaterial: Bimaterial, d: float, phi: float, trig, rtol: float):
     mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
     _check_face(dec, d, phi)
     return _lowered_grad(
-        [(s.x1, s.avg, s.jump) for s in dec.stations], dec.distributed, d,
+        [(s.x1, s.avg, s.jump) for s in dec.stations], _table_arrays(dec.distributed), d,
         math.pi - abs(phi), trig, mu_b, bimaterial.mu_sum, bimaterial.contrast, rtol,
     )[0]
 

@@ -287,7 +287,8 @@ def test_table_loading_never_imports_scipy():
 
 def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkeypatch):
     """A table row whose 16- and 32-node lowerings disagree beyond the map
-    tolerance is X, and the scan carries on."""
+    tolerance is X, and the scan carries on.  A negative tolerance is one
+    that no row meets, even where the two rules agree to the last bit."""
     import crackwake.mapgen as mapgen
 
     loading = Loading(
@@ -296,7 +297,7 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     )
     arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
     assert scan_map(arrangement, loading, bm_equal, grid=(4, 4)).count("invalid") == 0
-    monkeypatch.setattr(mapgen, "MAP_RTOL", 0.0)
+    monkeypatch.setattr(mapgen, "MAP_RTOL", -1.0)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert m.count("invalid") == 16
     assert np.all(np.isnan(m.ratio))

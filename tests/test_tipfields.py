@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from crackwake import (
@@ -14,13 +15,15 @@ from crackwake import (
     PointForce,
     ValidationError,
     coeff_a0,
+    decompose,
     displacement_u0,
     grad_u0,
     sif_k0,
     three_point_preset,
 )
 from crackwake._quad import adaptive_quad
-from crackwake.errors import NumericalError, QuadratureFailure
+from crackwake.errors import QuadratureFailure
+from crackwake.tipfields import _lower_table, _lowered_grad, _phi_trig, _table_arrays
 
 from helpers import hat_load, rel_err, sym_pair_at
 
@@ -299,13 +302,102 @@ def test_near_face_table_gradient_fails_cleanly(bm_pos):
     ids=["far-end", "near-end", "unloaded-knot"],
 )
 def test_table_gradient_on_the_face_is_finite_or_numerical_error(bm_pos, table, d, phi):
-    """On a face at an unloaded point of the table a lowering node can sit
-    on the kernel's pole: the result is finite or a NumericalError, never
-    a ZeroDivisionError."""
+    """On a face at an unloaded point of the table a lowering node sits on
+    the kernel's pole: OnCrackFaceUnderLoad, not a ZeroDivisionError, a
+    numpy RuntimeWarning or a QuadratureFailure."""
     loading = Loading((), DistributedLoad(*table))
-    try:
-        g = grad_u0(loading, bm_pos, FieldPoint(d, phi))
-    except NumericalError:
-        return
-    assert all(math.isfinite(v) for v in g)
+    with pytest.raises(OnCrackFaceUnderLoad):
+        grad_u0(loading, bm_pos, FieldPoint(d, phi))
+
+
+def _reference_terms(x1, avg, jump, d, phi, mu_b, mu_sum, eta):
+    """Summands (t1, t2) of the gradient kernel for one station, written
+    out on floats: the gradient is (sum t1, -sum t2) / (pi d)."""
+    q = -x1 / d
+    sq = math.sqrt(q)
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    den = 2.0 * cphi + q + 1.0 / q
+    qm = q - 1.0 / q
+    coef = (2.0 * avg + eta * jump) / (2.0 * mu_b)
+    t1 = jump * (sphi * sphi - 0.5 * cphi * qm) / mu_sum
+    t1 = (t1 + coef * (sq * math.sin(0.5 * phi) + math.sin(1.5 * phi) / sq)) / den
+    t2 = jump * sphi * (cphi + 0.5 * qm) / mu_sum
+    t2 = (t2 + coef * (sq * math.cos(0.5 * phi) + math.cos(1.5 * phi) / sq)) / den
+    return t1, t2
+
+
+moduli = st.floats(0.2, 5.0)
+NO_CHECK = 1e300  # an rtol that the 16/32 check of any finite gradient meets
+off_face = st.builds(lambda sign, gap: sign * (math.pi - gap), st.sampled_from((1.0, -1.0)),
+                     st.floats(1e-2, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forces=st.lists(
+        st.tuples(st.floats(-8.0, -0.1), st.sampled_from("+-"), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=5,
+    ),
+    mu=st.tuples(moduli, moduli),
+    d=st.floats(0.2, 8.0),
+    phi=off_face,
+)
+def test_point_gradient_is_the_per_station_loop_bit_for_bit(forces, mu, d, phi):
+    """For point forces grad_u0 sums the stations one by one, in order,
+    exactly as the per-station loop on floats does."""
+    bm = Bimaterial(*mu)
+    loading = Loading(tuple(PointForce(*f) for f in forces))
+    mu_b = bm.mu_plus if phi >= 0.0 else bm.mu_minus
+    g1 = g2 = 0.0
+    for s in decompose(loading).stations:
+        t1, t2 = _reference_terms(s.x1, s.avg, s.jump, d, phi, mu_b, bm.mu_sum, bm.contrast)
+        g1 += t1
+        g2 -= t2
+    scale = 1.0 / (math.pi * d)
+    assert grad_u0(loading, bm, FieldPoint(d, phi)) == (g1 * scale, g2 * scale)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(3, 12))
+    widths = draw(st.lists(st.floats(0.02, 1.0), min_size=n - 1, max_size=n - 1))
+    near = draw(st.floats(0.05, 3.0))  # distance of the near end from the tip
+    x = tuple(-near - sum(widths[k:]) for k in range(n))
+    values = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    return DistributedLoad(x, tuple(draw(values)), tuple(draw(values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=tables(),
+    mu=st.tuples(moduli, moduli),
+    where=st.floats(-0.5, 1.5),
+    phis=st.lists(off_face, min_size=1, max_size=3),
+)
+def test_lowered_table_sum_matches_fsum_of_its_stations(table, mu, where, phis):
+    """The array sum of a lowered table equals an exact sum (math.fsum) of
+    the same stations' terms, computed one by one on floats, to 1e-13 of
+    the gradient norm: at one angle (float trig) and for a block of rows
+    (trig arrays, as a map passes them), with d on or off the support."""
+    bm = Bimaterial(*mu)
+    near, far = -table.x[-1], -table.x[0]
+    d = near + where * (far - near)  # inside the support for 0 <= where <= 1
+    if d <= 0.0:
+        d = 0.5 * near
+    gap = min(math.pi - abs(p) for p in phis)
+    arrays = _table_arrays(table)
+    (x1, wavg, wjump), n = _lower_table(*arrays, d, gap)
+    fine_rule = list(zip(x1.tolist(), wavg.tolist(), wjump.tolist()))[n:]
+    mu_bs = [bm.mu_plus if p >= 0.0 else bm.mu_minus for p in phis]
+    materials = (bm.mu_sum, bm.contrast, NO_CHECK)
+    row_trig = tuple(np.array(col)[:, None] for col in zip(*map(_phi_trig, phis)))
+    block, _ = _lowered_grad([], arrays, d, gap, row_trig, np.array(mu_bs)[:, None], *materials)
+    scale = 1.0 / (math.pi * d)
+    for i, (phi, mu_b) in enumerate(zip(phis, mu_bs)):
+        terms = [_reference_terms(*s, d, phi, mu_b, bm.mu_sum, bm.contrast) for s in fine_rule]
+        ref = (math.fsum(t[0] for t in terms) * scale, -math.fsum(t[1] for t in terms) * scale)
+        tol = 1e-13 * math.hypot(*ref)
+        single, _ = _lowered_grad([], arrays, d, gap, _phi_trig(phi), mu_b, *materials)
+        for got in (single, (block[0][i, 0], block[1][i, 0])):
+            assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= tol
 
