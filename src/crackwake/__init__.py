@@ -1,70 +1,53 @@
 """Perturbation of Mode III interfacial crack-tip fields by small
-defects, and the resulting quasi-static crack growth."""
+defects, and the resulting quasi-static crack growth.
 
-from .defects import DEFECT_KINDS, Defect, DipoleMatrix, dipole_matrix
-from .errors import (
-    ContourTruncationFailure,
-    CrackwakeError,
-    DegenerateA0,
-    DilutenessWarning,
-    InvalidDefect,
-    InvalidPreset,
-    LoadTooCloseToTip,
-    NumericalError,
-    OnCrackFaceUnderLoad,
-    QuadratureFailure,
-    TipReachesDefect,
-    TipReachesLoad,
-    UnbalancedLoading,
-    ValidationError,
-)
-from .loading import (
-    Bimaterial,
-    DistributedLoad,
-    Loading,
-    PointForce,
-    check_balance,
-    contrast,
-    decompose,
-    three_point_preset,
-)
-from .mapgen import (
-    PairArrangement,
-    RegionMap,
-    classify,
-    scan_map,
-    write_map_csv,
-    write_map_pgm,
-)
-from .perturbation import (
-    EffectiveTraction,
-    delta_k_advance,
-    delta_k_defect,
-    delta_k_defect_quadrature,
-    delta_k_remote,
-    delta_k_total,
-    effective_tractions,
-    neutral_pair_a,
-    neutral_pair_b,
-    tip_weight_vector,
-)
-from .propagation import (
-    CrackState,
-    PropagationTrace,
-    advance_increment,
-    propagate,
-    step,
-    write_trace_csv,
-)
-from .config import Scenario, ScenarioParams, dump_scenario, parse_scenario
-from .tipfields import (
-    FieldPoint,
-    TipFieldCoefficients,
-    coeff_a0,
-    displacement_u0,
-    grad_u0,
-    sif_k0,
-    tip_coefficients,
-)
+The namespace is lazy: a public name or a submodule is imported on first
+access, so a run loads only the modules it uses."""
+
+import sys
 
 __version__ = "0.1.0"
+
+# every public name by the submodule that defines it
+_EXPORTS = {
+    "config": ("Scenario", "ScenarioParams", "dump_scenario", "parse_scenario"),
+    "defects": ("DEFECT_KINDS", "Defect", "DipoleMatrix", "dipole_matrix"),
+    "errors": ("ContourTruncationFailure", "CrackwakeError", "DegenerateA0", "DilutenessWarning",
+               "InvalidDefect", "InvalidPreset", "LoadTooCloseToTip", "NumericalError",
+               "OnCrackFaceUnderLoad", "QuadratureFailure", "TipReachesDefect", "TipReachesLoad",
+               "UnbalancedLoading", "ValidationError"),
+    "loading": ("Bimaterial", "DistributedLoad", "Loading", "PointForce", "check_balance", "contrast",
+                "decompose", "three_point_preset"),
+    "mapgen": ("PairArrangement", "RegionMap", "classify", "scan_map", "write_map_csv", "write_map_pgm"),
+    "perturbation": ("EffectiveTraction", "delta_k_advance", "delta_k_defect", "delta_k_defect_quadrature",
+                     "delta_k_remote", "delta_k_total", "effective_tractions", "neutral_pair_a",
+                     "neutral_pair_b", "tip_weight_vector"),
+    "propagation": ("CrackState", "PropagationTrace", "advance_increment", "propagate", "step",
+                    "write_trace_csv"),
+    "tipfields": ("FieldPoint", "TipFieldCoefficients", "coeff_a0", "displacement_u0", "grad_u0", "sif_k0",
+                  "tip_coefficients"),
+}
+_SUBMODULES = (*_EXPORTS, "cli", "_quad")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _submodule(name: str):
+    """Import crackwake.<name> as an import statement does, so -X importtime lists it."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_HOME[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

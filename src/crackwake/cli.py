@@ -9,20 +9,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+# every command parses a scenario; each handler imports what it runs
 from .config import Scenario, ScenarioParams, dump_scenario, parse_scenario
-from .defects import dipole_matrix
 from .errors import NumericalError, ValidationError
-from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
-from .perturbation import (
-    delta_k_defect,
-    delta_k_defect_quadrature,
-    neutral_pair_a,
-    neutral_pair_b,
-)
-from .propagation import CrackState, advance_increment, propagate, write_trace_csv
-from .tipfields import coeff_a0, sif_k0
 
 COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
 
@@ -76,8 +68,6 @@ def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
         updates["threads"] = args.threads
     if not updates:
         return params
-    from dataclasses import replace
-
     return replace(params, **updates)
 
 
@@ -93,6 +83,8 @@ def _first_microcrack(scenario: Scenario):
 
 
 def _cmd_dipole(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .defects import dipole_matrix
+
     for i, defect in enumerate(scenario.defects, start=1):
         m = dipole_matrix(defect)
         out.write(f"defect {i}: {defect.kind}\n")
@@ -100,11 +92,17 @@ def _cmd_dipole(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_sif(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .tipfields import coeff_a0, sif_k0
+
     out.write(f"K0 = {_fmt(sif_k0(scenario.loading, scenario.bimaterial))}\n")
     out.write(f"A0 = {_fmt(coeff_a0(scenario.loading, scenario.bimaterial))}\n")
 
 
 def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .perturbation import delta_k_defect, delta_k_defect_quadrature
+    from .propagation import CrackState, advance_increment
+    from .tipfields import coeff_a0, sif_k0
+
     loading, bm = scenario.loading, scenario.bimaterial
     closed_values = []
     for i, defect in enumerate(scenario.defects, start=1):
@@ -120,12 +118,18 @@ def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .propagation import CrackState, propagate, write_trace_csv
+
     state = CrackState(0.0, scenario.defects, scenario.loading, scenario.bimaterial)
     trace = propagate(state, max_iter=params.max_iter, arrest_tol=params.arrest_tol)
     write_trace_csv(trace, out)
 
 
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
+
+    if params.pgm and params.out is None:
+        raise ValidationError("--pgm needs --out to derive the image path")
     defect = _first_microcrack(scenario)
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
@@ -139,14 +143,14 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     )
     write_map_csv(region_map, out)
     if params.pgm:
-        if params.out is None:
-            raise ValidationError("--pgm needs --out to derive the image path")
         pgm_path = Path(params.out).with_suffix(".pgm")
         with open(pgm_path, "w") as fh:
             write_map_pgm(region_map, fh)
 
 
 def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
+    from .perturbation import neutral_pair_a, neutral_pair_b
+
     defect = _first_microcrack(scenario)
     if params.pair == "a":
         companion = neutral_pair_a(defect)
@@ -186,8 +190,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if args.dump_config:
-            from dataclasses import replace
-
             sys.stdout.write(dump_scenario(replace(scenario, params=params)))
             return 0
         handler = _HANDLERS[args.command]
@@ -204,6 +206,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

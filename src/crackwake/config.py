@@ -37,6 +37,12 @@ class ScenarioParams:
     pair: str = "a"
     threads: int = 1  # ignored; kept so older scenario files parse
 
+    def __post_init__(self):
+        for key in ("delta", "arrest_tol"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValidationError(f"{key} must be positive and finite, got {value}")
+
 
 @dataclass(frozen=True)
 class Scenario:

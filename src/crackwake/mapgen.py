@@ -43,8 +43,8 @@ def classify(ratio: float, delta: float) -> str:
     Boundaries are inclusive to neutral: shielding needs ratio < -delta,
     amplification ratio > delta.
     """
-    if not delta > 0.0:
-        raise ValidationError(f"classification accuracy must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"classification accuracy must be positive and finite, got {delta}")
     if ratio < -delta:
         return SHIELDING
     if ratio > delta:
@@ -138,8 +138,8 @@ def scan_map(
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
         raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
-    if not delta > 0.0:
-        raise ValidationError(f"map accuracy delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValidationError(f"map accuracy delta must be positive and finite, got {delta}")
     phi_axis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     alpha_axis = (np.arange(n_alpha) + 0.5) * (math.pi / n_alpha)
     k0 = sif_k0(loading, bimaterial)
@@ -184,16 +184,22 @@ def scan_map(
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:
-    """CSV rows phi1,alpha1,ratio,region in fixed row-major order."""
+    """CSV rows phi1,alpha1,ratio,region in fixed row-major order,
+    formatted by one % per block of 16 phi1 rows."""
     fh.write("phi1,alpha1,ratio,region\n")
+    phis = [f"{p:.9g}" for p in region_map.phi1.tolist()]
     alphas = [f"{a:.9g}" for a in region_map.alpha1.tolist()]
-    for p, ratios, regions in zip(
-        region_map.phi1.tolist(), region_map.ratio.tolist(), region_map.region.tolist()
-    ):
-        lead = f"{p:.9g},"
-        fh.write("".join(
-            f"{lead}{a},{r:.9g},{REGION_LETTER[g]}\n" for a, r, g in zip(alphas, ratios, regions)
-        ))
+    ratios = region_map.ratio.ravel().tolist()
+    letters = [REGION_LETTER[g] for g in region_map.region.ravel().tolist()]
+    for start in range(0, len(phis), 16):
+        lead = [p for p in phis[start:start + 16] for _ in alphas]
+        cells = slice(start * len(alphas), start * len(alphas) + len(lead))
+        values = [None] * (4 * len(lead))  # the cells' four fields, interleaved
+        values[0::4] = lead
+        values[1::4] = alphas * (len(lead) // len(alphas))
+        values[2::4] = ratios[cells]
+        values[3::4] = letters[cells]
+        fh.write("%s,%s,%.9g,%s\n" * len(lead) % tuple(values))
 
 
 def write_map_pgm(region_map: RegionMap, fh) -> None:

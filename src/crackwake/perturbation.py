@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._quad import adaptive_quad
 from .defects import Defect, dipole_matrix
 from .errors import InvalidDefect
 from .loading import Bimaterial, Loading, decompose
@@ -127,6 +126,8 @@ def delta_k_defect_quadrature(
     The kernel integral over x1 < 0 runs on the substituted axis
     t = sqrt(-x1), which removes the endpoint singularity.
     """
+    from ._quad import adaptive_quad
+
     grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi), rtol=min(rtol, 1e-10))
     eff = effective_tractions(defect, grad, bimaterial)
     eta = bimaterial.contrast

@@ -226,8 +226,8 @@ def propagate(
     engine = _Engine(state)
     if arrest_tol is None:
         arrest_tol = 1e-8 * engine.d_ref
-    if not arrest_tol > 0.0:
-        raise ValidationError(f"arrest_tol must be positive, got {arrest_tol}")
+    if not 0.0 < arrest_tol < math.inf:
+        raise ValidationError(f"arrest_tol must be positive and finite, got {arrest_tol}")
 
     tip = state.tip_x
     elong = 0.0

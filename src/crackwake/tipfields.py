@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from ._quad import adaptive_quad
 from .errors import ContourTruncationFailure, OnCrackFaceUnderLoad, QuadratureFailure, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, decompose
 
@@ -26,9 +26,13 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # in (0, 0.5) is admissible, mid-strip maximizes decay on both sides.
 MELLIN_OMEGA = 0.25
 
-# the n- and 2n-node Gauss-Legendre rules of the table lowering, in one set
 _N_COARSE = 16
-_NODES, _WEIGHTS = np.hstack([np.polynomial.legendre.leggauss(n) for n in (_N_COARSE, 2 * _N_COARSE)])
+
+
+@cache
+def _gauss_legendre():
+    """The n- and 2n-node Gauss-Legendre rules of the table lowering, in one set."""
+    return np.hstack([np.polynomial.legendre.leggauss(n) for n in (_N_COARSE, 2 * _N_COARSE)])
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,10 @@ def _table_arrays(dist: DistributedLoad | None):
     return None if dist is None else tuple(np.array(v) for v in (dist.x, dist.avg, dist.jump))
 
 
-def _table_moments(x, avg, jump, eta: float) -> dict[float, float]:
+def _table_moments(x, avg, jump, eta: float, powers=(-0.5, -1.5)) -> dict[float, float]:
     """Integrals of {<p> + (eta/2)[p]}(x1) (-x1)^power over a table of
-    arrays, by power -1/2 and -3/2, exact for the piecewise-linear profile.
+    arrays, by each of the powers among -1/2 and -3/2, exact for the
+    piecewise-linear profile.
 
     On each panel the profile is its end values times two hat functions,
     whose moments are written in s = sqrt(-x1) as products of positive
@@ -83,9 +88,11 @@ def _table_moments(x, avg, jump, eta: float) -> dict[float, float]:
     sa, sb = s[:-1], s[1:]  # far and near end of each panel
     ssum = sa + sb
     ds2 = 2.0 * ((x[1:] - x[:-1]) / ssum)  # 2 (sa - sb)
-    half = wa * (ds2 * (sa + 2.0 * sb) / (3.0 * ssum)) + wb * (ds2 * (2.0 * sa + sb) / (3.0 * ssum))
-    three_half = wa * (ds2 / (sa * ssum)) + wb * (ds2 / (sb * ssum))
-    return {-0.5: float(half.sum()), -1.5: float(three_half.sum())}
+    moment = {
+        -0.5: lambda: wa * (ds2 * (sa + 2.0 * sb) / (3.0 * ssum)) + wb * (ds2 * (2.0 * sa + sb) / (3.0 * ssum)),
+        -1.5: lambda: wa * (ds2 / (sa * ssum)) + wb * (ds2 / (sb * ssum)),
+    }
+    return {power: float(moment[power]().sum()) for power in powers}
 
 
 def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float:
@@ -96,7 +103,7 @@ def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float
     for s in dec.stations:
         total += (s.avg + 0.5 * eta * s.jump) * (-s.x1) ** power
     if dec.distributed is not None:
-        total += _table_moments(*_table_arrays(dec.distributed), eta)[power]
+        total += _table_moments(*_table_arrays(dec.distributed), eta, (power,))[power]
     return total
 
 
@@ -170,8 +177,9 @@ def _lower_table(x, avg, jump, d: float, gap: float):
         h *= 2.0
     edges = np.array(sorted({*knots, *marks}))
     a, b = edges[:-1], edges[1:]
-    s = (0.5 * (a + b) + 0.5 * (b - a) * _NODES[:, None]).ravel()  # node-major
-    w = ((b - a) * _WEIGHTS[:, None]).ravel() * s
+    nodes, weights = _gauss_legendre()
+    s = (0.5 * (a + b) + 0.5 * (b - a) * nodes[:, None]).ravel()  # node-major
+    w = ((b - a) * weights[:, None]).ravel() * s
     x1 = -(s * s)
     profile = (np.interp(x1, x, v, left=0.0, right=0.0) for v in (avg, jump))
     return (x1, *(w * v for v in profile)), _N_COARSE * a.size
@@ -318,6 +326,8 @@ def displacement_u0(
         raise ValidationError(f"radius must be positive, got {r}")
     if not abs(theta) < math.pi:
         raise ValidationError(f"displacement needs |theta| < pi, got {theta}")
+    from ._quad import adaptive_quad
+
     mu_b = bimaterial.mu_plus if theta >= 0.0 else bimaterial.mu_minus
     mu_sum = bimaterial.mu_sum
     mu_dif = bimaterial.mu_plus - bimaterial.mu_minus

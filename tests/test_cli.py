@@ -93,9 +93,18 @@ def test_map_cell_count_and_pgm(cfg, tmp_path, capsys):
     assert pgm[0] == "P2" and pgm[1] == "8 4"
 
 
-def test_map_pgm_requires_out(cfg, capsys):
+def test_map_pgm_requires_out(cfg, capsys, monkeypatch):
+    """Checked before the scan: no work, and no CSV rows on stdout."""
+    import crackwake.mapgen
+
+    def never(*args, **kwargs):
+        raise AssertionError("scan_map ran")
+
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
     assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--pgm"]) == 1
-    assert "needs --out" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "needs --out" in err
 
 
 def test_map_to_stdout(cfg, capsys):
@@ -193,8 +202,11 @@ def test_threads_ignored_with_one_warning(cfg, tmp_path, capsys):
         ("perturb", "alpha = 0,", "alpha = nan,"),
         ("perturb", "phi = 22.5 deg", "phi = 180 deg"),
         ("perturb", "d = 1, phi = 22.5 deg", "x = -1, y = 0"),
+        ("map", "defect {", "params { grid = 4x4, delta = inf }\ndefect {"),
+        ("propagate", "defect {", "params { arrest_tol = inf }\ndefect {"),
     ],
-    ids=["nan-load", "inf-distance", "nan-orientation", "defect-on-face", "cartesian-on-face"],
+    ids=["nan-load", "inf-distance", "nan-orientation", "defect-on-face", "cartesian-on-face",
+         "inf-delta", "inf-arrest-tol"],
 )
 def test_invalid_values_exit_1(cfg, capsys, command, old, new):
     """Non-finite numbers and defects on the crack faces end in an error
@@ -209,3 +221,37 @@ def test_invalid_values_exit_1(cfg, capsys, command, old, new):
 def test_negative_threads_flag_exits_1(cfg, capsys):
     assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--threads", "-3", "--dump-config"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("map", "--delta", "inf"),
+        ("map", "--delta", "nan"),
+        ("sif", "--delta", "-inf"),
+        ("propagate", "--arrest-tol", "inf"),
+        ("propagate", "--arrest-tol", "nan"),
+    ],
+)
+def test_non_finite_delta_and_arrest_tol_flags_exit_1(cfg, capsys, command, flag, value):
+    assert main([command, "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", f"{flag}={value}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+
+
+def test_out_of_memory_is_one_error_line(cfg, capsys, monkeypatch):
+    """An oversized grid fails to allocate: one error line and exit 1, not
+    a traceback.  The failure is injected; no large grid is allocated."""
+    import crackwake.mapgen
+
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def oversized(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", oversized)
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "100000x100000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: out of memory: {message}"]

@@ -10,6 +10,7 @@ from crackwake import (
     Scenario,
     ScenarioParams,
     UnbalancedLoading,
+    ValidationError,
     dump_scenario,
     parse_scenario,
 )
@@ -142,6 +143,15 @@ def test_validation_errors_propagate():
             "bimaterial { mu_plus = 1, mu_minus = 1 }\n"
             'loading { force { face = "+", x1 = -1e-15, p = 1 }, force { face = "-", x1 = -1e-15, p = 1 } }\n'
         )
+
+
+@pytest.mark.parametrize("key", ["delta", "arrest_tol"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_delta_and_arrest_tol_must_be_positive_and_finite(key, value):
+    with pytest.raises(ValidationError, match=key):
+        parse_scenario(MINIMAL + f"params {{ {key} = {value} }}\n")
+    with pytest.raises(ValidationError, match=key):
+        ScenarioParams(**{key: float(value)})
 
 
 def test_comments_and_blank_lines_ignored():

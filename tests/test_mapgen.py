@@ -115,6 +115,11 @@ def test_scan_map_validates_grid_and_delta(bm_equal):
         scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(1, 8))
     with pytest.raises(ValidationError):
         scan_map(arrangement, sym_pair_at(3.0), bm_equal, delta=0.0)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(4, 4), delta=delta)
+        with pytest.raises(ValidationError):
+            classify(0.0, delta)
     with pytest.raises(ValidationError):
         PairArrangement("c", l1=0.1, d1=1.0)
 

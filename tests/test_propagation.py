@@ -15,6 +15,7 @@ from crackwake import (
     PointForce,
     TipReachesDefect,
     TipReachesLoad,
+    ValidationError,
     advance_increment,
     coeff_a0,
     delta_k_total,
@@ -196,3 +197,11 @@ def test_non_finite_increment_raises():
         propagate(state, max_iter=3)
     with pytest.raises(NumericalError):
         advance_increment(state)
+
+
+@pytest.mark.parametrize("arrest_tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_propagate_rejects_arrest_tol_not_positive_and_finite(bm_equal, arrest_tol):
+    mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
+    state = CrackState(0.0, (mc,), three_point_preset(1.0, 3.0, 1.0), bm_equal)
+    with pytest.raises(ValidationError, match="arrest_tol"):
+        propagate(state, max_iter=3, arrest_tol=arrest_tol)
