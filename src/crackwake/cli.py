@@ -126,11 +126,11 @@ def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
-    from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
-
     if params.pgm and params.out is None:
         raise ValidationError("--pgm needs --out to derive the image path")
     defect = _first_microcrack(scenario)
+    from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
+
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
     region_map = scan_map(
@@ -164,6 +164,25 @@ def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
     )
 
 
+class _OpenOnFirstWrite:
+    """A text file opened for writing by its first write.  The handlers
+    write only once their result exists, so a command that fails before
+    that leaves an existing file as it was; rows still stream to disk."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.fh = None
+
+    def write(self, text: str) -> int:
+        self.fh = open(self.path, "w")
+        self.write = self.fh.write  # later writes go straight to the file
+        return self.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+
+
 _HANDLERS = {
     "dipole": _cmd_dipole,
     "sif": _cmd_sif,
@@ -194,8 +213,11 @@ def main(argv=None) -> int:
             return 0
         handler = _HANDLERS[args.command]
         if params.out is not None and args.command in ("propagate", "map"):
-            with open(params.out, "w") as fh:
-                handler(scenario, params, fh)
+            out = _OpenOnFirstWrite(params.out)
+            try:
+                handler(scenario, params, out)
+            finally:
+                out.close()
         else:
             handler(scenario, params, sys.stdout)
     except ValidationError as exc:

@@ -213,6 +213,15 @@ def _as_count(entry, key: str) -> int:
     return int(number)
 
 
+def _as_positive(entry, key: str) -> float:
+    """Value of a (value, line) entry that must be positive and finite."""
+    value, line = entry
+    number = _as_number(value, key, line)
+    if not 0.0 < number < math.inf:
+        raise ConfigSyntaxError(f"{key} must be positive and finite, got {number}", line)
+    return number
+
+
 def _build_loading(block: _Block) -> Loading:
     if block.entries:
         key, _, line = block.entries[0]
@@ -289,14 +298,16 @@ def _build_params(block: _Block) -> ScenarioParams:
         value, line = e["grid"]
         if not (isinstance(value, str) and _GRID_VALUE.match(value)):
             raise ConfigSyntaxError(f"grid expects NxM, got {value!r}", line)
-        n_phi, n_alpha = value.split("x")
-        kwargs["grid"] = (int(n_phi), int(n_alpha))
+        n_phi, n_alpha = (int(n) for n in value.split("x"))
+        if n_phi < 2 or n_alpha < 2:
+            raise ConfigSyntaxError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}", line)
+        kwargs["grid"] = (n_phi, n_alpha)
     if "delta" in e:
-        kwargs["delta"] = _as_number(e["delta"][0], "delta", e["delta"][1])
+        kwargs["delta"] = _as_positive(e["delta"], "delta")
     if "max_iter" in e:
         kwargs["max_iter"] = _as_count(e["max_iter"], "max_iter")
     if "arrest_tol" in e:
-        kwargs["arrest_tol"] = _as_number(e["arrest_tol"][0], "arrest_tol", e["arrest_tol"][1])
+        kwargs["arrest_tol"] = _as_positive(e["arrest_tol"], "arrest_tol")
     if "out" in e:
         value, line = e["out"]
         if not isinstance(value, str):

@@ -11,8 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DilutenessWarning, InvalidDefect
 
 AREA_KINDS = ("elastic_ellipse", "rigid_ellipse", "elliptic_void")
@@ -65,7 +63,8 @@ class Defect:
             raise InvalidDefect(f"stiffness ratio must be positive, got {self.mu_star}")
         if self.kind in ("soft_line", "stiff_line") and self.kappa < 0.0:
             raise InvalidDefect(f"bonding parameter must be >= 0, got {self.kappa}")
-        object.__setattr__(self, "alpha", self.alpha % math.pi)
+        alpha = self.alpha % math.pi  # rounds to pi itself for a tiny negative angle
+        object.__setattr__(self, "alpha", 0.0 if alpha == math.pi else alpha)
         if self.l_a / self.d > DILUTENESS_RATIO:
             warnings.warn(
                 f"defect size l/d = {self.l_a / self.d:.3g} exceeds {DILUTENESS_RATIO}; "
@@ -95,7 +94,10 @@ class DipoleMatrix:
     m12: float
     m22: float
 
-    def as_matrix(self) -> np.ndarray:
+    def as_matrix(self):
+        """The matrix as a 2x2 numpy array."""
+        import numpy as np
+
         return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
     def apply(self, v1: float, v2: float) -> tuple[float, float]:

@@ -3,14 +3,16 @@
 Sign convention: a load value p is the prescribed shear stress
 mu * du/dx2 on a crack face, positive along the +x3 direction on the
 upper face.  The crack occupies x1 < 0, the tip sits at the origin.
+
+Everything here is plain Python on floats and tuples, tables included,
+so building and validating a loading never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidPreset, LoadTooCloseToTip, UnbalancedLoading, ValidationError
 
@@ -89,20 +91,20 @@ class DistributedLoad:
     jump: tuple[float, ...]
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or x.size < 2:
+        x, avg, jump = (_column(v) for v in (self.x, self.avg, self.jump))
+        if len(x) < 2:
             raise ValidationError("distributed load needs at least two stations")
-        if not np.all(np.diff(x) > 0.0):
+        if not all(a < b for a, b in zip(x, x[1:])):
             raise ValidationError("distributed-load stations must be strictly increasing")
-        if not np.all(x < 0.0):
+        if not all(v < 0.0 for v in x):
             raise ValidationError("distributed-load support must lie on x1 < 0")
-        if len(self.avg) != x.size or len(self.jump) != x.size:
+        if len(avg) != len(x) or len(jump) != len(x):
             raise ValidationError("avg/jump tables must match the station grid")
-        if not np.all(np.isfinite([x, self.avg, self.jump])):
+        if not all(map(math.isfinite, x + avg + jump)):
             raise ValidationError("distributed-load tables must be finite")
-        object.__setattr__(self, "x", tuple(float(v) for v in x))
-        object.__setattr__(self, "avg", tuple(float(v) for v in self.avg))
-        object.__setattr__(self, "jump", tuple(float(v) for v in self.jump))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "avg", avg)
+        object.__setattr__(self, "jump", jump)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -110,19 +112,28 @@ class DistributedLoad:
 
     def jump_resultant(self) -> float:
         # piecewise-linear profile integrates exactly by the trapezoid rule
-        return _trapezoid(np.asarray(self.jump), np.asarray(self.x))
+        return _trapezoid(self.jump, self.x)
 
     def abs_scale(self) -> float:
-        x = np.asarray(self.x)
-        up = np.abs(np.asarray(self.avg) + 0.5 * np.asarray(self.jump))
-        lo = np.abs(np.asarray(self.avg) - 0.5 * np.asarray(self.jump))
-        return _trapezoid(up + lo, x)
+        faces = [abs(a + 0.5 * j) + abs(a - 0.5 * j) for a, j in zip(self.avg, self.jump)]
+        return _trapezoid(faces, self.x)
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    """Trapezoid rule, written out because np.trapz is gone from NumPy 2.4
-    and np.trapezoid is missing before NumPy 2.0."""
-    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+def _column(values) -> tuple[float, ...]:
+    """A table column as a tuple of floats; ValidationError unless it is
+    a sequence of real numbers (a string, None or a nested entry is not)."""
+    try:
+        column = tuple(values)
+        if all(isinstance(v, numbers.Real) for v in column):
+            return tuple(map(float, column))
+    except (TypeError, OverflowError):  # not iterable; an int beyond the float range
+        pass
+    raise ValidationError("distributed-load tables must be sequences of real numbers")
+
+
+def _trapezoid(y, x) -> float:
+    """Trapezoid rule over sequences of floats, its panels summed by fsum."""
+    return math.fsum((xb - xa) * (yb + ya) / 2.0 for xa, xb, ya, yb in zip(x, x[1:], y, y[1:]))
 
 
 @dataclass(frozen=True)

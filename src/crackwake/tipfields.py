@@ -7,6 +7,10 @@ exact moments of its piecewise-linear profile, and the gradient as
 weighted point stations at Gauss-Legendre nodes, so one station kernel
 serves every loading.  Only the displacement oracle integrates
 adaptively, over the exact transform of the loading.
+
+Point forces are evaluated on plain floats.  numpy is imported inside
+the functions that build arrays (the table paths and the displacement
+oracle), so K0, A0 and the gradient of point forces never load it.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
 
 from .errors import ContourTruncationFailure, OnCrackFaceUnderLoad, QuadratureFailure, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, decompose
@@ -32,6 +34,8 @@ _N_COARSE = 16
 @cache
 def _gauss_legendre():
     """The n- and 2n-node Gauss-Legendre rules of the table lowering, in one set."""
+    import numpy as np
+
     return np.hstack([np.polynomial.legendre.leggauss(n) for n in (_N_COARSE, 2 * _N_COARSE)])
 
 
@@ -70,7 +74,11 @@ class TipFieldCoefficients:
 
 def _table_arrays(dist: DistributedLoad | None):
     """A table as float arrays (x, avg, jump); None for no table."""
-    return None if dist is None else tuple(np.array(v) for v in (dist.x, dist.avg, dist.jump))
+    if dist is None:
+        return None
+    import numpy as np
+
+    return tuple(np.array(v) for v in (dist.x, dist.avg, dist.jump))
 
 
 def _table_moments(x, avg, jump, eta: float, powers=(-0.5, -1.5)) -> dict[float, float]:
@@ -82,6 +90,8 @@ def _table_moments(x, avg, jump, eta: float, powers=(-0.5, -1.5)) -> dict[float,
     whose moments are written in s = sqrt(-x1) as products of positive
     terms, so narrow panels lose no digits to cancellation.
     """
+    import numpy as np
+
     w = avg + 0.5 * eta * jump
     wa, wb = w[:-1], w[1:]
     s = np.sqrt(-x)
@@ -167,6 +177,8 @@ def _lower_table(x, avg, jump, d: float, gap: float):
     about sqrt(d) gap.  A Gauss-Legendre node s of weight w carries
     2 s w times the profile at x1 = -s^2.
     """
+    import numpy as np
+
     s0 = math.sqrt(d)
     knots = np.sqrt(-x[::-1]).tolist()
     lo, hi = knots[0], knots[-1]
@@ -205,6 +217,8 @@ def _lowered_grad(points: list, table, d: float, gap: float, trig, mu_b, mu_sum,
     scale = 1.0 / (math.pi * d)
     if table is None:
         return (g1 * scale, g2 * scale), False
+    import numpy as np
+
     (x1, wavg, wjump), n = _lower_table(*table, d, gap)
     q = -x1 / d
     keep = np.ndim(trig[0]) > 0  # a sum per angle, shaped like the trig entries
@@ -232,7 +246,11 @@ def _check_face(dec, d: float, phi: float) -> None:
                 f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
             )
     dist = dec.distributed  # its profiles vanish outside the support
-    if dist is not None and any(np.interp(-d, dist.x, p, left=0.0, right=0.0) for p in (dist.avg, dist.jump)):
+    if dist is None:
+        return
+    import numpy as np
+
+    if any(np.interp(-d, dist.x, p, left=0.0, right=0.0) for p in (dist.avg, dist.jump)):
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
@@ -259,6 +277,8 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint, rtol: f
 def _angular_ratios(omega: float, t, theta: float):
     """sin(s*theta)/cos(pi*s) and cos(s*theta)/sin(pi*s) at s = omega + i*t
     for an array t, overflow-safe for large |t|."""
+    import numpy as np
+
     u = t * theta
     v = math.pi * t
     eu = np.exp(-2.0 * np.abs(u))
@@ -284,6 +304,8 @@ def _mellin_transform(dec):
     No node rule aliases at large |Im s|, and expm1 keeps narrow panels
     from cancelling.
     """
+    import numpy as np
+
     log_y = np.log([-s.x1 for s in dec.stations])
     loads = np.array([(s.avg, s.jump) for s in dec.stations]).reshape(-1, 2)
     dist = dec.distributed
@@ -326,6 +348,8 @@ def displacement_u0(
         raise ValidationError(f"radius must be positive, got {r}")
     if not abs(theta) < math.pi:
         raise ValidationError(f"displacement needs |theta| < pi, got {theta}")
+    import numpy as np
+
     from ._quad import adaptive_quad
 
     mu_b = bimaterial.mu_plus if theta >= 0.0 else bimaterial.mu_minus

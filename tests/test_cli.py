@@ -174,6 +174,43 @@ def test_map_outputs_reproducible(cfg, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, old, new, code",
+    [
+        ("map", "kind = microcrack", "kind = rigid_line", 1),
+        # A0 cancels exactly: the first propagation step fails
+        ("propagate", 'force { face = "-", x1 = -1, p = -1 }',
+         'force { face = "-", x1 = -1, p = -1 }\n  force { face = "+", x1 = -4, p = 8 }\n'
+         '  force { face = "-", x1 = -4, p = 8 }', 2),
+    ],
+    ids=["map-first-defect-not-microcrack", "propagate-degenerate-a0"],
+)
+def test_failed_command_leaves_existing_out_file_alone(cfg, tmp_path, capsys, command, old, new, code):
+    assert old in SYM_PAIR_CFG
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"phi1,alpha1,ratio,region\n0.1,0.2,0.3,N\n")
+    before = keep.read_bytes()
+    assert main([command, "--config", cfg(SYM_PAIR_CFG.replace(old, new)), "--grid", "4x4",
+                 "--out", str(keep)]) == code
+    assert capsys.readouterr().out == ""
+    assert keep.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("delta = -1", "error: line 9: delta must be positive and finite, got -1.0"),
+        ("arrest_tol = 0", "error: line 9: arrest_tol must be positive and finite, got 0.0"),
+        ("grid = 0x4", "error: line 9: grid must be at least 2x2, got 0x4"),
+    ],
+)
+def test_params_range_errors_name_their_line(cfg, capsys, entry, message):
+    """Checked when the params block is parsed, on every command."""
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG + f"params {{\n  {entry}\n}}\n")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [message]
+
+
 def test_unwritable_out_exits_1(cfg, tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "map.csv"
     assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", str(missing)]) == 1

@@ -1,18 +1,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from crackwake import (
+    DEFECT_KINDS,
+    Bimaterial,
     Defect,
     DilutenessWarning,
+    Loading,
     LoadTooCloseToTip,
+    PointForce,
     Scenario,
     ScenarioParams,
     UnbalancedLoading,
     ValidationError,
     dump_scenario,
     parse_scenario,
+    three_point_preset,
 )
 from crackwake.errors import ConfigSyntaxError, MissingBlock, UnknownKey
 
@@ -148,10 +154,17 @@ def test_validation_errors_propagate():
 @pytest.mark.parametrize("key", ["delta", "arrest_tol"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
 def test_delta_and_arrest_tol_must_be_positive_and_finite(key, value):
-    with pytest.raises(ValidationError, match=key):
-        parse_scenario(MINIMAL + f"params {{ {key} = {value} }}\n")
-    with pytest.raises(ValidationError, match=key):
+    with pytest.raises(ConfigSyntaxError, match=f"^line 9: {key} must be positive and finite"):
+        parse_scenario(MINIMAL + f"params {{\n  {key} = {value}\n}}\n")
+    with pytest.raises(ValidationError, match=f"^{key} must be positive and finite"):
         ScenarioParams(**{key: float(value)})
+
+
+@pytest.mark.parametrize("grid", ["0x4", "4x0", "1x1", "1x64", "128x1", "00x7"])
+def test_grid_below_2x2_rejected_at_its_line(grid):
+    with pytest.raises(ConfigSyntaxError, match="^line 9: grid must be at least 2x2"):
+        parse_scenario(MINIMAL + f"params {{\n  grid = {grid}\n}}\n")
+    assert parse_scenario(MINIMAL + "params { grid = 2x2 }\n").params.grid == (2, 2)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -201,3 +214,58 @@ def test_diluteness_warning_names_the_defect_line():
     assert len(caught) == 1
     assert str(caught[0].message).startswith("line 8: defect size l/d = 0.5")
     assert caught[0].lineno == 8
+
+
+positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def defects(draw):
+    """A defect of any kind, with the fields its config form carries."""
+    kind = draw(st.sampled_from(DEFECT_KINDS))
+    d = draw(st.floats(min_value=1e-3, max_value=1e2))
+    l_a = d * draw(st.floats(min_value=1e-6, max_value=0.25))  # dilute: no warning
+    kwargs = {}
+    if kind in ("elastic_ellipse", "rigid_ellipse", "elliptic_void"):
+        kwargs["l_b"] = l_a * draw(st.floats(min_value=1e-6, max_value=1.0))
+    if kind == "elastic_ellipse":
+        kwargs["mu_star"] = draw(st.floats(min_value=1e-3, max_value=1e3))
+    if kind in ("soft_line", "stiff_line"):
+        kwargs["kappa"] = draw(st.floats(min_value=0.0, max_value=1e3))
+    phi = draw(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True, exclude_max=True))
+    alpha = draw(st.floats(min_value=-10.0, max_value=10.0))
+    return Defect(kind, d=d, phi=phi, alpha=alpha, l_a=l_a, **kwargs)
+
+
+@st.composite
+def scenarios(draw):
+    """Random bimaterial, a three-point load plus balanced extra forces,
+    one to three defects and random params."""
+    bimaterial = Bimaterial(draw(positive), draw(positive))
+    a = draw(st.floats(min_value=0.1, max_value=1e3))
+    # P/2 of a subnormal P rounds, so the preset balances only above that
+    P = draw(st.floats(min_value=-1e3, max_value=1e3).filter(lambda p: p == 0.0 or abs(p) > 1e-300))
+    preset = three_point_preset(P, a, a * draw(st.floats(min_value=0.0, max_value=0.9)))
+    forces = list(preset.forces)
+    station = st.floats(min_value=-1e3, max_value=-0.01)
+    for p in draw(st.lists(st.floats(min_value=-1e3, max_value=1e3), max_size=3)):
+        # equal forces on the two faces balance exactly, wherever they sit
+        forces += [PointForce(draw(station), "+", p), PointForce(draw(station), "-", p)]
+    params = ScenarioParams(
+        grid=(draw(st.integers(2, 4096)), draw(st.integers(2, 4096))),
+        delta=draw(positive),
+        max_iter=draw(st.integers(1, 10**9)),
+        arrest_tol=draw(st.none() | positive),
+        out=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        pgm=draw(st.booleans()),
+        pair=draw(st.sampled_from("ab")),
+        threads=draw(st.integers(1, 64)),
+    )
+    return Scenario(bimaterial, Loading(tuple(forces)), tuple(draw(st.lists(defects(), min_size=1, max_size=3))),
+                    params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+def test_dump_parse_round_trip_property(scenario):
+    assert parse_scenario(dump_scenario(scenario)) == scenario

@@ -141,6 +141,9 @@ def test_alpha_normalized_to_half_period():
     assert d1.alpha == approx(0.3)
     d2 = Defect("microcrack", d=1.0, phi=0.1, alpha=-0.3, l_a=0.1)
     assert d2.alpha == approx(math.pi - 0.3)
+    # -1e-17 % pi rounds to pi itself, which must come out as 0, inside [0, pi)
+    for alpha in (-1e-17, -5e-324, math.pi, -math.pi):
+        assert Defect("microcrack", d=1.0, phi=0.1, alpha=alpha, l_a=0.1).alpha == 0.0
 
 
 def test_cartesian_round_trip():

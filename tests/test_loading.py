@@ -167,3 +167,37 @@ def test_check_balance_with_table():
 def test_non_finite_values_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize(
+    "x, avg, jump",
+    [
+        (("a", "b"), (0.0, 0.0), (0.0, 0.0)),
+        (("-2", "-1"), (0.0, 0.0), (0.0, 0.0)),
+        ("ab", (0.0, 0.0), (0.0, 0.0)),
+        ((-2.0, -1.0), (0.0, "x"), (0.0, 0.0)),
+        ((-2.0, -1.0), (0.0, 0.0), (None, 0.0)),
+        ((-2.0, None), (0.0, 0.0), (0.0, 0.0)),
+        (((-2.0,), (-1.0,)), (0.0, 0.0), (0.0, 0.0)),
+        ((-2.0, -1.0), ((0.0, 1.0), 0.0), (0.0, 0.0)),
+        ((-2.0, -1.0), (0.0, 0.0), (0.0, 1j)),
+        ((-2.0, -1.0), (0.0, 0.0), (0.0, -(10**400))),
+        (-1.0, (0.0,), (0.0,)),
+        (None, None, None),
+    ],
+    ids=["str-x", "numeric-str-x", "str-column", "str-avg", "none-jump", "none-x", "nested-x",
+         "nested-avg", "complex-jump", "huge-int-jump", "scalar-x", "none-columns"],
+)
+def test_non_numeric_table_rejected(x, avg, jump):
+    """A table entry that is not a real number is a ValidationError, never
+    a ValueError or TypeError from the conversion."""
+    with pytest.raises(ValidationError, match="sequences of real numbers"):
+        DistributedLoad(x, avg, jump)
+
+
+def test_table_columns_become_float_tuples():
+    import numpy as np
+
+    table = DistributedLoad(np.array([-3, -2, -1]), [np.float32(0.5), 1, True], (0.0, 2.0, 0.0))
+    assert table.x == (-3.0, -2.0, -1.0) and table.avg == (0.5, 1.0, 1.0)
+    assert all(type(v) is float for v in table.x + table.avg + table.jump)

@@ -105,3 +105,67 @@ def test_sif_command_on_point_forces_loads_only_what_it_runs(tmp_path):
     assert "crackwake.tipfields" in loaded
     assert not crackwake_modules(loaded) & {"mapgen", "perturbation", "propagation", "_quad"}
     assert "numpy.polynomial" not in loaded
+
+
+def after_main_calls(tmp_path, calls) -> set:
+    """Modules loaded after crackwake.cli.main(argv + --config file) of
+    each (argv, config text, exit status) in calls, in one interpreter."""
+    code = "from crackwake.cli import main\n"
+    for i, (argv, config, status) in enumerate(calls):
+        cfg = tmp_path / f"scenario{i}.cfg"
+        cfg.write_text(config)
+        code += f"assert main({[*argv, '--config', str(cfg)]!r}) == {status}\n"
+    return loaded_after(code)
+
+
+def numpy_modules(loaded: set) -> set:
+    return {m for m in loaded if m == "numpy" or m.startswith("numpy.")}
+
+
+def test_parse_scenario_never_loads_numpy():
+    assert numpy_modules(loaded_after(f"import crackwake\ncrackwake.parse_scenario({SCENARIO!r})")) == set()
+
+
+def test_table_construction_and_balance_never_load_numpy():
+    code = (
+        "import crackwake as cw\n"
+        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
+        "cw.check_balance(cw.Loading((cw.PointForce(-3.0, '+', 0.5),), table))\n"
+        "try:\n"
+        "    cw.check_balance(cw.Loading((), table))\n"
+        "except cw.UnbalancedLoading:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unbalanced table passed')\n"
+    )
+    assert numpy_modules(loaded_after(code)) == set()
+
+
+def test_point_force_commands_never_load_numpy(tmp_path):
+    commands = [["sif"], ["dipole"], ["neutral", "--pair", "a"], ["neutral", "--pair", "b"],
+                ["map", "--dump-config"]]
+    assert numpy_modules(after_main_calls(tmp_path, [(argv, SCENARIO, 0) for argv in commands])) == set()
+
+
+def test_validation_errors_never_load_numpy(tmp_path):
+    configs = [
+        SCENARIO + "params { delta = -1 }\n",
+        SCENARIO.replace("P = 1, a = 3", "P = 1, a = -3"),
+        SCENARIO.replace("phi = 0.4", "phi = nan"),
+        SCENARIO.replace("kind = microcrack", "kind = rigid_line"),  # checked by the map handler
+    ]
+    assert numpy_modules(after_main_calls(tmp_path, [(["map"], text, 1) for text in configs])) == set()
+
+
+def test_table_gradient_and_map_still_load_numpy(tmp_path):
+    code = (
+        "import crackwake as cw\n"
+        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
+        "loading = cw.Loading((cw.PointForce(-3.0, '+', 0.5),), table)\n"
+        "g = cw.grad_u0(loading, cw.Bimaterial(1.0, 5.0), cw.FieldPoint(1.0, 0.4))\n"
+        "assert g[0] != 0.0 and g[1] != 0.0\n"
+    )
+    assert "numpy" in loaded_after(code)
+    out = tmp_path / "map.csv"
+    assert "numpy" in after_main_calls(tmp_path, [(["map", "--grid", "4x4", "--out", str(out)], SCENARIO, 0)])
+    assert len(out.read_text().splitlines()) == 17
