@@ -14,7 +14,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .defects import Defect
+from .defects import AREA_KINDS, Defect
 from .errors import ConfigSyntaxError, MissingBlock, UnknownKey, ValidationError
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
@@ -42,6 +42,9 @@ class ScenarioParams:
             value = getattr(self, key)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValidationError(f"{key} must be positive and finite, got {value}")
+        n_phi, n_alpha = self.grid
+        if n_phi < 2 or n_alpha < 2:
+            raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ def dump_scenario(scenario: Scenario) -> str:
     for df in scenario.defects:
         parts = [f"kind = {df.kind}", f"d = {df.d!r}", f"phi = {df.phi!r}",
                  f"alpha = {df.alpha!r}", f"la = {df.l_a!r}"]
-        if df.kind in ("elastic_ellipse", "rigid_ellipse", "elliptic_void"):
+        if df.kind in AREA_KINDS:
             parts.append(f"lb = {df.l_b!r}")
         if df.kind == "elastic_ellipse":
             parts.append(f"mu_star = {df.mu_star!r}")

@@ -1,8 +1,9 @@
 """Small defects near the crack tip and their 2x2 dipole matrices.
 
-Every supported defect kind has a closed-form dipole matrix; entries
-are exact in floating point, no quadrature is involved.  Matrices are
-pi-periodic in the orientation angle, which is normalized to [0, pi).
+Every supported defect kind has a closed-form dipole matrix
+m_iso I + m_dev R(2 alpha) from one per-kind table of (m_iso, m_dev);
+no quadrature is involved.  Matrices are pi-periodic in the orientation
+angle, which is normalized to [0, pi).
 """
 
 from __future__ import annotations
@@ -103,79 +104,48 @@ class DipoleMatrix:
     def apply(self, v1: float, v2: float) -> tuple[float, float]:
         return self.m11 * v1 + self.m12 * v2, self.m12 * v1 + self.m22 * v2
 
-    def scaled(self, factor: float) -> "DipoleMatrix":
-        return DipoleMatrix(factor * self.m11, factor * self.m12, factor * self.m22)
 
-
-def dipole_matrix(defect: Defect) -> DipoleMatrix:
-    """Closed-form dipole matrix for any supported defect kind.
-
-    Soft defects (microcrack, void, soft bonding, compliant inclusion)
-    give negative semi-definite matrices, stiff ones positive
-    semi-definite.
-    """
-    c2 = math.cos(2.0 * defect.alpha)
-    s2 = math.sin(2.0 * defect.alpha)
+def _dipole_parts(defect: Defect) -> tuple[float, float]:
+    """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix."""
     kind = defect.kind
-
     if kind == "elastic_ellipse":
         e = defect.l_b / defect.l_a
         ms = defect.mu_star
         pref = -0.5 * math.pi * defect.l_a * defect.l_b * (1.0 + e) * (ms - 1.0)
-        return DipoleMatrix(
-            m11=pref * ((1.0 + c2) / (e + ms) + (1.0 - c2) / (1.0 + e * ms)),
-            m12=pref * (-(1.0 - e) * (ms - 1.0) * s2 / ((e + ms) * (1.0 + e * ms))),
-            m22=pref * ((1.0 - c2) / (e + ms) + (1.0 + c2) / (1.0 + e * ms)),
-        )
-
+        a, b = 1.0 / (e + ms), 1.0 / (1.0 + e * ms)
+        # factored: a - b cancels for mu_star near 1
+        return pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b
     if kind == "rigid_ellipse":
         e = defect.l_b / defect.l_a
         pref = 0.5 * math.pi * defect.l_a * defect.l_b * (1.0 / e + 1.0)
-        return DipoleMatrix(
-            m11=pref * (1.0 + c2 + e * (1.0 - c2)),
-            m12=pref * (1.0 - e) * s2,
-            m22=pref * (1.0 - c2 + e * (1.0 + c2)),
-        )
-
+        return pref * (1.0 + e), pref * (1.0 - e)
     if kind == "elliptic_void":
         e = defect.l_b / defect.l_a
         pref = -0.5 * math.pi * (defect.l_a + defect.l_b) ** 2
-        q = (1.0 - e) / (1.0 + e)
-        return DipoleMatrix(
-            m11=pref * (1.0 - q * c2),
-            m12=pref * (-q * s2),
-            m22=pref * (1.0 + q * c2),
-        )
-
+        return pref, -pref * (1.0 - e) / (1.0 + e)
     if kind == "microcrack":
-        pref = -0.5 * math.pi * defect.l_a**2
-        return DipoleMatrix(
-            m11=pref * (1.0 - c2),
-            m12=-pref * s2,
-            m22=pref * (1.0 + c2),
-        )
-
-    if kind == "rigid_line":
-        pref = 0.5 * math.pi * defect.l_a**2
-        return DipoleMatrix(
-            m11=pref * (1.0 + c2),
-            m12=pref * s2,
-            m22=pref * (1.0 - c2),
-        )
-
+        p = -0.5 * math.pi * defect.l_a**2
+        return p, -p
     if kind == "soft_line":
         # direct limit form; the l_b -> 0 route through the ellipse cancels badly
-        pref = -0.5 * math.pi * defect.l_a**2 * defect.kappa / (defect.l_a + defect.kappa)
-        return DipoleMatrix(
-            m11=pref * (1.0 - c2),
-            m12=-pref * s2,
-            m22=pref * (1.0 + c2),
-        )
-
+        p = -0.5 * math.pi * defect.l_a**2 * defect.kappa / (defect.l_a + defect.kappa)
+        return p, -p
+    if kind == "rigid_line":
+        p = 0.5 * math.pi * defect.l_a**2
+        return p, p
     # stiff_line
-    pref = 0.5 * math.pi * defect.l_a**2 / (1.0 + defect.kappa * defect.l_a)
-    return DipoleMatrix(
-        m11=pref * (1.0 + c2),
-        m12=pref * s2,
-        m22=pref * (1.0 - c2),
-    )
+    p = 0.5 * math.pi * defect.l_a**2 / (1.0 + defect.kappa * defect.l_a)
+    return p, p
+
+
+def dipole_matrix(defect: Defect) -> DipoleMatrix:
+    """Closed-form dipole matrix m_iso I + m_dev R(2 alpha) of any
+    supported defect kind, R(t) = [[cos t, sin t], [sin t, -cos t]].
+
+    Soft defects give negative semi-definite matrices, stiff ones
+    positive semi-definite.
+    """
+    iso, dev = _dipole_parts(defect)
+    c2 = math.cos(2.0 * defect.alpha)
+    s2 = math.sin(2.0 * defect.alpha)
+    return DipoleMatrix(m11=iso + dev * c2, m12=dev * s2, m22=iso - dev * c2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidPreset, LoadTooCloseToTip, UnbalancedLoading, ValidationError
@@ -264,6 +265,8 @@ def three_point_preset(P: float, a: float, b: float) -> Loading:
     """
     if not math.isfinite(P):
         raise InvalidPreset(f"P must be finite, got {P}")
+    if 0.0 < abs(P) < sys.float_info.min:
+        raise InvalidPreset(f"P must not be subnormal (P/2 would round), got {P}")
     if not 0.0 < a < math.inf:
         raise InvalidPreset(f"a must be positive and finite, got {a}")
     if not 0.0 <= b < a:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .defects import Defect, dipole_matrix
+from .defects import Defect, _dipole_parts, dipole_matrix
 from .errors import InvalidDefect
 from .loading import Bimaterial, Loading, decompose
 from .tipfields import SQRT_2_OVER_PI, FieldPoint, _grad, _phi_trig, grad_u0
@@ -156,47 +156,26 @@ def delta_k_advance(advance: float, a3: float) -> float:
     return 0.5 * advance * a3
 
 
-def _remote_mu_factor(defect: Defect, bimaterial: Bimaterial) -> float:
-    # modulus of the half-plane opposite the defect, over mu_sum
-    mu_op = bimaterial.mu_minus if defect.phi >= 0.0 else bimaterial.mu_plus
-    return mu_op / bimaterial.mu_sum
+def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:
+    """Modulus of the half-plane opposite a point at angle phi."""
+    return bimaterial.mu_minus if phi >= 0.0 else bimaterial.mu_plus
 
 
 def delta_k_remote(defect: Defect, bimaterial: Bimaterial) -> float:
     """Remote-loading limit of delta_k/K0 (dimensionless ratio).
 
     Valid when the load support is far from both tip and defect; the
-    ratio then depends on the defect geometry only.
+    ratio then depends on the defect geometry only.  It is the dipole
+    contraction against the leading K-field gradient,
+    -mu_op/(2 pi mu_sum d^2) (m_iso cos(phi) - m_dev cos(2 phi - 2 alpha)).
     """
+    iso, dev = _dipole_parts(defect)
     phi, alpha = defect.phi, defect.alpha
+    # the cc/ss form keeps one bracket exactly zero for the line kinds
     ss = math.sin(1.5 * phi - alpha) * math.sin(0.5 * phi - alpha)
     cc = math.cos(1.5 * phi - alpha) * math.cos(0.5 * phi - alpha)
-    fac = _remote_mu_factor(defect, bimaterial)
-    kind = defect.kind
-
-    if kind == "elastic_ellipse":
-        e = defect.l_b / defect.l_a
-        ms = defect.mu_star
-        size = defect.l_a * defect.l_b / defect.d**2
-        return 0.5 * size * (1.0 + e) * (ms - 1.0) * fac * (ss / (e + ms) + cc / (1.0 + e * ms))
-    if kind == "microcrack":
-        return 0.5 * (defect.l_a / defect.d) ** 2 * fac * cc
-    if kind == "rigid_line":
-        return -0.5 * (defect.l_a / defect.d) ** 2 * fac * ss
-    if kind == "elliptic_void":
-        e = defect.l_b / defect.l_a
-        size = defect.l_a * defect.l_b / defect.d**2
-        return 0.5 * size * (1.0 / e + 1.0) * fac * (e * ss + cc)
-    if kind == "rigid_ellipse":
-        e = defect.l_b / defect.l_a
-        size = defect.l_a * defect.l_b / defect.d**2
-        return -0.5 * size * (1.0 / e + 1.0) * fac * (ss + e * cc)
-    if kind == "soft_line":
-        frac = defect.kappa / (defect.l_a + defect.kappa)
-        return 0.5 * (defect.l_a / defect.d) ** 2 * fac * frac * cc
-    # stiff_line
-    frac = 1.0 / (1.0 + defect.kappa * defect.l_a)
-    return -0.5 * (defect.l_a / defect.d) ** 2 * fac * frac * ss
+    pref = -_opposite_mu(phi, bimaterial) / (2.0 * math.pi * bimaterial.mu_sum * defect.d**2)
+    return pref * ((iso - dev) * cc + (iso + dev) * ss)
 
 
 def neutral_pair_a(microcrack: Defect, d2: float | None = None) -> Defect:
@@ -228,9 +207,8 @@ def neutral_pair_b(microcrack: Defect, bimaterial: Bimaterial, d2: float | None 
     if d2 is None:
         d2 = microcrack.d
     phi2 = -microcrack.phi
-    mu_op1 = bimaterial.mu_minus if microcrack.phi >= 0.0 else bimaterial.mu_plus
-    mu_op2 = bimaterial.mu_minus if phi2 >= 0.0 else bimaterial.mu_plus
-    l2 = microcrack.l_a * (d2 / microcrack.d) * math.sqrt(mu_op1 / mu_op2)
+    mu_ratio = _opposite_mu(microcrack.phi, bimaterial) / _opposite_mu(phi2, bimaterial)
+    l2 = microcrack.l_a * (d2 / microcrack.d) * math.sqrt(mu_ratio)
     return Defect(
         kind="rigid_line",
         d=d2,

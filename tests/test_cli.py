@@ -260,6 +260,24 @@ def test_negative_threads_flag_exits_1(cfg, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["sif"], ["dipole"], ["map"], ["sif", "--dump-config"]])
+def test_grid_flag_below_2x2_exits_1_for_every_command(cfg, capsys, argv):
+    assert main([*argv, "--config", cfg(SYM_PAIR_CFG), "--grid", "0x4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid must be at least 2x2, got 0x4\n"
+
+
+def test_subnormal_three_point_load_exits_1(cfg, capsys):
+    forces = 'force { face = "+", x1 = -1, p = -1 }\n  force { face = "-", x1 = -1, p = -1 }'
+    assert forces in SYM_PAIR_CFG
+    text = SYM_PAIR_CFG.replace(forces, "three_point { P = 5e-324, a = 3 }")
+    assert main(["sif", "--config", cfg(text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: P must")
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -167,6 +167,12 @@ def test_grid_below_2x2_rejected_at_its_line(grid):
     assert parse_scenario(MINIMAL + "params { grid = 2x2 }\n").params.grid == (2, 2)
 
 
+@pytest.mark.parametrize("grid", [(0, 4), (4, 1), (1, 1), (-3, 8)])
+def test_scenario_params_rejects_grid_below_2x2(grid):
+    with pytest.raises(ValidationError, match=f"^grid must be at least 2x2, got {grid[0]}x{grid[1]}$"):
+        ScenarioParams(grid=grid)
+
+
 def test_comments_and_blank_lines_ignored():
     s = parse_scenario(
         "# header comment\n\nbimaterial { mu_plus = 1, mu_minus = 1 }  # trailing\n"

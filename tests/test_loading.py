@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,6 +117,19 @@ def test_three_point_preset_near_limit_valid():
 def test_three_point_preset_rejects_bad_geometry(P, a, b):
     with pytest.raises(InvalidPreset):
         three_point_preset(P, a, b)
+
+
+@pytest.mark.parametrize("P", [5e-324, -5e-324, 0.5 * sys.float_info.min])
+def test_three_point_preset_rejects_subnormal_load(P):
+    """P/2 of a subnormal P rounds, so the preset could not balance."""
+    with pytest.raises(InvalidPreset, match="^P must"):
+        three_point_preset(P, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("P", [0.0, sys.float_info.min, -sys.float_info.min])
+def test_three_point_preset_smallest_normal_load_balanced(P):
+    for b in (0.0, 1.0):
+        check_balance(three_point_preset(P, 3.0, b))
 
 
 def test_check_balance_detects_unbalanced():

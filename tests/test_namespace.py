@@ -157,6 +157,12 @@ def test_validation_errors_never_load_numpy(tmp_path):
     assert numpy_modules(after_main_calls(tmp_path, [(["map"], text, 1) for text in configs])) == set()
 
 
+def test_grid_flag_refused_before_the_map_loads(tmp_path):
+    loaded = after_main_calls(tmp_path, [(["map", "--grid", "0x4"], SCENARIO, 1)])
+    assert "crackwake.mapgen" not in loaded
+    assert numpy_modules(loaded) == set()
+
+
 def test_table_gradient_and_map_still_load_numpy(tmp_path):
     code = (
         "import crackwake as cw\n"

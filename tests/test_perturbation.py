@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from crackwake import (
+    DEFECT_KINDS,
     Bimaterial,
     Defect,
     FieldPoint,
@@ -15,6 +16,7 @@ from crackwake import (
     delta_k_defect_quadrature,
     delta_k_remote,
     delta_k_total,
+    dipole_matrix,
     effective_tractions,
     grad_u0,
     neutral_pair_a,
@@ -202,3 +204,60 @@ def test_remote_convergence_monotone(bm_equal):
         ratio = delta_k_defect(defect, loading, bm_equal) / sif_k0(loading, bm_equal)
         diffs.append(abs(ratio - want))
     assert diffs[0] > diffs[1] > diffs[2]
+
+
+KIND_PARAMS = {
+    "elastic_ellipse": dict(l_b=0.06, mu_star=4.0),
+    "rigid_ellipse": dict(l_b=0.06),
+    "elliptic_void": dict(l_b=0.06),
+    "soft_line": dict(kappa=0.8),
+    "stiff_line": dict(kappa=0.8),
+}
+
+
+def off_axis_defect(kind, phi=0.7):
+    return Defect(kind, d=1.3, phi=phi, alpha=0.9, l_a=0.1, **KIND_PARAMS.get(kind, {}))
+
+
+@pytest.mark.parametrize("phi", [0.7, -0.7])
+@pytest.mark.parametrize("kind", DEFECT_KINDS)
+def test_remote_limit_of_every_kind(bm_pos, kind, phi):
+    """dK/K0 under a symmetric pair at -a converges monotonically to the
+    remote limit as a grows."""
+    defect = off_axis_defect(kind, phi)
+    want = delta_k_remote(defect, bm_pos)
+    diffs = []
+    for a in (10.0, 1e2, 1e3, 1e5):
+        loading = sym_pair_at(a)
+        ratio = delta_k_defect(defect, loading, bm_pos) / sif_k0(loading, bm_pos)
+        diffs.append(abs(ratio - want))
+    assert diffs[0] > diffs[1] > diffs[2] > diffs[3]
+    assert diffs[-1] < 1e-2 * abs(want)
+
+
+# (m11, m12, m22, delta_k_remote on bm_pos) of off_axis_defect(kind),
+# recorded from the per-kind closed forms before they became one table
+PINNED_PER_KIND = {
+    "elastic_ellipse": (-0.0239287423549258, 0.0033802426270213657, -0.022351497247829217,
+                        0.0016431374670761198),
+    "rigid_ellipse": (0.0379283013849317, 0.009790184201224841, 0.042496470546967,
+                      -0.0016904018703316284),
+    "elliptic_void": (-0.042496470546967, 0.00979018420122484, -0.0379283013849317,
+                      0.003146659252565776),
+    "microcrack": (-0.01927684542578904, 0.015297162814413814, -0.012139081110108892,
+                   0.0020824395804363268),
+    "rigid_line": (0.012139081110108892, 0.015297162814413814, 0.01927684542578904,
+                   0.0001929625793045282),
+    "soft_line": (-0.017134973711812482, 0.013597478057256725, -0.010790294320096795,
+                  0.0018510574048322909),
+    "stiff_line": (0.011239889916767493, 0.014164039642975752, 0.017848930949804668,
+                   0.00017866905491160018),
+}
+
+
+@pytest.mark.parametrize("kind", DEFECT_KINDS)
+def test_dipole_and_remote_limit_pinned(bm_pos, kind):
+    defect = off_axis_defect(kind)
+    m = dipole_matrix(defect)
+    got = (m.m11, m.m12, m.m22, delta_k_remote(defect, bm_pos))
+    assert got == approx(PINNED_PER_KIND[kind], rel=1e-12)
