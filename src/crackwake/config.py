@@ -225,6 +225,16 @@ def _as_positive(entry, key: str) -> float:
     return number
 
 
+def _at_line(line: int, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValidationError it raises keeps its class
+    and gains the scenario line."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        exc.args = (f"line {line}: {exc}",)
+        raise
+
+
 def _build_loading(block: _Block) -> Loading:
     if block.entries:
         key, _, line = block.entries[0]
@@ -238,13 +248,13 @@ def _build_loading(block: _Block) -> Loading:
                 raise ConfigSyntaxError(f'force face must be "+" or "-", got {face!r}', child.line)
             x1 = _as_number(_need(e, "x1", child), "x1", child.line)
             p = _as_number(_need(e, "p", child), "p", child.line)
-            forces.append(PointForce(x1, face, p))
+            forces.append(_at_line(child.line, PointForce, x1, face, p))
         elif child.name == "three_point":
             e = _entries_dict(child, {"P", "a", "b"})
             P = _as_number(_need(e, "P", child), "P", child.line)
             a = _as_number(_need(e, "a", child), "a", child.line)
             b = _as_number(e["b"][0], "b", child.line) if "b" in e else 0.0
-            forces.extend(three_point_preset(P, a, b).forces)
+            forces.extend(_at_line(child.line, three_point_preset, P, a, b).forces)
         else:
             raise UnknownKey(f"unknown block {child.name!r} inside 'loading'", child.line)
     return Loading(tuple(forces))
@@ -281,11 +291,11 @@ def _build_defect(block: _Block) -> Defect:
         if polar:
             d = _as_number(_need(e, "d", block), "d", block.line)
             phi = _as_number(_need(e, "phi", block), "phi", block.line)
-            defect = Defect(kind, d=d, phi=phi, alpha=alpha, l_a=la, **kwargs)
+            defect = _at_line(block.line, Defect, kind, d=d, phi=phi, alpha=alpha, l_a=la, **kwargs)
         else:
             x = _as_number(_need(e, "x", block), "x", block.line)
             y = _as_number(_need(e, "y", block), "y", block.line)
-            defect = Defect.from_cartesian(kind, x, y, alpha=alpha, l_a=la, **kwargs)
+            defect = _at_line(block.line, Defect.from_cartesian, kind, x, y, alpha=alpha, l_a=la, **kwargs)
     for w in caught:
         warnings.warn_explicit(f"line {block.line}: {w.message}", w.category, "scenario", block.line)
     return defect
@@ -343,10 +353,8 @@ def parse_scenario(text: str) -> Scenario:
             if bimaterial is not None:
                 raise MissingBlock("duplicate bimaterial block", block.line)
             e = _entries_dict(block, {"mu_plus", "mu_minus"})
-            bimaterial = Bimaterial(
-                _as_number(_need(e, "mu_plus", block), "mu_plus", block.line),
-                _as_number(_need(e, "mu_minus", block), "mu_minus", block.line),
-            )
+            moduli = (_as_number(_need(e, key, block), key, block.line) for key in ("mu_plus", "mu_minus"))
+            bimaterial = _at_line(block.line, Bimaterial, *moduli)
         elif block.name == "loading":
             if loading is not None:
                 raise MissingBlock("duplicate loading block", block.line)

@@ -19,7 +19,7 @@ from .defects import Defect, dipole_matrix
 from .errors import NumericalError, ValidationError
 from .loading import Bimaterial, Loading, decompose
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _check_face, _lowered_grad, _phi_trig, _table_arrays, sif_k0
+from .tipfields import _check_face, _gradient, _phi_trig, _table_sums, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -31,10 +31,6 @@ REGION_LETTER = {SHIELDING: "S", AMPLIFICATION: "A", NEUTRAL: "N", INVALID: "X"}
 REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
 # region labels by the integer code scan_map classifies into
 _LABELS = np.array([NEUTRAL, SHIELDING, AMPLIFICATION, INVALID], dtype=object)
-
-# map cells tolerate a looser check of the table lowering; the
-# classification margin delta is far above it
-MAP_RTOL = 1e-7
 
 
 def classify(ratio: float, delta: float) -> str:
@@ -90,12 +86,12 @@ class RegionMap:
 
 def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
     """Closed-form dK of one pair member over a block of rows and all
-    columns, plus the rows that failed: on a loaded face, or missing the
-    n-against-2n check of the table lowering.
+    columns, plus the rows that failed on a loaded face.
 
     centers holds the member's defect per row, all at one distance;
-    matrices its dipole matrix per column.  A table is lowered once for
-    the block, graded for the row closest to a face.
+    matrices its dipole matrix per column.  Point stations are summed
+    on arrays of the rows' angular factors; a table adds its panel
+    integrals from the same factors as floats, in one call for the block.
     """
     d = centers[0].d
     phis = [c.phi for c in centers]
@@ -105,16 +101,23 @@ def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
             _check_face(dec, d, phi)
         except NumericalError:
             failed[i] = True
-    trig = tuple(np.array(col)[:, None] for col in zip(*(_phi_trig(p) for p in phis)))
-    mu_b = np.array([bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis])
-    grad, bad = _lowered_grad(
-        [(s.x1, s.avg, s.jump) for s in dec.stations], _table_arrays(dec.distributed), d,
-        min(math.pi - abs(p) for p in phis), trig, mu_b[:, None],
-        bimaterial.mu_sum, bimaterial.contrast, MAP_RTOL,
-    )
+    trigs = [_phi_trig(p) for p in phis]
+    mu_bs = [bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis]
+    mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
+    trig = tuple(np.array(col)[:, None] for col in zip(*trigs))
+    sums = (0.0, 0.0)
+    dist = dec.distributed
+    if dist is not None:  # rows on a loaded face stay NaN
+        ok = np.flatnonzero(~failed).tolist()
+        table = np.full((len(phis), 2), math.nan)
+        table[ok] = np.reshape(_table_sums(dist.x, dist.avg, dist.jump, d, [trigs[i] for i in ok],
+                                           [mu_bs[i] for i in ok], mu_sum, eta), (-1, 2))
+        sums = (table[:, :1], table[:, 1:])
+    grad = _gradient([(s.x1, s.avg, s.jump) for s in dec.stations], d, trig, np.array(mu_bs)[:, None],
+                     mu_sum, eta, sums)
     m11, m12, m22 = (np.array(v) for v in zip(*((m.m11, m.m12, m.m22) for m in matrices)))
     dk = _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
-    return dk, failed | np.ravel(bad)
+    return dk, failed
 
 
 def scan_map(

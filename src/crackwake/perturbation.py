@@ -93,12 +93,10 @@ def _delta_k_closed(grad, d: float, trig, m11, m12, m22, mu_series: float):
     return -SQRT_2_OVER_PI * mu_series * (grad[0] * mc1 + grad[1] * mc2)
 
 
-def delta_k_defect(
-    defect: Defect, loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-10
-) -> float:
+def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect."""
     trig = _phi_trig(defect.phi)
-    grad = _grad(decompose(loading), bimaterial, defect.d, defect.phi, trig, rtol)
+    grad = _grad(decompose(loading), bimaterial, defect.d, defect.phi, trig)
     m = dipole_matrix(defect)
     return _delta_k_closed(grad, defect.d, trig, m.m11, m.m12, m.m22, bimaterial.mu_series)
 
@@ -110,10 +108,10 @@ class DefectPerturbation:
 
 
 def delta_k_total(
-    defects: Sequence[Defect], loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-10
+    defects: Sequence[Defect], loading: Loading, bimaterial: Bimaterial
 ) -> DefectPerturbation:
     """Per-defect SIF perturbations and their superposed sum."""
-    values = tuple(delta_k_defect(d, loading, bimaterial, rtol) for d in defects)
+    values = tuple(delta_k_defect(d, loading, bimaterial) for d in defects)
     return DefectPerturbation(values, math.fsum(values))
 
 
@@ -128,7 +126,7 @@ def delta_k_defect_quadrature(
     """
     from ._quad import adaptive_quad
 
-    grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi), rtol=min(rtol, 1e-10))
+    grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi))
     eff = effective_tractions(defect, grad, bimaterial)
     eta = bimaterial.contrast
 

@@ -21,12 +21,10 @@ from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, DistributedLoad, Loading, PointForce, decompose
 from .perturbation import _delta_k_closed
-from .tipfields import SQRT_2_OVER_PI, _lowered_grad, _phi_trig, _table_arrays, _table_moments
+from .tipfields import SQRT_2_OVER_PI, _gradient, _phi_trig, _table_moments, _table_sums
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
-# relative accuracy of the defect gradients when the loading has a table
-GRAD_RTOL = 1e-10
 
 ARREST_FLAG = 1
 STEADY_FLAG = 2
@@ -107,8 +105,8 @@ class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
     Point forces and a table go the same way at every tip: both shift
-    with the tip, the table adds its exact moments to K0 and A0, and it
-    is lowered to point stations for each defect's gradient.
+    with the tip, and the table adds its exact moments to K0 and A0 and
+    its exact panel integrals to each defect's gradient, all on floats.
     """
 
     def __init__(self, state: CrackState):
@@ -118,9 +116,9 @@ class _Engine:
         self.mu_sum = bm.mu_sum
         self.eta = bm.contrast
         self.mu_series = bm.mu_series
-        self.table = _table_arrays(state.loading.distributed)  # (x, avg, jump), x from the frame origin
         dec = decompose(state.loading)
         self.stations = [(s.x1, s.avg, s.jump) for s in dec.stations]
+        self.table = dec.distributed  # x from the frame origin
         self.defects = []
         for df in state.defects:
             m = dipole_matrix(df)
@@ -143,10 +141,10 @@ class _Engine:
             a0s += w * inv / r
         table = self.table
         if table is not None:
-            table = (table[0] - tip, *table[1:])
-            moments = _table_moments(*table, eta)
-            k0s += moments[-0.5]
-            a0s += moments[-1.5]
+            table = (tuple(x - tip for x in table.x), table.avg, table.jump)
+            half, three_half = _table_moments(*table, eta)
+            k0s += half
+            a0s += three_half
         k0 = -SQRT_2_OVER_PI * k0s
         a3 = SQRT_2_OVER_PI * a0s
 
@@ -162,9 +160,8 @@ class _Engine:
             phij = math.atan2(yd, dx)
             mu_b = self.mu_plus if phij >= 0.0 else self.mu_minus
             trig = _phi_trig(phij)
-            grad = _lowered_grad(
-                shifted, table, dj, math.pi - abs(phij), trig, mu_b, self.mu_sum, eta, GRAD_RTOL
-            )[0]
+            sums = (0.0, 0.0) if table is None else _table_sums(*table, dj, [trig], [mu_b], self.mu_sum, eta)[0]
+            grad = _gradient(shifted, dj, trig, mu_b, self.mu_sum, eta, sums)
             per.append(_delta_k_closed(grad, dj, trig, m11, m12, m22, self.mu_series))
         return k0, a3, tuple(per), math.fsum(per)
 

@@ -3,40 +3,29 @@ gradient at interior points, and the displacement itself (test oracle).
 
 All operations are linear in the loading.  Point forces enter through
 delta sifting of the kernels.  A tabulated load enters K0 and A0 through
-exact moments of its piecewise-linear profile, and the gradient as
-weighted point stations at Gauss-Legendre nodes, so one station kernel
-serves every loading.  Only the displacement oracle integrates
-adaptively, over the exact transform of the loading.
+exact moments of its piecewise-linear profile, and the gradient through
+exact integrals of the station kernel over each linear panel.  Only the
+displacement oracle integrates adaptively, over the exact transform of
+the loading.
 
-Point forces are evaluated on plain floats.  numpy is imported inside
-the functions that build arrays (the table paths and the displacement
-oracle), so K0, A0 and the gradient of point forces never load it.
+K0, A0 and the gradient run on plain floats, for point forces and
+tables alike; numpy is imported only inside the displacement oracle,
+and by callers that pass arrays of angles (the maps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
-from .errors import ContourTruncationFailure, OnCrackFaceUnderLoad, QuadratureFailure, ValidationError
-from .loading import Bimaterial, DistributedLoad, Loading, decompose
+from .errors import ContourTruncationFailure, OnCrackFaceUnderLoad, ValidationError
+from .loading import Bimaterial, Loading, decompose
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Inversion contour abscissa for the displacement transform; any value
 # in (0, 0.5) is admissible, mid-strip maximizes decay on both sides.
 MELLIN_OMEGA = 0.25
-
-_N_COARSE = 16
-
-
-@cache
-def _gauss_legendre():
-    """The n- and 2n-node Gauss-Legendre rules of the table lowering, in one set."""
-    import numpy as np
-
-    return np.hstack([np.polynomial.legendre.leggauss(n) for n in (_N_COARSE, 2 * _N_COARSE)])
 
 
 @dataclass(frozen=True)
@@ -72,37 +61,27 @@ class TipFieldCoefficients:
     a3: float
 
 
-def _table_arrays(dist: DistributedLoad | None):
-    """A table as float arrays (x, avg, jump); None for no table."""
-    if dist is None:
-        return None
-    import numpy as np
-
-    return tuple(np.array(v) for v in (dist.x, dist.avg, dist.jump))
-
-
-def _table_moments(x, avg, jump, eta: float, powers=(-0.5, -1.5)) -> dict[float, float]:
+def _table_moments(x, avg, jump, eta: float) -> tuple[float, float]:
     """Integrals of {<p> + (eta/2)[p]}(x1) (-x1)^power over a table of
-    arrays, by each of the powers among -1/2 and -3/2, exact for the
-    piecewise-linear profile.
+    floats, by the powers -1/2 and -3/2, exact for the piecewise-linear
+    profile.
 
     On each panel the profile is its end values times two hat functions,
     whose moments are written in s = sqrt(-x1) as products of positive
     terms, so narrow panels lose no digits to cancellation.
     """
-    import numpy as np
-
-    w = avg + 0.5 * eta * jump
-    wa, wb = w[:-1], w[1:]
-    s = np.sqrt(-x)
-    sa, sb = s[:-1], s[1:]  # far and near end of each panel
-    ssum = sa + sb
-    ds2 = 2.0 * ((x[1:] - x[:-1]) / ssum)  # 2 (sa - sb)
-    moment = {
-        -0.5: lambda: wa * (ds2 * (sa + 2.0 * sb) / (3.0 * ssum)) + wb * (ds2 * (2.0 * sa + sb) / (3.0 * ssum)),
-        -1.5: lambda: wa * (ds2 / (sa * ssum)) + wb * (ds2 / (sb * ssum)),
-    }
-    return {power: float(moment[power]().sum()) for power in powers}
+    half = three_half = 0.0
+    wa = avg[0] + 0.5 * eta * jump[0]
+    sa = math.sqrt(-x[0])
+    for xa, xb, avg_b, jump_b in zip(x, x[1:], avg[1:], jump[1:]):  # far end a, near end b
+        wb = avg_b + 0.5 * eta * jump_b
+        sb = math.sqrt(-xb)
+        ssum = sa + sb
+        ds2 = 2.0 * ((xb - xa) / ssum)  # 2 (sa - sb)
+        half += wa * (ds2 * (sa + 2.0 * sb) / (3.0 * ssum)) + wb * (ds2 * (2.0 * sa + sb) / (3.0 * ssum))
+        three_half += wa * (ds2 / (sa * ssum)) + wb * (ds2 / (sb * ssum))
+        wa, sa = wb, sb
+    return half, three_half
 
 
 def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float:
@@ -112,8 +91,10 @@ def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float
     total = 0.0
     for s in dec.stations:
         total += (s.avg + 0.5 * eta * s.jump) * (-s.x1) ** power
-    if dec.distributed is not None:
-        total += _table_moments(*_table_arrays(dec.distributed), eta, (power,))[power]
+    dist = dec.distributed
+    if dist is not None:
+        half, three_half = _table_moments(dist.x, dist.avg, dist.jump, eta)
+        total += half if power == -0.5 else three_half
     return total
 
 
@@ -164,47 +145,11 @@ def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
     return t1, t2
 
 
-def _lower_table(x, avg, jump, d: float, gap: float):
-    """Weighted point stations (x1, w avg, w jump) standing for the table
-    (x, avg, jump) in the gradient at distance d: arrays of the 16-node
-    rule's stations, then the 32-node rule's, and the former's count.
-
-    Panels run on s = sqrt(-x1), where the profile is a polynomial and
-    the kernel a rational function with poles at sqrt(d) exp(+-i gap/2),
-    gap = pi - |phi|.  Breakpoints sqrt(d) (1 +- 2^k sin(gap/2)) join the
-    table knots at any gap, as wide panels need them away from the faces
-    too: panels shrink geometrically toward the pinch, down to a width of
-    about sqrt(d) gap.  A Gauss-Legendre node s of weight w carries
-    2 s w times the profile at x1 = -s^2.
-    """
-    import numpy as np
-
-    s0 = math.sqrt(d)
-    knots = np.sqrt(-x[::-1]).tolist()
-    lo, hi = knots[0], knots[-1]
-    h = s0 * math.sin(0.5 * max(gap, 1e-12))  # closer to a face is left to the check
-    marks = []
-    while s0 - h > lo or s0 + h < hi:
-        marks += [m for m in (s0 - h, s0 + h) if lo < m < hi]
-        h *= 2.0
-    edges = np.array(sorted({*knots, *marks}))
-    a, b = edges[:-1], edges[1:]
-    nodes, weights = _gauss_legendre()
-    s = (0.5 * (a + b) + 0.5 * (b - a) * nodes[:, None]).ravel()  # node-major
-    w = ((b - a) * weights[:, None]).ravel() * s
-    x1 = -(s * s)
-    profile = (np.interp(x1, x, v, left=0.0, right=0.0) for v in (avg, jump))
-    return (x1, *(w * v for v in profile)), _N_COARSE * a.size
-
-
-def _lowered_grad(points: list, table, d: float, gap: float, trig, mu_b, mu_sum, eta, rtol):
-    """Gradient at distance d from point stations (x1, avg, jump), summed
-    in order, plus a table (x, avg, jump) or None, lowered and summed in
-    one array evaluation.  Returns the 32-node gradient and where the
-    16-node one misses it by more than rtol relative: an array shaped like
-    the trig entries, whose gap is the smallest over them.  A miss at a
-    single angle raises QuadratureFailure, or OnCrackFaceUnderLoad where a
-    station sits on the kernel's pole, which happens only on a face."""
+def _gradient(points, d: float, trig, mu_b, mu_sum: float, eta: float, table):
+    """Gradient at (d, phi) of point stations (x1, avg, jump), summed in
+    order, plus a table's (sum t1, sum t2): floats, or arrays shaped like
+    the trig entries.  A station on the kernel's pole (only on a face) is
+    OnCrackFaceUnderLoad."""
     g1 = g2 = 0.0
     try:
         for x1, avg, jump in points:
@@ -215,29 +160,79 @@ def _lowered_grad(points: list, table, d: float, gap: float, trig, mu_b, mu_sum,
     except ZeroDivisionError:
         raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
     scale = 1.0 / (math.pi * d)
-    if table is None:
-        return (g1 * scale, g2 * scale), False
-    import numpy as np
+    return (g1 + table[0]) * scale, (g2 - table[1]) * scale
 
-    (x1, wavg, wjump), n = _lower_table(*table, d, gap)
-    q = -x1 / d
-    keep = np.ndim(trig[0]) > 0  # a sum per angle, shaped like the trig entries
-    with np.errstate(all="ignore"):  # a node on the pole gives inf or NaN, which fails the check
-        t1, t2 = _station_terms(q, np.sqrt(q), wavg, wjump, trig, mu_b, mu_sum, eta)
-        coarse, fine = (((g1 + t1[..., r].sum(axis=-1, keepdims=keep)) * scale,
-                         (g2 - t2[..., r].sum(axis=-1, keepdims=keep)) * scale)
-                        for r in (slice(n), slice(n, None)))
-        err = np.hypot(fine[0] - coarse[0], fine[1] - coarse[1])
-        bad = np.logical_not(err <= rtol * np.hypot(*fine))
-    if not keep and bad:
-        if not math.isfinite(err):
-            raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a lowered table station at the face")
-        raise QuadratureFailure(f"table lowering at d={d:g}, {gap:g} rad from a face, missed rtol {rtol:g}")
-    return (fine if keep else (float(fine[0]), float(fine[1]))), bad
+
+def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float) -> list:
+    """A table's (sum t1, sum t2) at distance d for each angle (its
+    _phi_trig tuple in trigs, its half-plane modulus in mu_bs): the station
+    kernel integrated exactly over each linear panel, on plain floats.
+
+    With x1 = -d r^2 and Q = r^4 + 2 cos(phi) r^2 + 1, the summands times
+    dx1/(2 d dr) are, for J = [p] and C = (2<p> + eta [p])/(2 mu_b),
+      t1: J (-cos(phi) r/2 + Q'/(4Q))/mu_sum + C sin(phi/2) (1 - (1 - r^2)/Q),
+      t2: J sin(phi) (r/2 - r/Q)/mu_sum + C cos(phi/2) (1 - (1 + r^2)/Q),
+    J and C linear in u = r^2 about each panel's near end.  A panel needs
+    log Q, sin(phi) int du/Q and cos(phi/2) int (1 + r^2)/Q dr as atan2s
+    and sin(phi/2) int (1 - r^2)/Q dr as a log in v = r + 1/r, so nothing
+    of size 1/(pi - |phi|) forms.  Near a face u - 1 comes from the inputs,
+    u + cos(phi) = (u - 1) + 2 cos^2(phi/2), v - 2|sin(phi/2)| is a sum of
+    positive terms and a log of a ratio near 1 is a log1p.
+    """
+    sqrt, log, log1p, atan2 = math.sqrt, math.log, math.log1p, math.atan2
+    knots = []  # near end first: x, u - 1, r, r - 1/r, v - 2, v, J, 2<p> + eta [p]
+    for xk, ak, jk in zip(reversed(x), reversed(avg), reversed(jump)):
+        em = (-xk - d) / d
+        r = sqrt(em + 1.0)
+        knots.append((xk, em, r, em / r, em * em / (r * (r + 1.0) ** 2), r + 1.0 / r, jk, 2.0 * ak + eta * jk))
+    panels = []  # the far knot's terms, then the panel's, at any angle
+    jr = c0 = 0.0  # int J r dr and int (2<p> + eta [p]) dr
+    for (xn, emn, rn, wn, _, _, jn, cn), (xf, emf, rf, wf, vqf, vf, jf, cf) in zip(knots, knots[1:]):
+        du = (xn - xf) / d
+        dr = du / (rf + rn)
+        rr = rf * rn
+        sc = (cf - cn) / du
+        jr += 0.25 * du * (jn + jf)
+        c0 += cn * dr + sc * dr * dr * (rf + 2.0 * rn) / 3.0
+        panels.append((emf, vqf, vf, du, dr, 0.5 * wf * wn, dr * (1.0 + 1.0 / rr),
+                       4.0 * dr * (emf + emn + emf * emn) / (rr * (rr + 1.0)), jn, (jf - jn) / du, cn, sc))
+    out = []
+    for (cphi, sphi, shalf, chalf, *_), mu_b in zip(trigs, mu_bs):
+        ash2 = 2.0 * abs(shalf)
+        ch2 = 2.0 * chalf * chalf  # 1 + cos(phi)
+        vgap = ch2 / (1.0 + 0.5 * ash2)  # 2 - 2|sin(phi/2)|
+        ssq = sphi * sphi
+        quarter = math.copysign(0.25, shalf)
+        shch2 = 2.0 * shalf * chalf
+        _, em, _, _, vq, vn, _, _ = knots[0]
+        bn = em + ch2  # u + cos(phi) at the near end
+        qn = bn * bn + ssq
+        vmn = vq + vgap  # v - 2|sin(phi/2)|
+        jq = jrq = cm = cp = 0.0
+        for emf, vqf, vf, du, dr, ww, y0, g0, jn, sj, cn, sc in panels:
+            bf = emf + ch2
+            qf = bf * bf + ssq
+            vmf = vqf + vgap
+            vpf = vf + ash2
+            rel = du * (bf + bn) / qn
+            lq = 0.5 * (log1p(rel) if -0.5 < rel < 1.0 else log(qf / qn))  # int (u + cos phi)/Q du
+            au = atan2(du * sphi, ssq + bf * bn)  # sin(phi) int du/Q
+            aw = 0.5 * atan2(chalf * y0, ch2 + ww)  # cos(phi/2) int (1 + r^2)/Q dr
+            rel = 0.5 * ash2 * g0 / (vmn * vpf)  # sa is sin(phi/2) int (1 - r^2)/Q dr
+            sa = -quarter * (log1p(rel) if -0.5 < rel < 1.0 else log(vmf * (vn + ash2) / (vpf * vmn)))
+            jq += jn * lq + sj * (du - sphi * au - bn * lq)
+            jrq += jn * au + sj * (sphi * lq - bn * au)
+            cm += cn * sa + sc * (shch2 * aw - shalf * dr - bn * sa)
+            cp += cn * aw + sc * (chalf * dr - bn * aw - shch2 * sa)
+            bn, qn, vmn, vn = bf, qf, vmf, vf
+        out.append((d * ((jq - cphi * jr) / mu_sum + (shalf * c0 - cm) / mu_b),
+                    d * ((sphi * jr - jrq) / mu_sum + (chalf * c0 - cp) / mu_b)))
+    return out
 
 
 def _check_face(dec, d: float, phi: float) -> None:
-    """Raise OnCrackFaceUnderLoad for a point on a loaded part of the faces."""
+    """Raise OnCrackFaceUnderLoad for a point on a loaded part of the
+    faces: on a loaded station, or anywhere in a table's closed support."""
     if abs(phi) < math.pi - 1e-9:
         return
     for s in dec.stations:
@@ -245,33 +240,28 @@ def _check_face(dec, d: float, phi: float) -> None:
             raise OnCrackFaceUnderLoad(
                 f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
             )
-    dist = dec.distributed  # its profiles vanish outside the support
-    if dist is None:
-        return
-    import numpy as np
-
-    if any(np.interp(-d, dist.x, p, left=0.0, right=0.0) for p in (dist.avg, dist.jump)):
+    dist = dec.distributed
+    if dist is not None and dist.x[0] <= -d <= dist.x[-1]:
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
-def _grad(dec, bimaterial: Bimaterial, d: float, phi: float, trig, rtol: float):
+def _grad(dec, bimaterial: Bimaterial, d: float, phi: float, trig):
     """grad_u0 on a decomposed loading, with the angular factors given."""
     mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
     _check_face(dec, d, phi)
-    return _lowered_grad(
-        [(s.x1, s.avg, s.jump) for s in dec.stations], _table_arrays(dec.distributed), d,
-        math.pi - abs(phi), trig, mu_b, bimaterial.mu_sum, bimaterial.contrast, rtol,
-    )[0]
+    mu_sum, eta, t = bimaterial.mu_sum, bimaterial.contrast, dec.distributed
+    table = (0.0, 0.0) if t is None else _table_sums(t.x, t.avg, t.jump, d, [trig], [mu_b], mu_sum, eta)[0]
+    return _gradient([(s.x1, s.avg, s.jump) for s in dec.stations], d, trig, mu_b, mu_sum, eta, table)
 
 
-def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint, rtol: float = 1e-10):
+def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     """Displacement gradient (du/dx1, du/dx2) of the unperturbed field.
 
     Uses the upper-material branch for phi >= 0 and the lower one for
     phi < 0; on the interface (phi = 0) du/dx2 carries the upper-side
     limit, which differs from the lower one by mu_minus/mu_plus.
     """
-    return _grad(decompose(loading), bimaterial, point.d, point.phi, _phi_trig(point.phi), rtol)
+    return _grad(decompose(loading), bimaterial, point.d, point.phi, _phi_trig(point.phi))
 
 
 def _angular_ratios(omega: float, t, theta: float):

@@ -275,7 +275,30 @@ def test_subnormal_three_point_load_exits_1(cfg, capsys):
     assert main(["sif", "--config", cfg(text)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: P must")
+    assert err.startswith("error: line 4: P must")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('force { face = "+", x1 = -1, p = -1 }\n  force { face = "-", x1 = -1, p = -1 }',
+         "three_point { P = 1, a = -3 }", "error: line 4: a must be positive and finite, got -3.0\n"),
+        ('force { face = "+", x1 = -1, p = -1 }\n  force { face = "-", x1 = -1, p = -1 }',
+         "three_point { P = 5e-324, a = 3 }",
+         "error: line 4: P must not be subnormal (P/2 would round), got 5e-324\n"),
+        ("d = 1,", "d = -1,", "error: line 7: defect distance must be positive, got d = -1.0\n"),
+        ('x1 = -1, p = -1 }\n  force { face = "-"', 'x1 = 2, p = -1 }\n  force { face = "-"',
+         "error: line 4: point force must sit behind the tip, got x1 = 2.0\n"),
+        ("mu_minus = 1", "mu_minus = -1", "error: line 2: shear moduli must be positive and finite, got (1.0, -1.0)\n"),
+    ],
+    ids=["three_point_a", "three_point_subnormal_P", "defect_d", "force_x1", "bimaterial"],
+)
+def test_constructor_errors_carry_their_block_line(cfg, capsys, old, new, message):
+    assert old in SYM_PAIR_CFG
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG.replace(old, new))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
 
 
 @pytest.mark.parametrize(

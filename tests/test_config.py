@@ -20,7 +20,7 @@ from crackwake import (
     parse_scenario,
     three_point_preset,
 )
-from crackwake.errors import ConfigSyntaxError, MissingBlock, UnknownKey
+from crackwake.errors import ConfigSyntaxError, InvalidDefect, InvalidPreset, MissingBlock, UnknownKey
 
 MINIMAL = """
 # weak interface, symmetric pair, one microcrack ahead
@@ -30,6 +30,20 @@ loading {
 }
 defect { kind = microcrack, d = 1, phi = 22.5 deg, alpha = 0, la = 0.1 }
 """
+
+
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        ("a = 3, b = 0", "a = -3, b = 0", InvalidPreset, "a must be positive"),
+        ("d = 1,", "d = -1,", InvalidDefect, "defect distance must be positive"),
+        ("mu_minus = 1", "mu_minus = 0", ValidationError, "shear moduli must be positive"),
+    ],
+)
+def test_constructor_errors_keep_their_class_and_gain_the_block_line(old, new, error, message):
+    line = next(i for i, text in enumerate(MINIMAL.splitlines(), start=1) if old in text)
+    with pytest.raises(error, match=f"^line {line}: {message}"):
+        parse_scenario(MINIMAL.replace(old, new))
 
 
 def test_minimal_scenario_parses():

@@ -21,7 +21,7 @@ from crackwake import (
     sif_k0,
     three_point_preset,
 )
-from crackwake.mapgen import MAP_RTOL, write_map_csv, write_map_pgm
+from crackwake.mapgen import write_map_csv, write_map_pgm
 
 from helpers import sym_pair_at
 
@@ -85,8 +85,8 @@ def test_scan_map_cells_match_direct_evaluation(bm_equal):
     for i in (0, 3):
         for j in (1, 2):
             mc, rl = arrangement.defects(float(m.phi1[i]), float(m.alpha1[j]), bm_equal)
-            dk = delta_k_defect(mc, loading, bm_equal, rtol=MAP_RTOL)
-            dk += delta_k_defect(rl, loading, bm_equal, rtol=MAP_RTOL)
+            dk = delta_k_defect(mc, loading, bm_equal)
+            dk += delta_k_defect(rl, loading, bm_equal)
             assert m.ratio[i, j] == dk / k0
 
 
@@ -250,8 +250,8 @@ def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n
     for i, phi1 in enumerate(m.phi1):
         for j, alpha1 in enumerate(m.alpha1):
             mc, companion = arrangement.defects(float(phi1), float(alpha1), bm)
-            dk = delta_k_defect(mc, loading, bm, rtol=MAP_RTOL)
-            dk += delta_k_defect(companion, loading, bm, rtol=MAP_RTOL)
+            dk = delta_k_defect(mc, loading, bm)
+            dk += delta_k_defect(companion, loading, bm)
             expected = dk / k0
             assert abs(m.ratio[i, j] - expected) <= 1e-12 * abs(expected)
             assert str(m.region[i, j]) == classify(expected, 1e-6)
@@ -291,9 +291,8 @@ def test_table_loading_never_imports_scipy():
 
 
 def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkeypatch):
-    """A table row whose 16- and 32-node lowerings disagree beyond the map
-    tolerance is X, and the scan carries on.  A negative tolerance is one
-    that no row meets, even where the two rules agree to the last bit."""
+    """A table row whose closed-form gradient is not finite is X, and the
+    scan carries on: the other rows keep their values."""
     import crackwake.mapgen as mapgen
 
     loading = Loading(
@@ -301,8 +300,20 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
         DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)),
     )
     arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
-    assert scan_map(arrangement, loading, bm_equal, grid=(4, 4)).count("invalid") == 0
-    monkeypatch.setattr(mapgen, "MAP_RTOL", -1.0)
+    probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
+    assert probe.count("invalid") == 0
+    real = mapgen._table_sums
+    sin_half = math.sin(0.5 * float(probe.phi1[2]))
+
+    def poisoned(x, avg, jump, d, trigs, *rest):
+        sums = real(x, avg, jump, d, trigs, *rest)
+        return [(math.inf, math.nan) if d == 1.0 and t[2] == sin_half else s for s, t in zip(sums, trigs)]
+
+    monkeypatch.setattr(mapgen, "_table_sums", poisoned)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
-    assert m.count("invalid") == 16
-    assert np.all(np.isnan(m.ratio))
+    assert m.count("invalid") == 4
+    assert all(str(r) == "invalid" for r in m.region[2, :])
+    assert np.all(np.isnan(m.ratio[2, :]))
+    keep = [0, 1, 3]
+    assert np.array_equal(m.ratio[keep], probe.ratio[keep])
+    assert np.array_equal(m.region[keep], probe.region[keep])

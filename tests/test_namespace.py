@@ -163,15 +163,43 @@ def test_grid_flag_refused_before_the_map_loads(tmp_path):
     assert numpy_modules(loaded) == set()
 
 
-def test_table_gradient_and_map_still_load_numpy(tmp_path):
-    code = (
-        "import crackwake as cw\n"
-        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
-        "loading = cw.Loading((cw.PointForce(-3.0, '+', 0.5),), table)\n"
-        "g = cw.grad_u0(loading, cw.Bimaterial(1.0, 5.0), cw.FieldPoint(1.0, 0.4))\n"
+TABLE_LOADING = (
+    "import crackwake as cw\n"
+    "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
+    "loading = cw.Loading((cw.PointForce(-3.0, '+', 0.5),), table)\n"
+    "bm = cw.Bimaterial(1.0, 5.0)\n"
+    "mc = cw.Defect('microcrack', d=1.0, phi=0.4, alpha=0.3, l_a=0.1)\n"
+)
+
+
+def test_table_tip_coefficients_and_gradient_never_load_numpy():
+    """A table's K0, A0 and gradient are float loops over its panels."""
+    code = TABLE_LOADING + (
+        "assert cw.sif_k0(loading, bm) != 0.0 and cw.coeff_a0(loading, bm) != 0.0\n"
+        "g = cw.grad_u0(loading, bm, cw.FieldPoint(1.0, 0.4))\n"
         "assert g[0] != 0.0 and g[1] != 0.0\n"
+        "assert cw.delta_k_defect(mc, loading, bm) != 0.0\n"
     )
-    assert "numpy" in loaded_after(code)
+    assert numpy_modules(loaded_after(code)) == set()
+
+
+def test_map_command_still_loads_numpy(tmp_path):
     out = tmp_path / "map.csv"
     assert "numpy" in after_main_calls(tmp_path, [(["map", "--grid", "4x4", "--out", str(out)], SCENARIO, 0)])
     assert len(out.read_text().splitlines()) == 17
+
+
+def test_no_command_or_table_call_loads_numpy_polynomial(tmp_path):
+    commands = [["sif"], ["dipole"], ["perturb"], ["propagate"], ["neutral", "--pair", "a"],
+                ["map", "--grid", "4x4", "--out", str(tmp_path / "map.csv")]]
+    scenario = SCENARIO + "params { max_iter = 20 }\n"
+    assert "numpy.polynomial" not in after_main_calls(tmp_path, [(argv, scenario, 0) for argv in commands])
+    code = TABLE_LOADING + (
+        "cw.grad_u0(loading, bm, cw.FieldPoint(2.1, 3.0))\n"
+        "cw.delta_k_defect_quadrature(mc, loading, bm)\n"
+        "cw.displacement_u0(loading, bm, 1.0, 0.4)\n"
+        "cw.propagate(cw.CrackState(0.0, (mc,), loading, bm), max_iter=3)\n"
+        "cw.scan_map(cw.PairArrangement('a', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
+    )
+    loaded = loaded_after(code)
+    assert "numpy" in loaded and "numpy.polynomial" not in loaded
