@@ -130,8 +130,8 @@ def delta_k_defect_quadrature(
     eff = effective_tractions(defect, grad, bimaterial)
     eta = bimaterial.contrast
 
-    def integrand(t):
-        return eff.weighted(-t * t, eta)
+    def integrand(ts):
+        return [eff.weighted(-t * t, eta) for t in ts]
 
     # natural magnitude of the integral, for the absolute error floor
     m = dipole_matrix(defect)

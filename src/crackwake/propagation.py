@@ -12,10 +12,7 @@ retreat.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
@@ -83,22 +80,21 @@ class PropagationTrace:
     """Per-iteration record of a propagation run.
 
     increments holds the applied advances only, so elongation equals
-    their prefix sum exactly.  The row arrays keep one entry per
+    their prefix sum exactly.  The row columns keep one entry per
     iteration including the terminal evaluation that triggered the
     verdict (an arrest-triggering increment is recorded but never
     applied, its row repeats the previous elongation).
     """
 
-    increments: np.ndarray
+    increments: tuple[float, ...]
     elongation: float
     verdict: str
-    iters: np.ndarray
-    phi: np.ndarray
-    x: np.ndarray
-    dk_total: np.ndarray
-    k0: np.ndarray
-    a0: np.ndarray
-    flags: np.ndarray
+    phi: tuple[float, ...]
+    x: tuple[float, ...]
+    dk_total: tuple[float, ...]
+    k0: tuple[float, ...]
+    a0: tuple[float, ...]
+    flags: tuple[int, ...]
 
 
 class _Engine:
@@ -228,13 +224,13 @@ def propagate(
 
     tip = state.tip_x
     elong = 0.0
-    increments = array("d")
-    col_phi = array("d")
-    col_x = array("d")
-    col_dk = array("d")
-    col_k0 = array("d")
-    col_a0 = array("d")
-    flags = array("b")
+    increments = []
+    col_phi = []
+    col_x = []
+    col_dk = []
+    col_k0 = []
+    col_a0 = []
+    flags = []
     prev_phi = None
     streak = 0
     verdict = "max_iterations"
@@ -269,27 +265,22 @@ def propagate(
         if flags:
             flags[-1] = MAX_ITER_FLAG
 
-    n = len(col_phi)
     return PropagationTrace(
-        increments=np.frombuffer(increments, dtype=float).copy(),
+        increments=tuple(increments),
         elongation=elong,
         verdict=verdict,
-        iters=np.arange(n),
-        phi=np.frombuffer(col_phi, dtype=float).copy(),
-        x=np.frombuffer(col_x, dtype=float).copy(),
-        dk_total=np.frombuffer(col_dk, dtype=float).copy(),
-        k0=np.frombuffer(col_k0, dtype=float).copy(),
-        a0=np.frombuffer(col_a0, dtype=float).copy(),
-        flags=np.frombuffer(flags, dtype=np.int8).astype(int),
+        phi=tuple(col_phi),
+        x=tuple(col_x),
+        dk_total=tuple(col_dk),
+        k0=tuple(col_k0),
+        a0=tuple(col_a0),
+        flags=tuple(flags),
     )
 
 
 def write_trace_csv(trace: PropagationTrace, fh) -> None:
     """Emit the trace with the fixed header, one row per iteration."""
     fh.write("iter,phi,x,dK_total,K0,A0,verdict_flag\n")
-    for i in range(len(trace.phi)):
-        fh.write(
-            f"{trace.iters[i]},{trace.phi[i]:.9g},{trace.x[i]:.9g},"
-            f"{trace.dk_total[i]:.9g},{trace.k0[i]:.9g},{trace.a0[i]:.9g},"
-            f"{trace.flags[i]}\n"
-        )
+    rows = zip(trace.phi, trace.x, trace.dk_total, trace.k0, trace.a0, trace.flags)
+    for i, (phi, x, dk, k0, a0, flag) in enumerate(rows):
+        fh.write(f"{i},{phi:.9g},{x:.9g},{dk:.9g},{k0:.9g},{a0:.9g},{flag}\n")

@@ -350,6 +350,7 @@ def displacement_u0(
     log_r = math.log(r)
 
     def integrand(t):
+        t = np.array(t)
         s = omega + 1j * t
         avg_t, jump_t = transform(s).T
         s2c, c2s = _angular_ratios(omega, t, theta)
@@ -357,7 +358,7 @@ def displacement_u0(
             -s2c * avg_t / mu_b
             + (c2s / mu_sum + mu_dif * s2c / (2.0 * mu_b * mu_sum)) * jump_t
         ) / s
-        return (u_t * np.exp(-s * log_r)).real
+        return (u_t * np.exp(-s * log_r)).real.tolist()
 
     # Decay rate of the transform ratios is pi - |theta|; cap the segment
     # so slow-decay (near-face) cases fail by truncation, not inside quad

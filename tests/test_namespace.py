@@ -1,8 +1,10 @@
 """The lazy package namespace, and the modules each entry point loads."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +181,20 @@ def test_table_tip_coefficients_and_gradient_never_load_numpy():
         "g = cw.grad_u0(loading, bm, cw.FieldPoint(1.0, 0.4))\n"
         "assert g[0] != 0.0 and g[1] != 0.0\n"
         "assert cw.delta_k_defect(mc, loading, bm) != 0.0\n"
+    )
+    assert numpy_modules(loaded_after(code)) == set()
+
+
+def test_perturb_propagate_and_the_weight_function_oracle_never_load_numpy(tmp_path):
+    """The dK quadrature and the propagation trace run on plain floats."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    scenario = re.search(r"```\n(.*?)```", readme[readme.index("### Scenario files"):], re.S).group(1)
+    calls = [(["perturb"], scenario, 0), (["propagate", "--out", str(tmp_path / "trace.csv")], scenario, 0)]
+    assert numpy_modules(after_main_calls(tmp_path, calls)) == set()
+    assert (tmp_path / "trace.csv").read_text().startswith("iter,phi,x,")
+    code = TABLE_LOADING + (
+        "assert cw.delta_k_defect_quadrature(mc, cw.three_point_preset(1.0, 3.0, 1.0), bm) != 0.0\n"
+        "assert cw.delta_k_defect_quadrature(mc, loading, bm) != 0.0\n"
     )
     assert numpy_modules(loaded_after(code)) == set()
 

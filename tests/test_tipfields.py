@@ -202,7 +202,7 @@ def test_distributed_gradient_matches_point_limit(bm_pos):
 
 def test_adaptive_quad_failure_is_reported():
     with pytest.raises(QuadratureFailure):
-        adaptive_quad(lambda x: np.sin(1.0 / x), 1e-12, 1.0, rtol=1e-12, limit=3)
+        adaptive_quad(lambda x: np.sin(1.0 / np.asarray(x)), 1e-12, 1.0, rtol=1e-12, limit=3)
 
 
 def test_field_point_validation():
@@ -229,6 +229,15 @@ FINE_HAT = Loading((PointForce(-1.2, "-", 0.25),), hat_load(-2.0, 0.4, avg_coeff
         pytest.param(FINE_HAT, 2.1, -2.2, id="2.1--2.2"),
         pytest.param(FINE_HAT, 1.95, math.pi - 1e-3, id=f"1.95-{math.pi - 1e-3}"),
         pytest.param(HAT, 1.95, math.pi - 1e-3, id=f"9_knots-1.95-{math.pi - 1e-3}"),
+        pytest.param(
+            HAT, 1.95, -math.pi + 1e-3, id=f"9_knots-1.95-{-math.pi + 1e-3}",
+            marks=pytest.mark.xfail(
+                strict=True, raises=QuadratureFailure,
+                reason="the point station at x1 = -1.2 has a transform that does not decay "
+                "in t, so the inversion's [10240, 20480] segment cannot converge 1e-3 rad "
+                "from the lower face",
+            ),
+        ),
     ],
 )
 def test_distributed_gradient_matches_displacement_oracle(bm_pos, loading, d, phi):
