@@ -1,7 +1,7 @@
 """Command-line front end: crackwake <cmd> --config <path> [options].
 
 Exit status: 0 on success, 1 on configuration/validation errors, 2 on
-numerical failures.  All numbers print with 9 significant digits.
+numerical failures, an overflowing result among them.  All numbers print with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -14,6 +14,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvalidPreset, LoadTooCloseToTip, UnbalancedLoading, ValidationError
 
@@ -37,15 +39,15 @@ class Bimaterial:
                 f"shear moduli must be positive and finite, got ({self.mu_plus}, {self.mu_minus})"
             )
 
-    @property
+    @cached_property
     def mu_sum(self) -> float:
         return self.mu_plus + self.mu_minus
 
-    @property
+    @cached_property
     def contrast(self) -> float:
         return (self.mu_minus - self.mu_plus) / (self.mu_plus + self.mu_minus)
 
-    @property
+    @cached_property
     def mu_series(self) -> float:
         """mu_plus mu_minus / (mu_plus + mu_minus), the modulus factor of the closed-form dK."""
         return self.mu_plus * self.mu_minus / self.mu_sum
@@ -183,9 +185,9 @@ class Loading:
         return max(xs) if xs else None
 
 
-@dataclass(frozen=True)
-class LoadStation:
-    """Delta-function coefficients of <p> and [p] at one station."""
+class LoadStation(NamedTuple):
+    """Delta-function coefficients of <p> and [p] at one station; a plain
+    tuple (x1, avg, jump), as the kernels take point stations."""
 
     x1: float
     avg: float

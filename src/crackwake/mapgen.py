@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defects import Defect, dipole_matrix
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .loading import Bimaterial, Loading, decompose
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _check_face, _gradient, _phi_trig, _table_sums, sif_k0
+from .tipfields import _gradient, _phi_trig, _table_sums, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -86,38 +86,29 @@ class RegionMap:
 
 def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
     """Closed-form dK of one pair member over a block of rows and all
-    columns, plus the rows that failed on a loaded face.
+    columns.
 
     centers holds the member's defect per row, all at one distance;
     matrices its dipole matrix per column.  Point stations are summed
     on arrays of the rows' angular factors; a table adds its panel
     integrals from the same factors as floats, in one call for the block.
+    No row needs the face check of delta_k_defect: a cell center is at
+    least pi/n_phi from a face.
     """
     d = centers[0].d
     phis = [c.phi for c in centers]
-    failed = np.zeros(len(phis), dtype=bool)
-    for i, phi in enumerate(phis):
-        try:
-            _check_face(dec, d, phi)
-        except NumericalError:
-            failed[i] = True
     trigs = [_phi_trig(p) for p in phis]
     mu_bs = [bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis]
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
     trig = tuple(np.array(col)[:, None] for col in zip(*trigs))
     sums = (0.0, 0.0)
     dist = dec.distributed
-    if dist is not None:  # rows on a loaded face stay NaN
-        ok = np.flatnonzero(~failed).tolist()
-        table = np.full((len(phis), 2), math.nan)
-        table[ok] = np.reshape(_table_sums(dist.x, dist.avg, dist.jump, d, [trigs[i] for i in ok],
-                                           [mu_bs[i] for i in ok], mu_sum, eta), (-1, 2))
+    if dist is not None:
+        table = np.reshape(_table_sums(dist.x, dist.avg, dist.jump, d, trigs, mu_bs, mu_sum, eta), (-1, 2))
         sums = (table[:, :1], table[:, 1:])
-    grad = _gradient([(s.x1, s.avg, s.jump) for s in dec.stations], d, trig, np.array(mu_bs)[:, None],
-                     mu_sum, eta, sums)
+    grad = _gradient(dec.stations, d, trig, np.array(mu_bs)[:, None], mu_sum, eta, sums)
     m11, m12, m22 = (np.array(v) for v in zip(*((m.m11, m.m12, m.m22) for m in matrices)))
-    dk = _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
-    return dk, failed
+    return _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
 
 
 def scan_map(
@@ -134,9 +125,8 @@ def scan_map(
     centers.  A member's gradient varies along phi1 (rows) and its dipole
     matrix along alpha1 (columns), and the cells are their broadcast
     contraction, bit-identical to delta_k_defect cell by cell.  Cells
-    whose evaluation fails numerically, or whose ratio is not finite,
-    are marked invalid, never skipped.  threads is accepted so older
-    callers keep working, and ignored.
+    whose ratio is not finite are marked invalid, never skipped.  threads
+    is accepted so older callers keep working, and ignored.
     """
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
@@ -160,25 +150,19 @@ def scan_map(
         blocks.setdefault(tuple((m.d, m.l_a) for m in pair), []).append(i)
 
     dk = np.empty((n_phi, n_alpha))
-    failed = np.zeros(n_phi, dtype=bool)
-    with np.errstate(all="ignore"):  # failed rows and non-finite cells become invalid below
+    with np.errstate(all="ignore"):  # non-finite cells become invalid below
         for rows in blocks.values():
             phi_rep = row_pairs[rows[0]][0].phi
             columns = [arrangement.defects(phi_rep, a, bimaterial) for a in alphas]
-            terms = []
-            for k in (0, 1):
-                term, bad = _member_dk(
-                    dec,
-                    bimaterial,
-                    [row_pairs[i][k] for i in rows],
-                    [dipole_matrix(pair[k]) for pair in columns],
-                )
-                terms.append(term)
-                failed[rows] |= bad
-            dk[rows] = terms[0] + terms[1]
+            first, second = (
+                _member_dk(dec, bimaterial, [row_pairs[i][k] for i in rows],
+                           [dipole_matrix(pair[k]) for pair in columns])
+                for k in (0, 1)
+            )
+            dk[rows] = first + second
         ratio = dk / k0
 
-    invalid = failed[:, None] | ~np.isfinite(ratio)
+    invalid = ~np.isfinite(ratio)
     ratio[invalid] = math.nan
     code = np.where(ratio < -delta, 1, np.where(ratio > delta, 2, 0))
     code[invalid] = 3

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .defects import Defect, _dipole_parts, dipole_matrix
 from .errors import InvalidDefect
-from .loading import Bimaterial, Loading, decompose
-from .tipfields import SQRT_2_OVER_PI, FieldPoint, _grad, _phi_trig, grad_u0
+from .loading import Bimaterial, Loading
+from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, _points_and_table, grad_u0
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -93,12 +93,20 @@ def _delta_k_closed(grad, d: float, trig, m11, m12, m22, mu_series: float):
     return -SQRT_2_OVER_PI * mu_series * (grad[0] * mc1 + grad[1] * mc2)
 
 
+def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, m11, m12, m22) -> float:
+    """Closed-form dK of a defect at (d, phi) with dipole entries
+    (m11, m12, m22), under point stations and a table as _grad takes them."""
+    trig = _phi_trig(phi)
+    grad = _grad(points, table, bimaterial, d, phi, trig)
+    return _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
+
+
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect."""
-    trig = _phi_trig(defect.phi)
-    grad = _grad(decompose(loading), bimaterial, defect.d, defect.phi, trig)
+    points, table = _points_and_table(loading)
+    _check_face(points, table, defect.d, defect.phi)
     m = dipole_matrix(defect)
-    return _delta_k_closed(grad, defect.d, trig, m.m11, m.m12, m.m22, bimaterial.mu_series)
+    return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, m.m11, m.m12, m.m22)
 
 
 @dataclass(frozen=True)

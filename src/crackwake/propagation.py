@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
-from .loading import Bimaterial, DistributedLoad, Loading, PointForce, decompose
-from .perturbation import _delta_k_closed
-from .tipfields import SQRT_2_OVER_PI, _gradient, _phi_trig, _table_moments, _table_sums
+from .loading import Bimaterial, DistributedLoad, Loading, PointForce
+from .perturbation import _delta_k_at
+from .tipfields import SQRT_2_OVER_PI, _finite, _moments, _points_and_table
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
@@ -100,21 +100,17 @@ class PropagationTrace:
 class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
-    Point forces and a table go the same way at every tip: both shift
-    with the tip, and the table adds its exact moments to K0 and A0 and
-    its exact panel integrals to each defect's gradient, all on floats.
+    It keeps what does not move with the tip: the point stations, the
+    table columns and each defect's position, dipole entries, size and
+    kind.  At a tip it shifts the stations and the table into tip
+    coordinates and evaluates them with the library's own moments and
+    closed form, so every value equals sif_k0, coeff_a0 and
+    delta_k_defect on the tip-relative loading and defects.
     """
 
     def __init__(self, state: CrackState):
-        bm = state.bimaterial
-        self.mu_plus = bm.mu_plus
-        self.mu_minus = bm.mu_minus
-        self.mu_sum = bm.mu_sum
-        self.eta = bm.contrast
-        self.mu_series = bm.mu_series
-        dec = decompose(state.loading)
-        self.stations = [(s.x1, s.avg, s.jump) for s in dec.stations]
-        self.table = dec.distributed  # x from the frame origin
+        self.bimaterial = state.bimaterial
+        self.stations, self.table = _points_and_table(state.loading)  # x from the frame origin
         self.defects = []
         for df in state.defects:
             m = dipole_matrix(df)
@@ -124,27 +120,16 @@ class _Engine:
 
     def evaluate(self, tip: float):
         """Return (k0, a3, per-defect dK tuple, dK total) at tip."""
-        eta = self.eta
-        k0s = 0.0
-        a0s = 0.0
-        for xs, avg, jump in self.stations:
-            r = tip - xs
-            if r <= 0.0:
-                raise TipReachesLoad(f"tip at {tip:g} reached the load station at {xs:g}")
-            w = avg + 0.5 * eta * jump
-            inv = 1.0 / math.sqrt(r)
-            k0s += w * inv
-            a0s += w * inv / r
+        bm = self.bimaterial
+        points = [(xs - tip, avg, jump) for xs, avg, jump in self.stations]
+        if points and points[-1][0] >= 0.0:  # stations are sorted by x1
+            raise TipReachesLoad(f"tip at {tip:g} reached the load station at {self.stations[-1].x1:g}")
         table = self.table
         if table is not None:
-            table = (tuple(x - tip for x in table.x), table.avg, table.jump)
-            half, three_half = _table_moments(*table, eta)
-            k0s += half
-            a0s += three_half
-        k0 = -SQRT_2_OVER_PI * k0s
-        a3 = SQRT_2_OVER_PI * a0s
-
-        shifted = [(xs - tip, a, j) for xs, a, j in self.stations]
+            table = (tuple(x - tip for x in table[0]), table[1], table[2])
+        half, three_half = _moments(points, table, bm.contrast)
+        k0 = _finite("K0", -SQRT_2_OVER_PI * half)
+        a3 = _finite("A0", SQRT_2_OVER_PI * three_half)
         per = []
         for xd, yd, m11, m12, m22, la, kind in self.defects:
             dx = xd - tip
@@ -153,12 +138,7 @@ class _Engine:
                 raise TipReachesDefect(
                     f"tip at {tip:g} is within {la:g} of the {kind} centered at ({xd:g}, {yd:g})"
                 )
-            phij = math.atan2(yd, dx)
-            mu_b = self.mu_plus if phij >= 0.0 else self.mu_minus
-            trig = _phi_trig(phij)
-            sums = (0.0, 0.0) if table is None else _table_sums(*table, dj, [trig], [mu_b], self.mu_sum, eta)[0]
-            grad = _gradient(shifted, dj, trig, mu_b, self.mu_sum, eta, sums)
-            per.append(_delta_k_closed(grad, dj, trig, m11, m12, m22, self.mu_series))
+            per.append(_delta_k_at(points, table, bm, dj, math.atan2(yd, dx), m11, m12, m22))
         return k0, a3, tuple(per), math.fsum(per)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ContourTruncationFailure, OnCrackFaceUnderLoad, ValidationError
+from .errors import ContourTruncationFailure, NumericalError, OnCrackFaceUnderLoad, ValidationError
 from .loading import Bimaterial, Loading, decompose
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -84,18 +84,37 @@ def _table_moments(x, avg, jump, eta: float) -> tuple[float, float]:
     return half, three_half
 
 
-def _tip_moment(loading: Loading, bimaterial: Bimaterial, power: float) -> float:
-    """The same integral over a whole loading; point stations by sifting."""
-    eta = bimaterial.contrast
+def _moments(points, table, eta: float) -> tuple[float, float]:
+    """The same integrals by both powers over point stations (x1, avg, jump),
+    by sifting, plus a table (x, avg, jump) or None.  A station so near the
+    tip that (-x1)^(-3/2) overflows leaves the second one NaN."""
+    half = three_half = 0.0
+    for x1, avg, jump in points:
+        w = avg + 0.5 * eta * jump
+        half += w * (-x1) ** -0.5
+        try:
+            three_half += w * (-x1) ** -1.5
+        except OverflowError:
+            three_half = math.nan
+    if table is not None:
+        table_half, table_three_half = _table_moments(*table, eta)
+        half += table_half
+        three_half += table_three_half
+    return half, three_half
+
+
+def _points_and_table(loading: Loading):
+    """A loading's point stations and its table as (x, avg, jump), or None."""
     dec = decompose(loading)
-    total = 0.0
-    for s in dec.stations:
-        total += (s.avg + 0.5 * eta * s.jump) * (-s.x1) ** power
-    dist = dec.distributed
-    if dist is not None:
-        half, three_half = _table_moments(dist.x, dist.avg, dist.jump, eta)
-        total += half if power == -0.5 else three_half
-    return total
+    t = dec.distributed
+    return dec.stations, None if t is None else (t.x, t.avg, t.jump)
+
+
+def _finite(name: str, value: float) -> float:
+    """value, or NumericalError naming it when it is not finite."""
+    if not math.isfinite(value):
+        raise NumericalError(f"{name} is not finite: {value:g}")
+    return value
 
 
 def sif_k0(loading: Loading, bimaterial: Bimaterial) -> float:
@@ -104,13 +123,15 @@ def sif_k0(loading: Loading, bimaterial: Bimaterial) -> float:
     K0 = -sqrt(2/pi) * integral of {<p> + (eta/2)[p]}(-r) r^(-1/2) dr;
     positive for crack-opening loads (negative <p> in this convention).
     """
-    return -SQRT_2_OVER_PI * _tip_moment(loading, bimaterial, -0.5)
+    points, table = _points_and_table(loading)
+    return _finite("K0", -SQRT_2_OVER_PI * _moments(points, table, bimaterial.contrast)[0])
 
 
 def coeff_a0(loading: Loading, bimaterial: Bimaterial) -> float:
     """Second-order tip coefficient, same kernel as sif_k0 with r^(-3/2)
     and opposite overall sign; controls the tip-advance sensitivity."""
-    return SQRT_2_OVER_PI * _tip_moment(loading, bimaterial, -1.5)
+    points, table = _points_and_table(loading)
+    return _finite("A0", SQRT_2_OVER_PI * _moments(points, table, bimaterial.contrast)[1])
 
 
 def tip_coefficients(loading: Loading, bimaterial: Bimaterial) -> TipFieldCoefficients:
@@ -230,28 +251,27 @@ def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float)
     return out
 
 
-def _check_face(dec, d: float, phi: float) -> None:
+def _check_face(points, table, d: float, phi: float) -> None:
     """Raise OnCrackFaceUnderLoad for a point on a loaded part of the
     faces: on a loaded station, or anywhere in a table's closed support."""
     if abs(phi) < math.pi - 1e-9:
         return
-    for s in dec.stations:
-        if abs(-d - s.x1) <= 1e-12 * d and (s.avg != 0.0 or s.jump != 0.0):
+    for x1, avg, jump in points:
+        if abs(-d - x1) <= 1e-12 * d and (avg != 0.0 or jump != 0.0):
             raise OnCrackFaceUnderLoad(
-                f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={s.x1:g}"
+                f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={x1:g}"
             )
-    dist = dec.distributed
-    if dist is not None and dist.x[0] <= -d <= dist.x[-1]:
+    if table is not None and table[0][0] <= -d <= table[0][-1]:
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
-def _grad(dec, bimaterial: Bimaterial, d: float, phi: float, trig):
-    """grad_u0 on a decomposed loading, with the angular factors given."""
+def _grad(points, table, bimaterial: Bimaterial, d: float, phi: float, trig):
+    """Gradient at (d, phi) of point stations (x1, avg, jump) and a table
+    (x, avg, jump) or None, with the angular factors given."""
     mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
-    _check_face(dec, d, phi)
-    mu_sum, eta, t = bimaterial.mu_sum, bimaterial.contrast, dec.distributed
-    table = (0.0, 0.0) if t is None else _table_sums(t.x, t.avg, t.jump, d, [trig], [mu_b], mu_sum, eta)[0]
-    return _gradient([(s.x1, s.avg, s.jump) for s in dec.stations], d, trig, mu_b, mu_sum, eta, table)
+    mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
+    sums = (0.0, 0.0) if table is None else _table_sums(*table, d, [trig], [mu_b], mu_sum, eta)[0]
+    return _gradient(points, d, trig, mu_b, mu_sum, eta, sums)
 
 
 def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
@@ -261,7 +281,9 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     phi < 0; on the interface (phi = 0) du/dx2 carries the upper-side
     limit, which differs from the lower one by mu_minus/mu_plus.
     """
-    return _grad(decompose(loading), bimaterial, point.d, point.phi, _phi_trig(point.phi))
+    points, table = _points_and_table(loading)
+    _check_face(points, table, point.d, point.phi)
+    return _grad(points, table, bimaterial, point.d, point.phi, _phi_trig(point.phi))
 
 
 def _angular_ratios(omega: float, t, theta: float):

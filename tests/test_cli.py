@@ -150,9 +150,7 @@ def test_bad_config_exits_1(cfg, capsys):
     assert main(["sif", "--config", "/nonexistent/file.cfg"]) == 1
 
 
-def test_numerical_failure_exits_2(cfg, capsys):
-    # A0 cancels exactly: the advance increment is undefined
-    text = """
+A0_CANCELS_CFG = """
 bimaterial { mu_plus = 1, mu_minus = 1 }
 loading {
   force { face = "+", x1 = -1, p = 1 }
@@ -162,8 +160,50 @@ loading {
 }
 defect { kind = microcrack, d = 1, phi = 0.3, alpha = 0.2, la = 0.1 }
 """
-    assert main(["perturb", "--config", cfg(text)]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+
+# a load 1e-6 behind the tip: K0 is finite, A0 overflows to inf
+A0_INF_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 5 }
+loading {
+  three_point { P = 1e300, a = 1e-6, b = 0 }
+}
+defect { kind = microcrack, d = 1, phi = 0.4, alpha = 0.2, la = 0.1 }
+"""
+
+# l_a**2 of the dipole matrix overflows
+HUGE_DEFECT_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 1 }
+loading {
+  three_point { P = 1, a = 1e296, b = 0 }
+}
+defect { kind = microcrack, d = 1e300, phi = 0.4, alpha = 0, la = 1e200 }
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("perturb", A0_CANCELS_CFG),  # the advance increment is undefined
+        ("sif", A0_INF_CFG),
+        ("perturb", A0_INF_CFG),
+        ("propagate", A0_INF_CFG),
+        ("dipole", HUGE_DEFECT_CFG),
+        ("perturb", HUGE_DEFECT_CFG),
+        ("propagate", HUGE_DEFECT_CFG),
+    ],
+    ids=["perturb-a0-cancels", "sif-a0-inf", "perturb-a0-inf", "propagate-a0-inf",
+         "dipole-overflow", "perturb-overflow", "propagate-overflow"],
+)
+def test_numerical_failure_exits_2(cfg, capsys, command, text):
+    assert main([command, "--config", cfg(text)]) == 2
+    out, err = capsys.readouterr()
+    assert "numerical failure" in err and "Traceback" not in err
+    assert "inf" not in out
+
+
+def test_map_reads_only_k0_when_a0_overflows(cfg, capsys):
+    assert main(["map", "--config", cfg(A0_INF_CFG), "--grid", "4x2"]) == 0
+    assert ",X" not in capsys.readouterr().out
 
 
 def test_map_outputs_reproducible(cfg, tmp_path):

@@ -170,39 +170,6 @@ def test_map_pgm_format(bm_equal):
     assert top == [grey[str(m.region[i, 2])] for i in range(6)]
 
 
-def test_scan_map_marks_failed_cells_invalid(bm_equal, monkeypatch):
-    """A numerical failure poisons only the cells it touches, never the scan."""
-    import crackwake.mapgen as mapgen
-    from crackwake.errors import QuadratureFailure
-
-    real = mapgen._check_face
-    target = {}
-
-    def flaky(dec, d, phi):
-        if d == 1.0 and abs(phi - target["phi"]) < 1e-12:
-            raise QuadratureFailure("boom")
-        return real(dec, d, phi)
-
-    loading = Loading(
-        (PointForce(-3.0, "+", 1.0),),
-        DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0)),
-    )
-    arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
-    probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
-    assert probe.count("invalid") == 0
-    target["phi"] = float(probe.phi1[1])
-    monkeypatch.setattr(mapgen, "_check_face", flaky)
-    m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
-    assert m.count("invalid") == 4
-    assert all(str(r) == "invalid" for r in m.region[1, :])
-    assert np.all(np.isnan(m.ratio[1, :]))
-    keep = [0, 2, 3]
-    assert np.array_equal(m.ratio[keep], probe.ratio[keep])
-    buf = io.StringIO()
-    write_map_csv(m, buf)
-    assert buf.getvalue().count(",X") == 4
-
-
 def test_scan_map_non_finite_ratio_is_invalid():
     """Moduli so small that the gradient overflows while K0 stays finite:
     every ratio is inf or nan, and every cell is X rather than S/A/N."""
@@ -272,8 +239,8 @@ def test_point_force_map_never_imports_scipy():
 
 
 def test_table_loading_never_imports_scipy():
-    """A table is lowered to point stations: K0, the gradient, propagation
-    and maps all run without scipy."""
+    """A table enters in closed form: K0, the gradient, propagation and
+    maps all run without scipy."""
     code = (
         "import sys, crackwake as cw\n"
         "bm = cw.Bimaterial(1.0, 5.0)\n"
@@ -317,3 +284,6 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     keep = [0, 1, 3]
     assert np.array_equal(m.ratio[keep], probe.ratio[keep])
     assert np.array_equal(m.region[keep], probe.region[keep])
+    buf = io.StringIO()
+    write_map_csv(m, buf)
+    assert buf.getvalue().count(",X") == 4

@@ -21,12 +21,13 @@ from crackwake import (
     delta_k_total,
     neutral_pair_a,
     propagate,
+    sif_k0,
     step,
     three_point_preset,
     write_trace_csv,
 )
 
-from helpers import sym_pair_at
+from helpers import BIMATERIALS, random_balanced_loading, sym_pair_at
 
 
 def pair_a_state(phi1, alpha1, bm, a=3.0, b=0.0):
@@ -45,7 +46,7 @@ def test_advance_increment_matches_direct_formula(bm_equal):
     loading = state.current_loading()
     total = delta_k_total(state.current_defects(), loading, bm_equal).total
     a3 = coeff_a0(loading, bm_equal)
-    assert advance_increment(state) == approx(-2.0 * total / a3, rel=1e-12)
+    assert advance_increment(state) == -2.0 * total / a3
 
 
 def test_advance_increment_doubles_with_dipole(bm_equal):
@@ -184,7 +185,7 @@ def test_advance_increment_with_table_matches_direct_formula(bm_pos):
     state = step(CrackState(0.0, (mc, neutral_pair_a(mc)), loading, bm_pos), 0.05)
     current = state.current_loading()
     total = delta_k_total(state.current_defects(), current, bm_pos).total
-    assert advance_increment(state) == approx(-2.0 * total / coeff_a0(current, bm_pos), rel=1e-12)
+    assert advance_increment(state) == -2.0 * total / coeff_a0(current, bm_pos)
 
 
 def test_non_finite_increment_raises():
@@ -197,6 +198,46 @@ def test_non_finite_increment_raises():
         propagate(state, max_iter=3)
     with pytest.raises(NumericalError):
         advance_increment(state)
+
+
+def test_infinite_a0_raises():
+    """A load 1e-6 behind the tip with K0 finite and A0 overflowing: A0
+    and propagation end in NumericalError, never in an inf row."""
+    bm = Bimaterial(1.0, 5.0)
+    loading = three_point_preset(1e300, 1e-6, 0.0)
+    mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.2, l_a=0.1)
+    assert math.isfinite(sif_k0(loading, bm))
+    with pytest.raises(NumericalError, match="A0"):
+        coeff_a0(loading, bm)
+    with pytest.raises(NumericalError, match="A0"):
+        propagate(CrackState(0.0, (mc,), loading, bm), max_iter=3)
+
+
+def test_station_next_to_the_tip_overflows_to_numerical_error(bm_equal):
+    """(-x1)^(-3/2) overflows a float for a station 1e-206 behind the tip."""
+    loading = Loading((PointForce(-1e-206, "+", 1.0), PointForce(-1e-206, "-", 1.0)))
+    assert math.isfinite(sif_k0(loading, bm_equal))
+    with pytest.raises(NumericalError, match="A0"):
+        coeff_a0(loading, bm_equal)
+
+
+def test_engine_evaluates_with_the_library_functions_bit_for_bit():
+    """propagate's first row and advance_increment equal sif_k0, coeff_a0
+    and delta_k_total on the tip-relative loading and defects, with ==."""
+    rng = np.random.default_rng(20261018)
+    for case in range(120):
+        bm = BIMATERIALS[(0.0, 0.67, -0.67)[case % 3]]
+        loading = random_balanced_loading(rng, with_distributed=case % 2 == 1)
+        mc = Defect("microcrack", d=float(rng.uniform(0.5, 2.0)), phi=float(rng.uniform(-2.8, 2.8)),
+                    alpha=float(rng.uniform(0.0, math.pi)), l_a=0.05)
+        state = step(CrackState(0.0, (mc, neutral_pair_a(mc)), loading, bm), float(rng.uniform(0.0, 0.3)))
+        current = state.current_loading()
+        k0 = sif_k0(current, bm)
+        a0 = coeff_a0(current, bm)
+        total = delta_k_total(state.current_defects(), current, bm).total
+        trace = propagate(state, max_iter=1)
+        assert (trace.k0[0], trace.a0[0], trace.dk_total[0]) == (k0, a0, total), case
+        assert advance_increment(state) == -2.0 * total / a0, case
 
 
 @pytest.mark.parametrize("arrest_tol", [math.inf, math.nan, 0.0, -1e-8])

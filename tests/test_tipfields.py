@@ -467,8 +467,8 @@ def test_table_gradient_on_the_interface(bm_pos):
     ids=["far-end", "near-end", "unloaded-knot"],
 )
 def test_table_gradient_on_the_face_is_finite_or_numerical_error(bm_pos, table, d, phi):
-    """On a face at an unloaded point of the table a lowering node sits on
-    the kernel's pole: OnCrackFaceUnderLoad, not a ZeroDivisionError, a
+    """A point on a face inside a table's closed support, even at an
+    unloaded knot, is OnCrackFaceUnderLoad, not a ZeroDivisionError, a
     numpy RuntimeWarning or a QuadratureFailure."""
     loading = Loading((), DistributedLoad(*table))
     with pytest.raises(OnCrackFaceUnderLoad):
@@ -559,8 +559,7 @@ def test_lowered_table_sum_matches_fsum_of_its_stations(table, mu, where, phis):
     centers = [Defect("microcrack", d=d, phi=phi, alpha=0.0, l_a=0.01 * d) for phi in phis]
     matrices = [dipole_matrix(Defect("microcrack", d=d, phi=0.0, alpha=a, l_a=0.1 * d)) for a in (0.3, 1.9)]
     with np.errstate(all="raise"):
-        dk, failed = _member_dk(decompose(loading), bm, centers, matrices)
-    assert not failed.any()
+        dk = _member_dk(decompose(loading), bm, centers, matrices)
     for i, (phi, (*ref, scale)) in enumerate(zip(phis, refs)):
         trig = _phi_trig(phi)
         for j, m in enumerate(matrices):
