@@ -205,7 +205,7 @@ def main(argv=None) -> int:
         params = _merge_params(scenario.params, args)
         if params.threads != 1:
             print(
-                f"warning: threads = {params.threads} is ignored; maps run in one vectorized pass",
+                f"warning: threads = {params.threads} is ignored; maps run in one pass",
                 file=sys.stderr,
             )
         if args.dump_config:

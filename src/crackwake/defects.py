@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DilutenessWarning, InvalidDefect
+from .errors import DilutenessWarning, InvalidDefect, NumericalError
 
 AREA_KINDS = ("elastic_ellipse", "rigid_ellipse", "elliptic_void")
 LINE_KINDS = ("microcrack", "rigid_line", "soft_line", "stiff_line")
@@ -105,6 +105,14 @@ class DipoleMatrix:
         return self.m11 * v1 + self.m12 * v2, self.m12 * v1 + self.m22 * v2
 
 
+def _finite_parts(iso: float, dev: float) -> tuple[float, float]:
+    """(iso, dev), or OverflowError where a product of sizes overflowed
+    without raising; the line kinds' squares raise by themselves."""
+    if math.isfinite(iso) and math.isfinite(dev):
+        return iso, dev
+    raise OverflowError("dipole parts are not finite")
+
+
 def _dipole_parts(defect: Defect) -> tuple[float, float]:
     """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix."""
     kind = defect.kind
@@ -114,11 +122,11 @@ def _dipole_parts(defect: Defect) -> tuple[float, float]:
         pref = -0.5 * math.pi * defect.l_a * defect.l_b * (1.0 + e) * (ms - 1.0)
         a, b = 1.0 / (e + ms), 1.0 / (1.0 + e * ms)
         # factored: a - b cancels for mu_star near 1
-        return pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b
+        return _finite_parts(pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b)
     if kind == "rigid_ellipse":
         e = defect.l_b / defect.l_a
         pref = 0.5 * math.pi * defect.l_a * defect.l_b * (1.0 / e + 1.0)
-        return pref * (1.0 + e), pref * (1.0 - e)
+        return _finite_parts(pref * (1.0 + e), pref * (1.0 - e))
     if kind == "elliptic_void":
         e = defect.l_b / defect.l_a
         pref = -0.5 * math.pi * (defect.l_a + defect.l_b) ** 2
@@ -143,9 +151,13 @@ def dipole_matrix(defect: Defect) -> DipoleMatrix:
     supported defect kind, R(t) = [[cos t, sin t], [sin t, -cos t]].
 
     Soft defects give negative semi-definite matrices, stiff ones
-    positive semi-definite.
+    positive semi-definite.  A matrix beyond the float range is
+    NumericalError.
     """
-    iso, dev = _dipole_parts(defect)
+    try:
+        iso, dev = _dipole_parts(defect)
+    except OverflowError:
+        raise NumericalError(f"dipole matrix of the {defect.kind} with la = {defect.l_a:g} overflows") from None
     c2 = math.cos(2.0 * defect.alpha)
     s2 = math.sin(2.0 * defect.alpha)
     return DipoleMatrix(m11=iso + dev * c2, m12=dev * s2, m22=iso - dev * c2)

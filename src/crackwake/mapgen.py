@@ -3,23 +3,22 @@ orientation.
 
 A map scans the microcrack angles (phi1, alpha1) on cell centers of a
 regular grid; the rigid-line companion is derived per arrangement rule
-for every cell.  The whole grid is one vectorized evaluation of the
-closed form, and the output ordering is fixed row-major (phi1 outer,
-alpha1 inner).
+for every cell.  Each row of the grid is one gradient per pair member
+contracted with every column's dipole matrix, on plain floats, and the
+output ordering is fixed row-major (phi1 outer, alpha1 inner).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .defects import Defect, dipole_matrix
 from .errors import ValidationError
-from .loading import Bimaterial, Loading, decompose
+from .loading import Bimaterial, Loading
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _gradient, _phi_trig, _table_sums, sif_k0
+from .tipfields import _gradient, _phi_trig, _points_and_table, _table_sums, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -29,8 +28,6 @@ INVALID = "invalid"
 REGION_LETTER = {SHIELDING: "S", AMPLIFICATION: "A", NEUTRAL: "N", INVALID: "X"}
 # grey levels mirroring light/medium/dark map shading
 REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
-# region labels by the integer code scan_map classifies into
-_LABELS = np.array([NEUTRAL, SHIELDING, AMPLIFICATION, INVALID], dtype=object)
 
 
 def classify(ratio: float, delta: float) -> str:
@@ -72,43 +69,53 @@ class PairArrangement:
 
 @dataclass(frozen=True)
 class RegionMap:
-    """Scan result: cell-center axes plus ratio/region grids (phi x alpha)."""
+    """Scan result: cell-center axes plus the cells' ratios and region
+    labels, row-major (phi1 outer, alpha1 inner)."""
 
-    phi1: np.ndarray
-    alpha1: np.ndarray
-    ratio: np.ndarray
-    region: np.ndarray  # dtype object of region labels
+    phi1: tuple[float, ...]
+    alpha1: tuple[float, ...]
+    ratios: tuple[float, ...]
+    labels: tuple[str, ...]
     delta: float
 
+    @cached_property
+    def ratio(self):
+        """The ratios as a (phi1 x alpha1) numpy array."""
+        import numpy as np
+
+        return np.array(self.ratios).reshape(len(self.phi1), len(self.alpha1))
+
+    @cached_property
+    def region(self):
+        """The labels as a (phi1 x alpha1) numpy array of dtype object."""
+        import numpy as np
+
+        return np.array(self.labels, dtype=object).reshape(len(self.phi1), len(self.alpha1))
+
     def count(self, region: str) -> int:
-        return int(np.sum(self.region == region))
+        return self.labels.count(region)
 
 
-def _member_dk(dec, bimaterial: Bimaterial, centers, matrices):
+def _member_dk(points, table, bimaterial: Bimaterial, centers, matrices) -> list[list[float]]:
     """Closed-form dK of one pair member over a block of rows and all
-    columns.
+    columns, as one list per row.
 
     centers holds the member's defect per row, all at one distance;
-    matrices its dipole matrix per column.  Point stations are summed
-    on arrays of the rows' angular factors; a table adds its panel
-    integrals from the same factors as floats, in one call for the block.
-    No row needs the face check of delta_k_defect: a cell center is at
-    least pi/n_phi from a face.
+    matrices its dipole matrix per column.  Each row takes one gradient
+    from its angular factors; a table adds its panel integrals, in one
+    call for the block.  No row needs the face check of delta_k_defect:
+    a cell center is at least pi/n_phi from a face.
     """
     d = centers[0].d
-    phis = [c.phi for c in centers]
-    trigs = [_phi_trig(p) for p in phis]
-    mu_bs = [bimaterial.mu_plus if p >= 0.0 else bimaterial.mu_minus for p in phis]
+    trigs = [_phi_trig(c.phi) for c in centers]
+    mu_bs = [bimaterial.mu_plus if c.phi >= 0.0 else bimaterial.mu_minus for c in centers]
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
-    trig = tuple(np.array(col)[:, None] for col in zip(*trigs))
-    sums = (0.0, 0.0)
-    dist = dec.distributed
-    if dist is not None:
-        table = np.reshape(_table_sums(dist.x, dist.avg, dist.jump, d, trigs, mu_bs, mu_sum, eta), (-1, 2))
-        sums = (table[:, :1], table[:, 1:])
-    grad = _gradient(dec.stations, d, trig, np.array(mu_bs)[:, None], mu_sum, eta, sums)
-    m11, m12, m22 = (np.array(v) for v in zip(*((m.m11, m.m12, m.m22) for m in matrices)))
-    return _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
+    sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
+    entries = [(m.m11, m.m12, m.m22) for m in matrices]
+    return [
+        _delta_k_closed(_gradient(points, d, trig, mu_b, mu_sum, eta, s), d, trig, entries, bimaterial.mu_series)
+        for trig, mu_b, s in zip(trigs, mu_bs, sums)
+    ]
 
 
 def scan_map(
@@ -123,25 +130,24 @@ def scan_map(
 
     phi1 spans (-pi, pi) and alpha1 spans (0, pi), both sampled at cell
     centers.  A member's gradient varies along phi1 (rows) and its dipole
-    matrix along alpha1 (columns), and the cells are their broadcast
-    contraction, bit-identical to delta_k_defect cell by cell.  Cells
-    whose ratio is not finite are marked invalid, never skipped.  threads
-    is accepted so older callers keep working, and ignored.
+    matrix along alpha1 (columns), and each cell is their contraction,
+    bit-identical to delta_k_defect cell by cell.  Cells whose ratio is
+    not finite are marked invalid, never skipped.  threads is accepted so
+    older callers keep working, and ignored.
     """
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
         raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
     if not 0.0 < delta < math.inf:
         raise ValidationError(f"map accuracy delta must be positive and finite, got {delta}")
-    phi_axis = -math.pi + (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-    alpha_axis = (np.arange(n_alpha) + 0.5) * (math.pi / n_alpha)
+    phis = tuple(-math.pi + (i + 0.5) * (2.0 * math.pi / n_phi) for i in range(n_phi))
+    alphas = tuple((j + 0.5) * (math.pi / n_alpha) for j in range(n_alpha))
     k0 = sif_k0(loading, bimaterial)
     if k0 == 0.0:
         raise ValidationError("map needs a loading with non-zero K0")
 
-    dec = decompose(loading)
-    alphas = alpha_axis.tolist()
-    row_pairs = [arrangement.defects(p, alphas[0], bimaterial) for p in phi_axis.tolist()]
+    points, table = _points_and_table(loading)
+    row_pairs = [arrangement.defects(p, alphas[0], bimaterial) for p in phis]
     # A pair's dipole matrices depend on phi1 only through the members'
     # sizes (pair b sizes its companion by the side of the interface), so
     # rows whose members share distance and size share per-column matrices.
@@ -149,35 +155,34 @@ def scan_map(
     for i, pair in enumerate(row_pairs):
         blocks.setdefault(tuple((m.d, m.l_a) for m in pair), []).append(i)
 
-    dk = np.empty((n_phi, n_alpha))
-    with np.errstate(all="ignore"):  # non-finite cells become invalid below
-        for rows in blocks.values():
-            phi_rep = row_pairs[rows[0]][0].phi
-            columns = [arrangement.defects(phi_rep, a, bimaterial) for a in alphas]
-            first, second = (
-                _member_dk(dec, bimaterial, [row_pairs[i][k] for i in rows],
-                           [dipole_matrix(pair[k]) for pair in columns])
-                for k in (0, 1)
-            )
-            dk[rows] = first + second
-        ratio = dk / k0
+    rows: list = [None] * n_phi
+    for block in blocks.values():
+        phi_rep = row_pairs[block[0]][0].phi
+        columns = [arrangement.defects(phi_rep, a, bimaterial) for a in alphas]
+        first, second = (
+            _member_dk(points, table, bimaterial, [row_pairs[i][k] for i in block],
+                       [dipole_matrix(pair[k]) for pair in columns])
+            for k in (0, 1)
+        )
+        for i, dk1, dk2 in zip(block, first, second):
+            rows[i] = [(a + b) / k0 for a, b in zip(dk1, dk2)]
 
-    invalid = ~np.isfinite(ratio)
-    ratio[invalid] = math.nan
-    code = np.where(ratio < -delta, 1, np.where(ratio > delta, 2, 0))
-    code[invalid] = 3
-    region = _LABELS[code]
-    return RegionMap(phi_axis, alpha_axis, ratio, region, delta)
+    inf, nan, low = math.inf, math.nan, -delta
+    ratios = tuple([r if -inf < r < inf else nan for row in rows for r in row])
+    # the comparisons of classify; only a nan cell fails all three
+    labels = tuple([SHIELDING if r < low else AMPLIFICATION if r > delta else NEUTRAL if r == r else INVALID
+                    for r in ratios])
+    return RegionMap(phis, alphas, ratios, labels, delta)
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:
     """CSV rows phi1,alpha1,ratio,region in fixed row-major order,
     formatted by one % per block of 16 phi1 rows."""
     fh.write("phi1,alpha1,ratio,region\n")
-    phis = [f"{p:.9g}" for p in region_map.phi1.tolist()]
-    alphas = [f"{a:.9g}" for a in region_map.alpha1.tolist()]
-    ratios = region_map.ratio.ravel().tolist()
-    letters = [REGION_LETTER[g] for g in region_map.region.ravel().tolist()]
+    phis = [f"{p:.9g}" for p in region_map.phi1]
+    alphas = [f"{a:.9g}" for a in region_map.alpha1]
+    ratios = region_map.ratios
+    letters = [REGION_LETTER[g] for g in region_map.labels]
     for start in range(0, len(phis), 16):
         lead = [p for p in phis[start:start + 16] for _ in alphas]
         cells = slice(start * len(alphas), start * len(alphas) + len(lead))
@@ -195,5 +200,5 @@ def write_map_pgm(region_map: RegionMap, fh) -> None:
     n_alpha = len(region_map.alpha1)
     fh.write(f"P2\n{n_phi} {n_alpha}\n255\n")
     grey = {region: str(level) for region, level in REGION_GREY.items()}
-    for row in region_map.region.T[::-1].tolist():
-        fh.write(" ".join(grey[r] for r in row) + "\n")
+    for j in reversed(range(n_alpha)):  # column j of the row-major labels
+        fh.write(" ".join(grey[r] for r in region_map.labels[j::n_alpha]) + "\n")

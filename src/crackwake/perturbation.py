@@ -77,20 +77,19 @@ def effective_tractions(
     )
 
 
-def _delta_k_closed(grad, d: float, trig, m11, m12, m22, mu_series: float):
-    """Contraction -sqrt(2/pi) mu_series grad . M c of the background
-    gradient with the dipole matrix M and the tip weight vector c.
+def _delta_k_closed(grad, d: float, trig, entries, mu_series: float) -> list[float]:
+    """Contractions -sqrt(2/pi) mu_series grad . M c of the background
+    gradient with each dipole matrix M, given by its entries
+    (m11, m12, m22), and the tip weight vector c.
 
-    trig is _phi_trig(phi) of the defect center; like the gradient, the
-    trig entries and the matrix entries may be floats or broadcastable
-    numpy arrays.
+    trig is _phi_trig(phi) of the defect center.
     """
     f = 0.5 / d**1.5
     c1 = -f * trig[4]
     c2 = f * trig[5]
-    mc1 = m11 * c1 + m12 * c2
-    mc2 = m12 * c1 + m22 * c2
-    return -SQRT_2_OVER_PI * mu_series * (grad[0] * mc1 + grad[1] * mc2)
+    g1, g2 = grad
+    scale = -SQRT_2_OVER_PI * mu_series
+    return [scale * (g1 * (m11 * c1 + m12 * c2) + g2 * (m12 * c1 + m22 * c2)) for m11, m12, m22 in entries]
 
 
 def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, m11, m12, m22) -> float:
@@ -98,7 +97,7 @@ def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, m11
     (m11, m12, m22), under point stations and a table as _grad takes them."""
     trig = _phi_trig(phi)
     grad = _grad(points, table, bimaterial, d, phi, trig)
-    return _delta_k_closed(grad, d, trig, m11, m12, m22, bimaterial.mu_series)
+    return _delta_k_closed(grad, d, trig, ((m11, m12, m22),), bimaterial.mu_series)[0]
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:

@@ -97,6 +97,22 @@ class PropagationTrace:
     flags: tuple[int, ...]
 
 
+def _on_path(defects) -> list:
+    """(x, y, l_a, kind) of the defects whose disc of radius l_a reaches
+    the crack line, the only ones an advancing tip can run into."""
+    return [(df.x, df.y, df.l_a, df.kind) for df in defects if abs(df.y) <= df.l_a]
+
+
+def _check_path(lo: float, hi: float, on_path) -> None:
+    """Raise TipReachesDefect when the tip's path [lo, hi] along the
+    crack line comes within l_a of a defect of on_path (_on_path)."""
+    for x, y, la, kind in on_path:
+        if math.hypot(x - min(max(x, lo), hi), y) <= la:
+            raise TipReachesDefect(
+                f"tip path [{lo:g}, {hi:g}] comes within {la:g} of the {kind} at ({x:g}, {y:g})"
+            )
+
+
 class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
@@ -117,6 +133,7 @@ class _Engine:
             self.defects.append((df.x, df.y, m.m11, m.m12, m.m22, df.l_a, df.kind))
         dists = [math.hypot(x - state.tip_x, y) for x, y, *_ in self.defects]
         self.d_ref = min(dists) if dists else 1.0
+        self.on_path = _on_path(state.defects)
 
     def evaluate(self, tip: float):
         """Return (k0, a3, per-defect dK tuple, dK total) at tip."""
@@ -165,19 +182,15 @@ def _increment(total: float, a3: float, k0: float, d_ref: float) -> float:
 
 
 def step(state: CrackState, phi: float) -> CrackState:
-    """Advance the tip by phi, keeping defects and loads fixed in space."""
+    """Advance the tip by phi, keeping defects and loads fixed in space;
+    TipReachesDefect if the path comes within l_a of a defect's center."""
     if not math.isfinite(phi):
         raise ValidationError(f"advance must be finite, got {phi}")
     tip = state.tip_x + phi
     support = state.loading.support_max()
     if support is not None and support >= tip:
         raise TipReachesLoad(f"tip at {tip:g} entered the loading support (max x = {support:g})")
-    for df in state.defects:
-        dj = math.hypot(df.x - tip, df.y)
-        if dj <= df.l_a:
-            raise TipReachesDefect(
-                f"tip at {tip:g} is within {df.l_a:g} of the {df.kind} at ({df.x:g}, {df.y:g})"
-            )
+    _check_path(min(state.tip_x, tip), max(state.tip_x, tip), _on_path(state.defects))
     return replace(state, tip_x=tip)
 
 
@@ -227,6 +240,7 @@ def propagate(
             flags.append(ARREST_FLAG)
             verdict = "arrest"
             break
+        _check_path(tip, tip + phi, engine.on_path)
         tip += phi
         elong += phi
         increments.append(phi)

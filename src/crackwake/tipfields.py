@@ -9,8 +9,7 @@ displacement oracle integrates adaptively, over the exact transform of
 the loading.
 
 K0, A0 and the gradient run on plain floats, for point forces and
-tables alike; numpy is imported only inside the displacement oracle,
-and by callers that pass arrays of angles (the maps).
+tables alike; numpy is imported only inside the displacement oracle.
 """
 
 from __future__ import annotations
@@ -154,9 +153,7 @@ def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
 def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
     """Summands (t1, t2) of the gradient (sum t1, -sum t2) / (pi d) at
     (d, phi) from stations at x1 = -q d, sq = sqrt(q); trig is
-    _phi_trig(phi), mu_b the modulus of the point's half-plane.  Floats
-    and broadcasting numpy arrays give bit-identical terms (angles in the
-    trig entries, stations on a trailing axis)."""
+    _phi_trig(phi), mu_b the modulus of the point's half-plane."""
     cphi, sphi, shalf, chalf, s3half, c3half = trig
     den = 2.0 * cphi + q + 1.0 / q
     qm = q - 1.0 / q
@@ -168,9 +165,8 @@ def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
 
 def _gradient(points, d: float, trig, mu_b, mu_sum: float, eta: float, table):
     """Gradient at (d, phi) of point stations (x1, avg, jump), summed in
-    order, plus a table's (sum t1, sum t2): floats, or arrays shaped like
-    the trig entries.  A station on the kernel's pole (only on a face) is
-    OnCrackFaceUnderLoad."""
+    order, plus a table's (sum t1, sum t2).  A station on the kernel's
+    pole (only on a face) is OnCrackFaceUnderLoad."""
     g1 = g2 = 0.0
     try:
         for x1, avg, jump in points:

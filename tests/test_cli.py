@@ -180,25 +180,30 @@ defect { kind = microcrack, d = 1e300, phi = 0.4, alpha = 0, la = 1e200 }
 """
 
 
+HUGE_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e+200 overflows\n"
+
+
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, message",
     [
-        ("perturb", A0_CANCELS_CFG),  # the advance increment is undefined
-        ("sif", A0_INF_CFG),
-        ("perturb", A0_INF_CFG),
-        ("propagate", A0_INF_CFG),
-        ("dipole", HUGE_DEFECT_CFG),
-        ("perturb", HUGE_DEFECT_CFG),
-        ("propagate", HUGE_DEFECT_CFG),
+        ("perturb", A0_CANCELS_CFG, None),  # the advance increment is undefined
+        ("sif", A0_INF_CFG, None),
+        ("perturb", A0_INF_CFG, None),
+        ("propagate", A0_INF_CFG, None),
+        ("dipole", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
+        ("perturb", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
+        ("propagate", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
     ],
     ids=["perturb-a0-cancels", "sif-a0-inf", "perturb-a0-inf", "propagate-a0-inf",
          "dipole-overflow", "perturb-overflow", "propagate-overflow"],
 )
-def test_numerical_failure_exits_2(cfg, capsys, command, text):
+def test_numerical_failure_exits_2(cfg, capsys, command, text, message):
     assert main([command, "--config", cfg(text)]) == 2
     out, err = capsys.readouterr()
     assert "numerical failure" in err and "Traceback" not in err
     assert "inf" not in out
+    if message is not None:
+        assert err == message
 
 
 def test_map_reads_only_k0_when_a0_overflows(cfg, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from crackwake import DEFECT_KINDS, Defect, DilutenessWarning, InvalidDefect, dipole_matrix
+from crackwake import DEFECT_KINDS, Defect, DilutenessWarning, InvalidDefect, NumericalError, dipole_matrix
 
 from helpers import random_defect
 
@@ -201,3 +201,10 @@ def test_diluteness_warning_points_to_the_caller():
     with pytest.warns(DilutenessWarning) as caught:
         Defect("microcrack", d=1.0, phi=0.0, alpha=0.0, l_a=0.5)
     assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("kind", DEFECT_KINDS)
+def test_overflowing_size_names_the_defect(kind):
+    defect = Defect(kind, d=1e300, phi=0.4, alpha=0.3, l_a=1e200, l_b=1e200, kappa=1.0, mu_star=2.0)
+    with pytest.raises(NumericalError, match=f"dipole matrix of the {kind} with la = 1e\\+200 overflows"):
+        dipole_matrix(defect)

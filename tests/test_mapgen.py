@@ -66,7 +66,21 @@ def test_scan_map_grid_layout(bm_equal):
     assert m.phi1[0] == pytest.approx(-math.pi + math.pi / 16)
     assert m.alpha1[0] == pytest.approx(math.pi / 16)
     # phi cell centers are symmetric about zero
-    assert np.allclose(m.phi1, -m.phi1[::-1])
+    phi1 = np.asarray(m.phi1)
+    assert np.allclose(phi1, -phi1[::-1])
+
+
+def test_region_map_views_follow_the_row_major_tuples(bm_equal):
+    """The numpy views read the cells in the tuples' order, and count
+    agrees with them."""
+    m = small_map(bm_equal, three_point_preset(1.0, 3.0, 1.0), grid=(6, 3))
+    assert m.ratio.shape == m.region.shape == (6, 3)
+    assert m.ratio.ravel().tolist() == list(m.ratios)
+    assert [str(r) for r in m.region.ravel()] == list(m.labels)
+    assert m.ratio[4, 1] == m.ratios[4 * 3 + 1]
+    for region in ("shielding", "amplification", "neutral", "invalid"):
+        assert m.count(region) == int(np.sum(m.region == region))
+    assert sum(m.count(r) for r in ("shielding", "amplification", "neutral")) == 18
 
 
 def test_scan_map_combined_reflection_symmetry(bm_equal):
@@ -225,7 +239,7 @@ def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n
 
 
 def test_point_force_map_never_imports_scipy():
-    """crackwake needs numpy only: a point-force map loads no scipy."""
+    """A point-force map loads no scipy: only the oracles use it."""
     code = (
         "import sys, crackwake as cw\n"
         "bm = cw.Bimaterial(1.0, 5.0)\n"

@@ -1,5 +1,6 @@
 """The lazy package namespace, and the modules each entry point loads."""
 
+import ast
 import os
 import re
 import subprocess
@@ -185,6 +186,15 @@ def test_table_tip_coefficients_and_gradient_never_load_numpy():
     assert numpy_modules(loaded_after(code)) == set()
 
 
+def test_table_map_never_loads_numpy():
+    """A map over a table adds the panel integrals row by row, on floats."""
+    code = TABLE_LOADING + (
+        "m = cw.scan_map(cw.PairArrangement('b', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
+        "assert len(m.labels) == 32 and m.count('invalid') == 0\n"
+    )
+    assert numpy_modules(loaded_after(code)) == set()
+
+
 def test_perturb_propagate_and_the_weight_function_oracle_never_load_numpy(tmp_path):
     """The dK quadrature and the propagation trace run on plain floats."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -199,10 +209,14 @@ def test_perturb_propagate_and_the_weight_function_oracle_never_load_numpy(tmp_p
     assert numpy_modules(loaded_after(code)) == set()
 
 
-def test_map_command_still_loads_numpy(tmp_path):
+def test_map_command_loads_no_numpy(tmp_path):
+    """The map scans and writes on plain floats, CSV and PGM alike."""
     out = tmp_path / "map.csv"
-    assert "numpy" in after_main_calls(tmp_path, [(["map", "--grid", "4x4", "--out", str(out)], SCENARIO, 0)])
+    calls = [(["map", "--grid", "4x4", "--out", str(out), "--pgm"], SCENARIO, 0),
+             (["map", "--grid", "4x3", "--pair", "b", "--out", str(tmp_path / "b.csv")], SCENARIO, 0)]
+    assert numpy_modules(after_main_calls(tmp_path, calls)) == set()
     assert len(out.read_text().splitlines()) == 17
+    assert out.with_suffix(".pgm").read_text().startswith("P2\n4 4\n")
 
 
 def test_no_command_or_table_call_loads_numpy_polynomial(tmp_path):
@@ -219,3 +233,42 @@ def test_no_command_or_table_call_loads_numpy_polynomial(tmp_path):
     )
     loaded = loaded_after(code)
     assert "numpy" in loaded and "numpy.polynomial" not in loaded
+
+
+# The only numpy imports in the package, each inside the function that
+# needs arrays: the displacement oracle and the two helpers only it
+# calls, the 2x2 matrix view of a dipole matrix, and the two grid views
+# of a map.
+NUMPY_IMPORTS_ALLOWED = {
+    "tipfields.displacement_u0", "tipfields._angular_ratios", "tipfields._mellin_transform",
+    "defects.DipoleMatrix.as_matrix", "mapgen.RegionMap.ratio", "mapgen.RegionMap.region",
+}
+
+
+def numpy_import_scopes(node, scope):
+    """Dotted scope of every numpy import under node; a module-scope
+    import (class bodies included) gives a scope with no function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""] if child.level == 0 else []
+        else:
+            names = []
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            yield scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from numpy_import_scopes(child, f"{scope}.{child.name}")
+        else:
+            yield from numpy_import_scopes(child, scope)
+
+
+def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
+    """No module imports numpy when it loads, so no entry point pays for
+    numpy before it reaches an array."""
+    found = {
+        scope
+        for path in Path(crackwake.__file__).parent.glob("*.py")
+        for scope in numpy_import_scopes(ast.parse(path.read_text()), path.stem)
+    }
+    assert found == NUMPY_IMPORTS_ALLOWED

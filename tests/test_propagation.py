@@ -89,6 +89,24 @@ def test_step_guards(bm_equal):
         step(no_defect, -4.0)
 
 
+def test_tip_cannot_jump_through_a_defect_on_its_path(bm_equal):
+    """An increment that carries the tip across a defect's disc stops the
+    run, even when the landing point is clear of it: here one increment
+    would go from about 0.82 to 1.37, past the microcrack on [0.9, 1.1]."""
+    defect = Defect("microcrack", d=1.0, phi=0.0, alpha=0.0, l_a=0.1)
+    state = CrackState(0.0, (defect,), three_point_preset(1.0, 3.0, 0.0), bm_equal)
+    with pytest.raises(TipReachesDefect, match="microcrack"):
+        propagate(state)
+    with pytest.raises(TipReachesDefect):
+        step(state, 1.5)
+    # a disc clear of the line is passed by; one that crosses it is not
+    clear = Defect.from_cartesian("microcrack", 1.0, 0.11, alpha=0.0, l_a=0.1)
+    assert step(CrackState(0.0, (clear,), sym_pair_at(3.0), bm_equal), 1.5).tip_x == 1.5
+    crossing = Defect.from_cartesian("microcrack", 1.0, -0.09, alpha=0.0, l_a=0.1)
+    with pytest.raises(TipReachesDefect):
+        step(CrackState(0.0, (crossing,), sym_pair_at(3.0), bm_equal), 1.5)
+
+
 def test_state_rejects_load_ahead_of_tip(bm_equal):
     with pytest.raises(TipReachesLoad):
         CrackState(-5.0, (), sym_pair_at(3.0), bm_equal)
