@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # every command parses a scenario; each handler imports what it runs
@@ -43,32 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
-    updates = {}
+    keys = ("delta", "pair", "max_iter", "arrest_tol", "out", "threads")
+    updates = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.grid is not None:
         try:
             n_phi, n_alpha = (int(v) for v in args.grid.split("x"))
         except ValueError:
             raise ValidationError(f"--grid expects NxM, got {args.grid!r}") from None
         updates["grid"] = (n_phi, n_alpha)
-    if args.delta is not None:
-        updates["delta"] = args.delta
-    if args.pair is not None:
-        updates["pair"] = args.pair
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if args.arrest_tol is not None:
-        updates["arrest_tol"] = args.arrest_tol
-    if args.out is not None:
-        updates["out"] = args.out
     if args.pgm:
         updates["pgm"] = True
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-        updates["threads"] = args.threads
-    if not updates:
-        return params
-    return replace(params, **updates)
+    if updates.get("threads", 1) < 1:
+        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    return params.replace(**updates)
 
 
 def _first_microcrack(scenario: Scenario):
@@ -209,7 +195,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         if args.dump_config:
-            sys.stdout.write(dump_scenario(replace(scenario, params=params)))
+            sys.stdout.write(dump_scenario(scenario.replace(params=params)))
             return 0
         handler = _HANDLERS[args.command]
         if params.out is not None and args.command in ("propagate", "map"):

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 
 from .defects import AREA_KINDS, Defect
-from .errors import ConfigSyntaxError, MissingBlock, UnknownKey, ValidationError
+from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
 _BLOCK_OPEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\{\s*(.*)$")
@@ -24,8 +23,7 @@ _DEG_VALUE = re.compile(r"^([-+0-9.eE]+)\s*deg$")
 _GRID_VALUE = re.compile(r"^\d+x\d+$")
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+class ScenarioParams(Record):
     """Command parameters carried by the optional params block."""
 
     grid: tuple[int, int] = (128, 64)
@@ -47,20 +45,18 @@ class ScenarioParams:
             raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     bimaterial: Bimaterial
     loading: Loading
     defects: tuple[Defect, ...] = ()
-    params: ScenarioParams = field(default_factory=ScenarioParams)
+    params: ScenarioParams = ScenarioParams()
 
 
-@dataclass
 class _Block:
-    name: str
-    line: int
-    entries: list
-    children: list
+    """A parsed block: name, line, (key, value, line) entries, child blocks."""
+
+    def __init__(self, name: str, line: int):
+        self.name, self.line, self.entries, self.children = name, line, [], []
 
 
 def _strip_comment(line: str) -> str:
@@ -136,7 +132,7 @@ def _parse_inline(block: _Block, content: str, line: int) -> None:
             continue
         m = _INLINE_BLOCK.match(part)
         if m:
-            child = _Block(m.group(1), line, [], [])
+            child = _Block(m.group(1), line)
             block.children.append(child)
             _parse_inline(child, m.group(2), line)
             continue
@@ -147,7 +143,7 @@ def _parse_inline(block: _Block, content: str, line: int) -> None:
 
 
 def _parse_tree(text: str) -> _Block:
-    root = _Block("<root>", 0, [], [])
+    root = _Block("<root>", 0)
     stack = [root]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -160,7 +156,7 @@ def _parse_tree(text: str) -> _Block:
             continue
         m = _BLOCK_OPEN.match(line)
         if m:
-            block = _Block(m.group(1), lineno, [], [])
+            block = _Block(m.group(1), lineno)
             stack[-1].children.append(block)
             rest = m.group(2).strip()
             if not rest:
@@ -272,12 +268,9 @@ def _build_defect(block: _Block) -> Defect:
         raise ConfigSyntaxError(f"defect kind must be a name, got {kind!r}", block.line)
     la = _as_number(_need(e, "la", block), "la", block.line)
     kwargs = {}
-    if "lb" in e:
-        kwargs["l_b"] = _as_number(e["lb"][0], "lb", e["lb"][1])
-    if "mu_star" in e:
-        kwargs["mu_star"] = _as_number(e["mu_star"][0], "mu_star", e["mu_star"][1])
-    if "kappa" in e:
-        kwargs["kappa"] = _as_number(e["kappa"][0], "kappa", e["kappa"][1])
+    for key, name in (("lb", "l_b"), ("mu_star", "mu_star"), ("kappa", "kappa")):
+        if key in e:
+            kwargs[name] = _as_number(e[key][0], key, e[key][1])
     alpha = _as_number(e["alpha"][0], "alpha", e["alpha"][1]) if "alpha" in e else 0.0
     polar = "d" in e or "phi" in e
     cart = "x" in e or "y" in e

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import DilutenessWarning, InvalidDefect, NumericalError
+from .errors import DilutenessWarning, InvalidDefect, NumericalError, Record
 
 AREA_KINDS = ("elastic_ellipse", "rigid_ellipse", "elliptic_void")
 LINE_KINDS = ("microcrack", "rigid_line", "soft_line", "stiff_line")
@@ -22,8 +21,7 @@ DEFECT_KINDS = AREA_KINDS + LINE_KINDS
 DILUTENESS_RATIO = 0.3
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(Record):
     """One defect: kind tag, tip-relative polar center, orientation, sizes.
 
     l_a is the major semi-axis for area kinds and the half-length for
@@ -64,14 +62,13 @@ class Defect:
             raise InvalidDefect(f"stiffness ratio must be positive, got {self.mu_star}")
         if self.kind in ("soft_line", "stiff_line") and self.kappa < 0.0:
             raise InvalidDefect(f"bonding parameter must be >= 0, got {self.kappa}")
-        alpha = self.alpha % math.pi  # rounds to pi itself for a tiny negative angle
-        object.__setattr__(self, "alpha", 0.0 if alpha == math.pi else alpha)
+        object.__setattr__(self, "alpha", _mod_pi(self.alpha))
         if self.l_a / self.d > DILUTENESS_RATIO:
             warnings.warn(
                 f"defect size l/d = {self.l_a / self.d:.3g} exceeds {DILUTENESS_RATIO}; "
                 "the dipole approximation degrades",
                 DilutenessWarning,
-                stacklevel=3,  # past the generated __init__, to the caller
+                stacklevel=3,  # past Record.__init__, to the caller
             )
 
     @classmethod
@@ -87,8 +84,7 @@ class Defect:
         return self.d * math.sin(self.phi)
 
 
-@dataclass(frozen=True)
-class DipoleMatrix:
+class DipoleMatrix(Record):
     """Symmetric 2x2 far-field dipole matrix (length^2 units)."""
 
     m11: float
@@ -105,45 +101,56 @@ class DipoleMatrix:
         return self.m11 * v1 + self.m12 * v2, self.m12 * v1 + self.m22 * v2
 
 
-def _finite_parts(iso: float, dev: float) -> tuple[float, float]:
-    """(iso, dev), or OverflowError where a product of sizes overflowed
-    without raising; the line kinds' squares raise by themselves."""
+def _dipole_parts(defect: Defect) -> tuple[float, float]:
+    """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix;
+    NumericalError beyond the float range."""
+    kind = defect.kind
+    try:
+        if kind == "elastic_ellipse":
+            e = defect.l_b / defect.l_a
+            ms = defect.mu_star
+            pref = -0.5 * math.pi * defect.l_a * defect.l_b * (1.0 + e) * (ms - 1.0)
+            a, b = 1.0 / (e + ms), 1.0 / (1.0 + e * ms)
+            # factored: a - b cancels for mu_star near 1
+            iso, dev = pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b
+        elif kind == "rigid_ellipse":
+            e = defect.l_b / defect.l_a
+            pref = 0.5 * math.pi * defect.l_a * (defect.l_a + defect.l_b)
+            iso, dev = pref * (1.0 + e), pref * (1.0 - e)
+        elif kind == "elliptic_void":
+            e = defect.l_b / defect.l_a
+            pref = -0.5 * math.pi * (defect.l_a + defect.l_b) ** 2
+            iso, dev = pref, -pref * (1.0 - e) / (1.0 + e)
+        elif kind == "microcrack":
+            iso = -0.5 * math.pi * defect.l_a**2
+            dev = -iso
+        elif kind == "soft_line":
+            # direct limit form; the l_b -> 0 route through the ellipse cancels badly
+            iso = -0.5 * math.pi * defect.l_a**2 * defect.kappa / (defect.l_a + defect.kappa)
+            dev = -iso
+        elif kind == "rigid_line":
+            iso = dev = 0.5 * math.pi * defect.l_a**2
+        else:  # stiff_line
+            iso = dev = 0.5 * math.pi * defect.l_a**2 / (1.0 + defect.kappa * defect.l_a)
+    except OverflowError:  # a square beyond the float range; a product gives inf instead
+        iso = dev = math.inf
     if math.isfinite(iso) and math.isfinite(dev):
         return iso, dev
-    raise OverflowError("dipole parts are not finite")
+    raise NumericalError(f"dipole matrix of the {defect.kind} with la = {defect.l_a:g} overflows")
 
 
-def _dipole_parts(defect: Defect) -> tuple[float, float]:
-    """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix."""
-    kind = defect.kind
-    if kind == "elastic_ellipse":
-        e = defect.l_b / defect.l_a
-        ms = defect.mu_star
-        pref = -0.5 * math.pi * defect.l_a * defect.l_b * (1.0 + e) * (ms - 1.0)
-        a, b = 1.0 / (e + ms), 1.0 / (1.0 + e * ms)
-        # factored: a - b cancels for mu_star near 1
-        return _finite_parts(pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b)
-    if kind == "rigid_ellipse":
-        e = defect.l_b / defect.l_a
-        pref = 0.5 * math.pi * defect.l_a * defect.l_b * (1.0 / e + 1.0)
-        return _finite_parts(pref * (1.0 + e), pref * (1.0 - e))
-    if kind == "elliptic_void":
-        e = defect.l_b / defect.l_a
-        pref = -0.5 * math.pi * (defect.l_a + defect.l_b) ** 2
-        return pref, -pref * (1.0 - e) / (1.0 + e)
-    if kind == "microcrack":
-        p = -0.5 * math.pi * defect.l_a**2
-        return p, -p
-    if kind == "soft_line":
-        # direct limit form; the l_b -> 0 route through the ellipse cancels badly
-        p = -0.5 * math.pi * defect.l_a**2 * defect.kappa / (defect.l_a + defect.kappa)
-        return p, -p
-    if kind == "rigid_line":
-        p = 0.5 * math.pi * defect.l_a**2
-        return p, p
-    # stiff_line
-    p = 0.5 * math.pi * defect.l_a**2 / (1.0 + defect.kappa * defect.l_a)
-    return p, p
+def _mod_pi(alpha: float) -> float:
+    """alpha in [0, pi); alpha % pi rounds to pi itself for a tiny negative angle."""
+    alpha %= math.pi
+    return 0.0 if alpha == math.pi else alpha
+
+
+def _entries(iso: float, dev: float, alpha: float) -> tuple[float, float, float]:
+    """Entries (m11, m12, m22) of m_iso I + m_dev R(2 alpha), with alpha
+    taken in [0, pi) as a Defect holds it."""
+    alpha = _mod_pi(alpha)
+    c2 = math.cos(2.0 * alpha)
+    return iso + dev * c2, dev * math.sin(2.0 * alpha), iso - dev * c2
 
 
 def dipole_matrix(defect: Defect) -> DipoleMatrix:
@@ -154,10 +161,4 @@ def dipole_matrix(defect: Defect) -> DipoleMatrix:
     positive semi-definite.  A matrix beyond the float range is
     NumericalError.
     """
-    try:
-        iso, dev = _dipole_parts(defect)
-    except OverflowError:
-        raise NumericalError(f"dipole matrix of the {defect.kind} with la = {defect.l_a:g} overflows") from None
-    c2 = math.cos(2.0 * defect.alpha)
-    s2 = math.sin(2.0 * defect.alpha)
-    return DipoleMatrix(m11=iso + dev * c2, m12=dev * s2, m22=iso - dev * c2)
+    return DipoleMatrix(*_entries(*_dipole_parts(defect), defect.alpha))

@@ -1,4 +1,54 @@
-"""Exception hierarchy shared by all crackwake modules."""
+"""Exception hierarchy and the immutable record base shared by all
+crackwake modules."""
+
+import operator
+
+
+class Record:
+    """Immutable value type: its fields are its annotations, in order, with
+    class attributes as defaults.  == and hash take the exact class and the
+    field values; replace() returns a copy that __post_init__ validates."""
+
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._key = operator.attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **kwargs}
+            try:
+                args += tuple(map(values.pop, fields[len(args):]))
+            except KeyError:  # a field with no value
+                args = ()
+            if len(args) != len(fields) or not values.keys().isdisjoint(kwargs):  # unknown or repeated names
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, got {tuple(kwargs)} by name")
+        # one new dict in field order: reads from self.__dict__ filled in
+        # place would not specialize, and cost about 3x as much (3.11)
+        object.__setattr__(self, "__dict__", dict(zip(fields, args)))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, validated again."""
+        return type(self)(**{**dict(zip(self._fields, self._key(self))), **changes})
 
 
 class CrackwakeError(Exception):

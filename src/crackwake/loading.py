@@ -13,17 +13,15 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InvalidPreset, LoadTooCloseToTip, UnbalancedLoading, ValidationError
+from .errors import InvalidPreset, LoadTooCloseToTip, Record, UnbalancedLoading, ValidationError
 
 DEFAULT_TIP_CLEARANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class Bimaterial:
+class Bimaterial(Record):
     """Two bonded elastic half-planes under antiplane shear.
 
     mu_plus is the shear modulus of the upper half-plane (x2 > 0),
@@ -58,8 +56,7 @@ def contrast(bimaterial: Bimaterial) -> float:
     return bimaterial.contrast
 
 
-@dataclass(frozen=True)
-class PointForce:
+class PointForce(Record):
     """Concentrated traction resultant applied on one crack face.
 
     x1 is the station behind the tip (strictly negative), face is "+"
@@ -80,8 +77,7 @@ class PointForce:
             raise ValidationError(f"point force magnitude must be finite, got {self.magnitude}")
 
 
-@dataclass(frozen=True)
-class DistributedLoad:
+class DistributedLoad(Record):
     """Tabulated (avg, jump) traction profiles along the crack faces.
 
     The table holds <p>(x1) and [p](x1) at strictly increasing stations
@@ -139,8 +135,7 @@ def _trapezoid(y, x) -> float:
     return math.fsum((xb - xa) * (yb + ya) / 2.0 for xa, xb, ya, yb in zip(x, x[1:], y, y[1:]))
 
 
-@dataclass(frozen=True)
-class Loading:
+class Loading(Record):
     """Self-balanced crack-face loading: point forces plus an optional table."""
 
     forces: tuple[PointForce, ...] = ()
@@ -150,17 +145,10 @@ class Loading:
         object.__setattr__(self, "forces", tuple(self.forces))
 
     def scaled(self, factor: float) -> "Loading":
-        forces = tuple(
-            PointForce(f.x1, f.face, factor * f.magnitude) for f in self.forces
-        )
         dist = self.distributed
         if dist is not None:
-            dist = DistributedLoad(
-                dist.x,
-                tuple(factor * v for v in dist.avg),
-                tuple(factor * v for v in dist.jump),
-            )
-        return Loading(forces, dist)
+            dist = dist.replace(avg=tuple(factor * v for v in dist.avg), jump=tuple(factor * v for v in dist.jump))
+        return Loading(tuple(f.replace(magnitude=factor * f.magnitude) for f in self.forces), dist)
 
     def balance_residual(self) -> float:
         """Total upper-face force minus total lower-face force."""
@@ -194,8 +182,7 @@ class LoadStation(NamedTuple):
     jump: float
 
 
-@dataclass(frozen=True)
-class DecomposedLoading:
+class DecomposedLoading(Record):
     """Symmetric/skew split of a loading; stations merged per abscissa.
 
     The merged face resultants are kept alongside so recombine inverts

@@ -11,11 +11,10 @@ output ordering is fixed row-major (phi1 outer, alpha1 inner).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .defects import Defect, dipole_matrix
-from .errors import ValidationError
+from .defects import Defect, _dipole_parts, _entries
+from .errors import Record, ValidationError
 from .loading import Bimaterial, Loading
 from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
 from .tipfields import _gradient, _phi_trig, _points_and_table, _table_sums, sif_k0
@@ -45,8 +44,7 @@ def classify(ratio: float, delta: float) -> str:
     return NEUTRAL
 
 
-@dataclass(frozen=True)
-class PairArrangement:
+class PairArrangement(Record):
     """Microcrack prototype plus the companion rule ("a" or "b")."""
 
     pair: str
@@ -67,8 +65,7 @@ class PairArrangement:
         return mc, neutral_pair_b(mc, bimaterial, self.d2)
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(Record):
     """Scan result: cell-center axes plus the cells' ratios and region
     labels, row-major (phi1 outer, alpha1 inner)."""
 
@@ -96,22 +93,20 @@ class RegionMap:
         return self.labels.count(region)
 
 
-def _member_dk(points, table, bimaterial: Bimaterial, centers, matrices) -> list[list[float]]:
-    """Closed-form dK of one pair member over a block of rows and all
-    columns, as one list per row.
+def _member_dk(points, table, bimaterial: Bimaterial, d: float, phis, entries) -> list[list[float]]:
+    """Closed-form dK of one pair member at distance d over a block of
+    rows and all columns, as one list per row.
 
-    centers holds the member's defect per row, all at one distance;
-    matrices its dipole matrix per column.  Each row takes one gradient
-    from its angular factors; a table adds its panel integrals, in one
-    call for the block.  No row needs the face check of delta_k_defect:
-    a cell center is at least pi/n_phi from a face.
+    phis holds the member's angle per row, entries its dipole matrix
+    (m11, m12, m22) per column.  Each row takes one gradient from its
+    angular factors; a table adds its panel integrals, in one call for
+    the block.  No row needs the face check of delta_k_defect: a cell
+    center is at least pi/n_phi from a face.
     """
-    d = centers[0].d
-    trigs = [_phi_trig(c.phi) for c in centers]
-    mu_bs = [bimaterial.mu_plus if c.phi >= 0.0 else bimaterial.mu_minus for c in centers]
+    trigs = [_phi_trig(phi) for phi in phis]
+    mu_bs = [bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus for phi in phis]
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
     sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
-    entries = [(m.m11, m.m12, m.m22) for m in matrices]
     return [
         _delta_k_closed(_gradient(points, d, trig, mu_b, mu_sum, eta, s), d, trig, entries, bimaterial.mu_series)
         for trig, mu_b, s in zip(trigs, mu_bs, sums)
@@ -147,22 +142,26 @@ def scan_map(
         raise ValidationError("map needs a loading with non-zero K0")
 
     points, table = _points_and_table(loading)
-    row_pairs = [arrangement.defects(p, alphas[0], bimaterial) for p in phis]
-    # A pair's dipole matrices depend on phi1 only through the members'
-    # sizes (pair b sizes its companion by the side of the interface), so
-    # rows whose members share distance and size share per-column matrices.
+    # Each member's (phi, alpha) per row and column: the companion's as
+    # neutral_pair_a (same phi, alpha - pi/2) or neutral_pair_b (mirrored) set them.
+    if arrangement.pair == "a":
+        angles = (phis, alphas), (phis, [a - 0.5 * math.pi for a in alphas])
+    else:
+        angles = (phis, alphas), ([-p for p in phis], [0.5 * math.pi - a for a in alphas])
+    # The members' sizes depend on phi1 only through the sides of the
+    # interface they sit on (pair b sizes its companion by them), so the
+    # rows of one block share one validated pair and its dipole parts.
     blocks: dict[tuple, list[int]] = {}
-    for i, pair in enumerate(row_pairs):
-        blocks.setdefault(tuple((m.d, m.l_a) for m in pair), []).append(i)
+    for i, phi in enumerate(phis):
+        blocks.setdefault((phi >= 0.0, -phi >= 0.0), []).append(i)
 
     rows: list = [None] * n_phi
     for block in blocks.values():
-        phi_rep = row_pairs[block[0]][0].phi
-        columns = [arrangement.defects(phi_rep, a, bimaterial) for a in alphas]
+        pair = arrangement.defects(phis[block[0]], alphas[0], bimaterial)
         first, second = (
-            _member_dk(points, table, bimaterial, [row_pairs[i][k] for i in block],
-                       [dipole_matrix(pair[k]) for pair in columns])
-            for k in (0, 1)
+            _member_dk(points, table, bimaterial, member.d, [member_phis[i] for i in block],
+                       [_entries(*_dipole_parts(member), a) for a in member_alphas])
+            for member, (member_phis, member_alphas) in zip(pair, angles)
         )
         for i, dk1, dk2 in zip(block, first, second):
             rows[i] = [(a + b) / k0 for a, b in zip(dk1, dk2)]

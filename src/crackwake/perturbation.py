@@ -11,11 +11,10 @@ plain sums (dilute, non-interacting defects).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .defects import Defect, _dipole_parts, dipole_matrix
-from .errors import InvalidDefect
+from .errors import InvalidDefect, Record
 from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, _points_and_table, grad_u0
 
@@ -27,8 +26,7 @@ def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
     return -f * math.sin(1.5 * phi), f * math.cos(1.5 * phi)
 
 
-@dataclass(frozen=True)
-class EffectiveTraction:
+class EffectiveTraction(Record):
     """Crack-line tractions induced by one defect's dipole field.
 
     avg and jump evaluate <sigma>(x1) and [sigma](x1); both decay like
@@ -108,8 +106,7 @@ def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> 
     return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, m.m11, m.m12, m.m22)
 
 
-@dataclass(frozen=True)
-class DefectPerturbation:
+class DefectPerturbation(Record):
     per_defect: tuple[float, ...]
     total: float
 

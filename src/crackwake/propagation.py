@@ -12,11 +12,10 @@ retreat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .defects import Defect, dipole_matrix
-from .errors import DegenerateA0, NumericalError, TipReachesDefect, TipReachesLoad, ValidationError
-from .loading import Bimaterial, DistributedLoad, Loading, PointForce
+from .errors import DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError
+from .loading import Bimaterial, Loading
 from .perturbation import _delta_k_at
 from .tipfields import SQRT_2_OVER_PI, _finite, _moments, _points_and_table
 
@@ -28,8 +27,7 @@ STEADY_FLAG = 2
 MAX_ITER_FLAG = 3
 
 
-@dataclass(frozen=True)
-class CrackState:
+class CrackState(Record):
     """Tip position plus the space-fixed defects, loading and materials.
 
     Defect polar coordinates and load stations are measured from the
@@ -55,28 +53,18 @@ class CrackState:
         out = []
         for df in self.defects:
             dx = df.x - self.tip_x
-            out.append(replace(df, d=math.hypot(dx, df.y), phi=math.atan2(df.y, dx)))
+            out.append(df.replace(d=math.hypot(dx, df.y), phi=math.atan2(df.y, dx)))
         return tuple(out)
 
     def current_loading(self) -> Loading:
         """Loading with stations shifted into tip-relative coordinates."""
-        return _shift_loading(self.loading, self.tip_x)
+        tip_x, dist = self.tip_x, self.loading.distributed
+        if dist is not None:
+            dist = dist.replace(x=tuple(x - tip_x for x in dist.x))
+        return Loading(tuple(f.replace(x1=f.x1 - tip_x) for f in self.loading.forces), dist)
 
 
-def _shift_loading(loading: Loading, tip_x: float) -> Loading:
-    if tip_x == 0.0:
-        return loading
-    forces = tuple(
-        PointForce(f.x1 - tip_x, f.face, f.magnitude) for f in loading.forces
-    )
-    dist = loading.distributed
-    if dist is not None:
-        dist = DistributedLoad(tuple(x - tip_x for x in dist.x), dist.avg, dist.jump)
-    return Loading(forces, dist)
-
-
-@dataclass(frozen=True)
-class PropagationTrace:
+class PropagationTrace(Record):
     """Per-iteration record of a propagation run.
 
     increments holds the applied advances only, so elongation equals
@@ -191,7 +179,7 @@ def step(state: CrackState, phi: float) -> CrackState:
     if support is not None and support >= tip:
         raise TipReachesLoad(f"tip at {tip:g} entered the loading support (max x = {support:g})")
     _check_path(min(state.tip_x, tip), max(state.tip_x, tip), _on_path(state.defects))
-    return replace(state, tip_x=tip)
+    return state.replace(tip_x=tip)
 
 
 def propagate(

@@ -15,9 +15,8 @@ tables alike; numpy is imported only inside the displacement oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ContourTruncationFailure, NumericalError, OnCrackFaceUnderLoad, ValidationError
+from .errors import ContourTruncationFailure, NumericalError, OnCrackFaceUnderLoad, Record, ValidationError
 from .loading import Bimaterial, Loading, decompose
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -27,8 +26,7 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 MELLIN_OMEGA = 0.25
 
 
-@dataclass(frozen=True)
-class FieldPoint:
+class FieldPoint(Record):
     """Polar evaluation point (d, phi) relative to the crack tip.
 
     phi > 0 is the upper half-plane; |phi| -> pi approaches the faces.
@@ -52,8 +50,7 @@ class FieldPoint:
         return self.d * math.sin(self.phi)
 
 
-@dataclass(frozen=True)
-class TipFieldCoefficients:
+class TipFieldCoefficients(Record):
     """Leading (r^-1/2) and second-order (r^1/2) traction coefficients."""
 
     k3: float

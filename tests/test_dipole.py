@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -89,7 +88,7 @@ def test_rotation_covariance(kind):
     rng = np.random.default_rng(11)
     for _ in range(50):
         defect = random_defect(rng, kind)
-        base = mat(dataclasses.replace(defect, alpha=0.0))
+        base = mat(defect.replace(alpha=0.0))
         a = defect.alpha
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
         assert rel_mat(mat(defect), rot @ base @ rot.T) < 1e-14
@@ -107,6 +106,13 @@ def test_limit_chain_rigid_ellipse_to_rigid_line():
     ell = mat(Defect("rigid_ellipse", l_b=1e-7 * 0.2, **base))
     line = mat(Defect("rigid_line", **base))
     assert rel_mat(ell, line) < 1e-6
+
+
+def test_thinnest_rigid_ellipse_is_the_rigid_line():
+    """l_b = 1e-320 against l_a = 1: 1/e overflows, and the prefactor
+    0.5 pi l_a (l_a + l_b) never forms it."""
+    base = dict(d=10.0, phi=0.4, alpha=0.3, l_a=1.0)
+    assert dipole_matrix(Defect("rigid_ellipse", l_b=1e-320, **base)) == dipole_matrix(Defect("rigid_line", **base))
 
 
 def test_limit_chain_elastic_to_rigid_ellipse():

@@ -104,6 +104,22 @@ def test_scan_map_cells_match_direct_evaluation(bm_equal):
             assert m.ratio[i, j] == dk / k0
 
 
+@pytest.mark.parametrize("pair", ["a", "b"])
+def test_scan_map_cells_across_the_interface_match_direct_evaluation(pair):
+    """Odd grids put a row at phi1 = 0 and a column at alpha1 = pi/2;
+    pair b sizes its companion by the side of the interface."""
+    bm = Bimaterial(1.0, 5.0)
+    loading = three_point_preset(1.0, 3.0, 1.0)
+    m = small_map(bm, loading, pair=pair, grid=(5, 3))
+    assert m.phi1[2] == 0.0
+    arrangement = PairArrangement(pair, l1=0.1, d1=1.0, d2=2.0 if pair == "a" else None)
+    k0 = sif_k0(loading, bm)
+    for i, phi1 in enumerate(m.phi1):
+        for j, alpha1 in enumerate(m.alpha1):
+            dk = sum(delta_k_defect(member, loading, bm) for member in arrangement.defects(phi1, alpha1, bm))
+            assert m.ratios[i * 3 + j] == dk / k0
+
+
 def test_scan_map_neutral_region_grows_with_distance(bm_equal):
     near = small_map(bm_equal, three_point_preset(1.0, 3.0, 0.0), grid=(32, 16))
     far = small_map(bm_equal, three_point_preset(1.0, 100.0, 0.0), grid=(32, 16))

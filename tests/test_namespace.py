@@ -245,9 +245,10 @@ NUMPY_IMPORTS_ALLOWED = {
 }
 
 
-def numpy_import_scopes(node, scope):
-    """Dotted scope of every numpy import under node; a module-scope
-    import (class bodies included) gives a scope with no function."""
+def import_scopes(node, scope, module):
+    """Dotted scope of every import of module (or a submodule) under
+    node; a module-scope import (class bodies included) gives a scope
+    with no function."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
             names = [alias.name for alias in child.names]
@@ -255,20 +256,39 @@ def numpy_import_scopes(node, scope):
             names = [child.module or ""] if child.level == 0 else []
         else:
             names = []
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == module or name.startswith(module + ".") for name in names):
             yield scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from numpy_import_scopes(child, f"{scope}.{child.name}")
+            yield from import_scopes(child, f"{scope}.{child.name}", module)
         else:
-            yield from numpy_import_scopes(child, scope)
+            yield from import_scopes(child, scope, module)
+
+
+def package_import_scopes(module: str) -> set:
+    return {
+        scope
+        for path in Path(crackwake.__file__).parent.glob("*.py")
+        for scope in import_scopes(ast.parse(path.read_text()), path.stem, module)
+    }
 
 
 def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
     """No module imports numpy when it loads, so no entry point pays for
     numpy before it reaches an array."""
-    found = {
-        scope
-        for path in Path(crackwake.__file__).parent.glob("*.py")
-        for scope in numpy_import_scopes(ast.parse(path.read_text()), path.stem)
-    }
-    assert found == NUMPY_IMPORTS_ALLOWED
+    assert package_import_scopes("numpy") == NUMPY_IMPORTS_ALLOWED
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are errors.Record subclasses, so no import path
+    pays for dataclasses and the inspect, ast and dis it pulls in."""
+    assert package_import_scopes("dataclasses") == set()
+    assert package_import_scopes("inspect") == set()
+
+
+def test_parsing_and_the_commands_never_load_dataclasses_or_inspect(tmp_path):
+    slow = {"dataclasses", "inspect"}
+    assert not loaded_after(f"from crackwake import parse_scenario\nparse_scenario({SCENARIO!r})") & slow
+    scenario = SCENARIO + "params { max_iter = 20 }\n"
+    commands = [["map", "--grid", "4x4", "--out", str(tmp_path / "map.csv"), "--pgm"], ["sif"], ["perturb"],
+                ["propagate", "--out", str(tmp_path / "trace.csv")]]
+    assert not after_main_calls(tmp_path, [(argv, scenario, 0) for argv in commands]) & slow

@@ -556,9 +556,8 @@ def test_lowered_table_sum_matches_fsum_of_its_stations(table, mu, where, phis):
     for phi, (*ref, scale) in zip(phis, refs):
         got = grad_u0(loading, bm, FieldPoint(d, phi))
         assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= 1e-12 * scale
-    centers = [Defect("microcrack", d=d, phi=phi, alpha=0.0, l_a=0.01 * d) for phi in phis]
     matrices = [dipole_matrix(Defect("microcrack", d=d, phi=0.0, alpha=a, l_a=0.1 * d)) for a in (0.3, 1.9)]
-    dk = _member_dk(*_points_and_table(loading), bm, centers, matrices)
+    dk = _member_dk(*_points_and_table(loading), bm, d, phis, [(m.m11, m.m12, m.m22) for m in matrices])
     assert len(dk) == len(phis) and all(len(row) == len(matrices) for row in dk)
     for i, (phi, (*ref, scale)) in enumerate(zip(phis, refs)):
         trig = _phi_trig(phi)
