@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 # every command parses a scenario; each handler imports what it runs
-from .config import Scenario, ScenarioParams, dump_scenario, parse_scenario
+from .config import Scenario, ScenarioParams, _param_value, _parse_value, dump_scenario, parse_scenario
 from .errors import NumericalError, ValidationError
 
 COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
@@ -32,29 +32,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file (CSV); stdout when omitted")
     parser.add_argument("--pgm", action="store_true", help="also write a PGM map (needs --out)")
     parser.add_argument("--grid", help="map grid as NxM (phi x alpha cells)")
-    parser.add_argument("--delta", type=float, help="neutrality accuracy for map cells")
-    parser.add_argument("--pair", choices=("a", "b"), help="companion arrangement rule")
-    parser.add_argument("--max-iter", type=int, help="propagation iteration budget")
-    parser.add_argument("--arrest-tol", type=float, help="propagation arrest threshold")
-    parser.add_argument("--threads", type=int, help="ignored; kept so older command lines parse")
+    parser.add_argument("--delta", help="neutrality accuracy for map cells")
+    parser.add_argument("--pair", help="companion arrangement rule, a or b")
+    parser.add_argument("--max-iter", help="propagation iteration budget")
+    parser.add_argument("--arrest-tol", help="propagation arrest threshold")
+    parser.add_argument("--threads", help="a positive integer, ignored: maps run in one pass")
     parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
     return parser
 
 
 def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
-    keys = ("delta", "pair", "max_iter", "arrest_tol", "out", "threads")
-    updates = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    if args.grid is not None:
-        try:
-            n_phi, n_alpha = (int(v) for v in args.grid.split("x"))
-        except ValueError:
-            raise ValidationError(f"--grid expects NxM, got {args.grid!r}") from None
-        updates["grid"] = (n_phi, n_alpha)
-    if args.pgm:
-        updates["pgm"] = True
-    if updates.get("threads", 1) < 1:
-        raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-    return params.replace(**updates)
+    """params with the flags given, each spelled as in the params block
+    (--out verbatim); an error names its flag."""
+    for key in ("grid", "delta", "max_iter", "arrest_tol", "pair", "threads"):
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                params = params.replace(**{key: _param_value(key, _parse_value(text, None))})
+            except ValidationError as exc:
+                exc.args = (f"--{key.replace('_', '-')}: {exc}",)
+                raise
+    return params.replace(out=params.out if args.out is None else args.out, pgm=params.pgm or args.pgm)
 
 
 def _first_microcrack(scenario: Scenario):
@@ -114,6 +112,8 @@ def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     if params.pgm and params.out is None:
         raise ValidationError("--pgm needs --out to derive the image path")
+    if params.pgm and Path(params.out).suffix == ".pgm":
+        raise ValidationError(f"--pgm would overwrite the --out file {params.out!r}: give --out another suffix")
     defect = _first_microcrack(scenario)
     from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
 
@@ -180,7 +180,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is a configuration error; --help exits 0
+        return 1 if exc.code else 0
     try:
         text = Path(args.config).read_text()
     except OSError as exc:

@@ -23,6 +23,20 @@ _DEG_VALUE = re.compile(r"^([-+0-9.eE]+)\s*deg$")
 _GRID_VALUE = re.compile(r"^\d+x\d+$")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _param_value(key: str, value):
+    """A parsed params entry or flag in the types ScenarioParams takes:
+    grid's NxM becomes a pair of ints, an integral count an int."""
+    if key == "grid" and isinstance(value, str) and _GRID_VALUE.match(value):
+        return tuple(int(n) for n in value.split("x"))
+    if key in ("max_iter", "threads") and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
 class ScenarioParams(Record):
     """Command parameters carried by the optional params block."""
 
@@ -36,13 +50,28 @@ class ScenarioParams(Record):
     threads: int = 1  # ignored; kept so older scenario files parse
 
     def __post_init__(self):
+        """The one range and type check of every params entry and flag."""
+        grid = self.grid
+        if not (type(grid) is tuple and len(grid) == 2 and all(type(n) is int for n in grid)):
+            raise ValidationError(f"grid expects NxM, got {grid!r}")
+        if min(grid) < 2:
+            raise ValidationError(f"grid must be at least 2x2, got {grid[0]}x{grid[1]}")
         for key in ("delta", "arrest_tol"):
             value = getattr(self, key)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ValidationError(f"{key} must be positive and finite, got {value}")
-        n_phi, n_alpha = self.grid
-        if n_phi < 2 or n_alpha < 2:
-            raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
+            if value is None and key == "arrest_tol":
+                continue
+            if not (_is_number(value) and 0.0 < value < math.inf):
+                raise ValidationError(f"{key} must be positive and finite, got {value!r}")
+        for key in ("max_iter", "threads"):
+            value = getattr(self, key)
+            if not (type(value) is int and value >= 1):
+                raise ValidationError(f"{key} expects a positive integer, got {value!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValidationError(f"out expects a path, got {self.out!r}")
+        if type(self.pgm) is not bool:
+            raise ValidationError(f"pgm expects true/false, got {self.pgm!r}")
+        if self.pair not in ("a", "b"):
+            raise ValidationError(f'pair expects "a" or "b", got {self.pair!r}')
 
 
 class Scenario(Record):
@@ -71,7 +100,7 @@ def _strip_comment(line: str) -> str:
     return "".join(out).strip()
 
 
-def _parse_value(raw: str, line: int):
+def _parse_value(raw: str, line: int | None):
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == '"' and raw[-1] == '"':
         return raw[1:-1]
@@ -198,27 +227,9 @@ def _need(entries: dict, key: str, block: _Block):
 
 
 def _as_number(value, key: str, line: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigSyntaxError(f"key {key!r} expects a number, got {value!r}", line)
     return float(value)
-
-
-def _as_count(entry, key: str) -> int:
-    """Value of a (value, line) entry that must be a positive integer."""
-    value, line = entry
-    number = _as_number(value, key, line)
-    if not (number.is_integer() and number >= 1):
-        raise ConfigSyntaxError(f"key {key!r} expects a positive integer, got {value!r}", line)
-    return int(number)
-
-
-def _as_positive(entry, key: str) -> float:
-    """Value of a (value, line) entry that must be positive and finite."""
-    value, line = entry
-    number = _as_number(value, key, line)
-    if not 0.0 < number < math.inf:
-        raise ConfigSyntaxError(f"{key} must be positive and finite, got {number}", line)
-    return number
 
 
 def _at_line(line: int, build, *args, **kwargs):
@@ -295,43 +306,17 @@ def _build_defect(block: _Block) -> Defect:
 
 
 def _build_params(block: _Block) -> ScenarioParams:
-    e = _entries_dict(
-        block,
-        {"grid", "delta", "max_iter", "arrest_tol", "out", "pgm", "pair", "threads"},
-    )
-    kwargs = {}
-    if "grid" in e:
-        value, line = e["grid"]
-        if not (isinstance(value, str) and _GRID_VALUE.match(value)):
-            raise ConfigSyntaxError(f"grid expects NxM, got {value!r}", line)
-        n_phi, n_alpha = (int(n) for n in value.split("x"))
-        if n_phi < 2 or n_alpha < 2:
-            raise ConfigSyntaxError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}", line)
-        kwargs["grid"] = (n_phi, n_alpha)
-    if "delta" in e:
-        kwargs["delta"] = _as_positive(e["delta"], "delta")
-    if "max_iter" in e:
-        kwargs["max_iter"] = _as_count(e["max_iter"], "max_iter")
-    if "arrest_tol" in e:
-        kwargs["arrest_tol"] = _as_positive(e["arrest_tol"], "arrest_tol")
-    if "out" in e:
-        value, line = e["out"]
-        if not isinstance(value, str):
-            raise ConfigSyntaxError(f"out expects a path, got {value!r}", line)
-        kwargs["out"] = value
-    if "pgm" in e:
-        value, line = e["pgm"]
-        if not isinstance(value, bool):
-            raise ConfigSyntaxError(f"pgm expects true/false, got {value!r}", line)
-        kwargs["pgm"] = value
-    if "pair" in e:
-        value, line = e["pair"]
-        if value not in ("a", "b"):
-            raise ConfigSyntaxError(f'pair expects "a" or "b", got {value!r}', line)
-        kwargs["pair"] = value
-    if "threads" in e:
-        kwargs["threads"] = _as_count(e["threads"], "threads")
-    return ScenarioParams(**kwargs)
+    entries = _entries_dict(block, set(ScenarioParams._fields))
+    values = {key: _param_value(key, value) for key, (value, _) in entries.items()}
+    try:
+        return ScenarioParams(**values)
+    except ValidationError:
+        for key, (_, line) in entries.items():  # the entry at fault, for its line
+            try:
+                ScenarioParams(**{key: values[key]})
+            except ValidationError as exc:
+                raise ConfigSyntaxError(str(exc), line) from None
+        raise
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -361,9 +346,9 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise UnknownKey(f"unknown block {block.name!r}", block.line)
     if bimaterial is None:
-        raise MissingBlock("missing bimaterial block", 0)
+        raise MissingBlock("missing bimaterial block")
     if loading is None:
-        raise MissingBlock("missing loading block", 0)
+        raise MissingBlock("missing loading block")
 
     clearance = 1e-6 * max(1.0, min((df.d for df in defects), default=1.0))
     check_balance(loading, tip_clearance=clearance)
@@ -402,6 +387,10 @@ def dump_scenario(scenario: Scenario) -> str:
     if p.arrest_tol is not None:
         parts.append(f"arrest_tol = {p.arrest_tol!r}")
     if p.out is not None:
+        if '"' in p.out or not p.out.isprintable():
+            raise ValidationError(
+                f"out path {p.out!r} has no config form: it holds a quote or an unprintable character"
+            )
         parts.append(f'out = "{p.out}"')
     parts.append(f"pgm = {'true' if p.pgm else 'false'}")
     parts.append(f"pair = {p.pair}")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from crackwake import ScenarioParams, parse_scenario
 from crackwake.cli import main
 
 SYM_PAIR_CFG = """
@@ -107,6 +108,21 @@ def test_map_pgm_requires_out(cfg, capsys, monkeypatch):
     assert err.startswith("error:") and "needs --out" in err
 
 
+def test_map_pgm_refuses_to_overwrite_out(cfg, tmp_path, capsys, monkeypatch):
+    """An --out ending in .pgm is where the PGM would go: refused before the scan."""
+    import crackwake.mapgen
+
+    def never(*args, **kwargs):
+        raise AssertionError("scan_map ran")
+
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
+    out = tmp_path / "m.pgm"
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", str(out), "--pgm"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.splitlines() == [f"error: --pgm would overwrite the --out file {str(out)!r}: give --out another suffix"]
+
+
 def test_map_to_stdout(cfg, capsys):
     assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -148,6 +164,41 @@ def test_bad_config_exits_1(cfg, capsys):
     assert main(["sif", "--config", cfg("bimaterial { mu_plus = 1 }")]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["sif", "--config", "/nonexistent/file.cfg"]) == 1
+
+
+@pytest.mark.parametrize(
+    "block, text",
+    [("bimaterial", SYM_PAIR_CFG.replace("bimaterial {", "# bimaterial {")),
+     ("loading", SYM_PAIR_CFG.split("loading")[0])],
+    ids=["bimaterial", "loading"],
+)
+def test_missing_block_error_has_no_line(cfg, capsys, block, text):
+    assert main(["sif", "--config", cfg(text)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: missing {block} block\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sif"], "the following arguments are required: --config"),
+        (["sif", "--config", "x.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus", "--config", "x.cfg"], "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["missing-config", "unknown-flag", "unknown-command"],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    """argparse's usage line and message, with the exit status of every
+    other configuration error."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: crackwake ")
+    assert err.splitlines()[-1].startswith(f"crackwake: error: {message}")
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: crackwake ")
 
 
 A0_CANCELS_CFG = """
@@ -305,12 +356,58 @@ def test_negative_threads_flag_exits_1(cfg, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+# (flag, the same text as a params entry): each parses through the same
+# rules, so both give one ScenarioParams or both fail with one message
+FLAG_AND_ENTRY = [
+    ("--grid=8x4", "grid = 8x4"),
+    ("--grid=0x4", "grid = 0x4"),
+    ("--grid=abc", "grid = abc"),
+    ("--grid=4x4x4", "grid = 4x4x4"),
+    ("--delta=1e-7", "delta = 1e-7"),
+    ("--delta=1", "delta = 1"),
+    ("--delta=0.5 deg", "delta = 0.5 deg"),
+    ("--delta=abc", "delta = abc"),
+    ("--delta=-1", "delta = -1"),
+    ("--max-iter=1e3", "max_iter = 1e3"),
+    ("--max-iter=0", "max_iter = 0"),
+    ("--max-iter=2.5", "max_iter = 2.5"),
+    ("--max-iter=true", "max_iter = true"),
+    ("--arrest-tol=1e-9", "arrest_tol = 1e-9"),
+    ("--arrest-tol=inf", "arrest_tol = inf"),
+    ("--out=run.csv", 'out = "run.csv"'),
+    ("--pgm", "pgm = true"),
+    ("--pair=b", "pair = b"),
+    ("--pair=c", "pair = c"),
+    ('--pair="b"', 'pair = "b"'),
+    ("--threads=4", "threads = 4"),
+    ("--threads=0", "threads = 0"),
+    ("--threads=-3", "threads = -3"),
+]
+
+
+@pytest.mark.parametrize("flag, entry", FLAG_AND_ENTRY, ids=[flag for flag, _ in FLAG_AND_ENTRY])
+def test_flag_and_params_entry_agree(cfg, capsys, flag, entry):
+    def dump(argv, text):
+        code = main(["sif", "--config", cfg(text), *argv, "--dump-config"])
+        out, err = capsys.readouterr()
+        return code, parse_scenario(out).params if code == 0 else err.splitlines()[-1].split(": ", 2)
+
+    flag_code, flag_result = dump([flag], SYM_PAIR_CFG)
+    entry_code, entry_result = dump([], SYM_PAIR_CFG + f"params {{ {entry} }}\n")
+    assert flag_code == entry_code and flag_code in (0, 1)
+    if flag_code == 0:
+        assert flag_result == entry_result != ScenarioParams()
+    else:
+        assert flag_result[:2] == ["error", flag.split("=")[0]] and entry_result[:2] == ["error", "line 8"]
+        assert flag_result[2] == entry_result[2]
+
+
 @pytest.mark.parametrize("argv", [["sif"], ["dipole"], ["map"], ["sif", "--dump-config"]])
 def test_grid_flag_below_2x2_exits_1_for_every_command(cfg, capsys, argv):
     assert main([*argv, "--config", cfg(SYM_PAIR_CFG), "--grid", "0x4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: grid must be at least 2x2, got 0x4\n"
+    assert err == "error: --grid: grid must be at least 2x2, got 0x4\n"
 
 
 def test_subnormal_three_point_load_exits_1(cfg, capsys):

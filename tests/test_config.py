@@ -137,10 +137,13 @@ def test_unknown_block_named():
 
 
 def test_missing_blocks():
-    with pytest.raises(MissingBlock):
+    """No line holds a missing block, so the error names none."""
+    with pytest.raises(MissingBlock, match="^missing loading block$") as err:
         parse_scenario("bimaterial { mu_plus = 1, mu_minus = 1 }")
-    with pytest.raises(MissingBlock):
+    assert err.value.line is None
+    with pytest.raises(MissingBlock, match="^missing bimaterial block$") as err:
         parse_scenario("loading { force { face = \"+\", x1 = -1, p = 0 } }")
+    assert err.value.line is None
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -211,14 +214,37 @@ params { grid = 64x32, delta = 1e-5, pair = b, out = "x.csv" }
     assert parse_scenario(dump_scenario(s)) == s
 
 
-@pytest.mark.parametrize(
-    "entry", ["max_iter = 2.7", "max_iter = inf", "max_iter = 0", "threads = 1.5", "threads = -3"]
-)
-def test_integer_keys_reject_other_values(entry):
-    with pytest.raises(ConfigSyntaxError) as err:
+BAD_FIELDS = [
+    ("max_iter = 2.7", {"max_iter": 2.7}, "max_iter expects a positive integer"),
+    ("max_iter = inf", {"max_iter": math.inf}, "max_iter expects a positive integer"),
+    ("max_iter = 0", {"max_iter": 0}, "max_iter expects a positive integer"),
+    ("threads = 1.5", {"threads": 1.5}, "threads expects a positive integer"),
+    ("threads = -3", {"threads": -3}, "threads expects a positive integer"),
+    ("max_iter = 2.5", {"max_iter": 2.5}, "max_iter expects a positive integer"),
+    ("max_iter = true", {"max_iter": True}, "max_iter expects a positive integer"),
+    ("threads = 0", {"threads": 0}, "threads expects a positive integer"),
+    ("pair = c", {"pair": "c"}, 'pair expects "a" or "b"'),
+    ("pgm = yes", {"pgm": "yes"}, "pgm expects true/false"),
+]
+
+
+@pytest.mark.parametrize("entry, field, message", BAD_FIELDS, ids=[case[0] for case in BAD_FIELDS])
+def test_integer_keys_reject_other_values(entry, field, message):
+    """A bad params entry and the same value given to ScenarioParams fail
+    with one message: the integer keys, and pair and pgm alike."""
+    with pytest.raises(ConfigSyntaxError, match=f"^line 9: {message}, got "):
         parse_scenario(MINIMAL + f"params {{\n  {entry}\n}}\n")
-    assert str(err.value).startswith("line 9: ")
-    assert "expects a positive integer" in str(err.value)
+    with pytest.raises(ValidationError, match=f"^{message}, got "):
+        ScenarioParams(**field)
+
+
+@pytest.mark.parametrize("out", ['a"b.csv', "a\nb.csv", "a.csv\n"])
+def test_dump_refuses_an_out_path_that_would_not_reparse(out):
+    scenario = parse_scenario(MINIMAL)
+    with pytest.raises(ValidationError, match="has no config form"):
+        dump_scenario(scenario.replace(params=ScenarioParams(out=out)))
+    plain = scenario.replace(params=ScenarioParams(out="a b#c,{d}.csv"))
+    assert parse_scenario(dump_scenario(plain)) == plain
 
 
 def test_integer_keys_accept_integral_numbers():
