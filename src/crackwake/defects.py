@@ -91,12 +91,6 @@ class DipoleMatrix(Record):
     m12: float
     m22: float
 
-    def as_matrix(self):
-        """The matrix as a 2x2 numpy array."""
-        import numpy as np
-
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
-
     def apply(self, v1: float, v2: float) -> tuple[float, float]:
         return self.m11 * v1 + self.m12 * v2, self.m12 * v1 + self.m22 * v2
 

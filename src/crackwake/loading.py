@@ -14,7 +14,6 @@ import math
 import numbers
 import sys
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import InvalidPreset, LoadTooCloseToTip, Record, UnbalancedLoading, ValidationError
 
@@ -43,17 +42,13 @@ class Bimaterial(Record):
 
     @cached_property
     def contrast(self) -> float:
+        """Contrast parameter (mu_minus - mu_plus)/(mu_plus + mu_minus) in (-1, 1)."""
         return (self.mu_minus - self.mu_plus) / (self.mu_plus + self.mu_minus)
 
     @cached_property
     def mu_series(self) -> float:
         """mu_plus mu_minus / (mu_plus + mu_minus), the modulus factor of the closed-form dK."""
         return self.mu_plus * self.mu_minus / self.mu_sum
-
-
-def contrast(bimaterial: Bimaterial) -> float:
-    """Contrast parameter (mu_minus - mu_plus)/(mu_plus + mu_minus) in (-1, 1)."""
-    return bimaterial.contrast
 
 
 class PointForce(Record):
@@ -144,11 +139,11 @@ class Loading(Record):
     def __post_init__(self):
         object.__setattr__(self, "forces", tuple(self.forces))
 
-    def scaled(self, factor: float) -> "Loading":
-        dist = self.distributed
-        if dist is not None:
-            dist = dist.replace(avg=tuple(factor * v for v in dist.avg), jump=tuple(factor * v for v in dist.jump))
-        return Loading(tuple(f.replace(magnitude=factor * f.magnitude) for f in self.forces), dist)
+    @cached_property
+    def split(self) -> tuple:
+        """decompose(self), computed once: the (stations, table) pair that
+        every kernel reads."""
+        return decompose(self)
 
     def balance_residual(self) -> float:
         """Total upper-face force minus total lower-face force."""
@@ -173,57 +168,27 @@ class Loading(Record):
         return max(xs) if xs else None
 
 
-class LoadStation(NamedTuple):
-    """Delta-function coefficients of <p> and [p] at one station; a plain
-    tuple (x1, avg, jump), as the kernels take point stations."""
+def decompose(loading: Loading) -> tuple:
+    """Split a loading into symmetric <p> = (p+ + p-)/2 and skew [p] = p+ - p-:
+    the pair (stations, table) that the kernels take.
 
-    x1: float
-    avg: float
-    jump: float
-
-
-class DecomposedLoading(Record):
-    """Symmetric/skew split of a loading; stations merged per abscissa.
-
-    The merged face resultants are kept alongside so recombine inverts
-    decompose exactly, without rounding through avg +- jump/2.
-    """
-
-    stations: tuple[LoadStation, ...]
-    distributed: DistributedLoad | None = None
-    faces: tuple[tuple[float, float, float], ...] = ()  # (x1, p_plus, p_minus)
-
-    def recombine(self) -> Loading:
-        """Rebuild the face loads; exact inverse of decompose."""
-        forces = []
-        for x1, p_up, p_lo in self.faces:
-            if p_up != 0.0:
-                forces.append(PointForce(x1, "+", p_up))
-            if p_lo != 0.0:
-                forces.append(PointForce(x1, "-", p_lo))
-        return Loading(tuple(forces), self.distributed)
-
-
-def decompose(loading: Loading) -> DecomposedLoading:
-    """Split a loading into symmetric <p> = (p+ + p-)/2 and skew [p] = p+ - p-.
-
-    Point forces sharing a station are merged, so the returned
-    coefficients are the distributional weights of <p> and [p] at each
-    abscissa.  Stations come out sorted by x1.
+    stations holds one (x1, avg, jump) triple of floats per abscissa,
+    sorted by x1: point forces sharing a station are merged, so avg and
+    jump are the distributional weights of <p> and [p] there, and a
+    station whose face loads both sum to zero is dropped.  table is the
+    distributed load's columns (x, avg, jump), or None.
     """
     merged: dict[float, list[float]] = {}
     for f in loading.forces:
         entry = merged.setdefault(f.x1, [0.0, 0.0])
         entry[0 if f.face == "+" else 1] += f.magnitude
-    faces = tuple(
-        (x1, p_up, p_lo)
+    stations = tuple(
+        (x1, 0.5 * (p_up + p_lo), p_up - p_lo)
         for x1, (p_up, p_lo) in sorted(merged.items())
         if p_up != 0.0 or p_lo != 0.0
     )
-    stations = tuple(
-        LoadStation(x1, 0.5 * (p_up + p_lo), p_up - p_lo) for x1, p_up, p_lo in faces
-    )
-    return DecomposedLoading(stations, loading.distributed, faces)
+    t = loading.distributed
+    return stations, None if t is None else (t.x, t.avg, t.jump)
 
 
 def check_balance(loading: Loading, tip_clearance: float = DEFAULT_TIP_CLEARANCE) -> Loading:

@@ -16,8 +16,8 @@ from functools import cached_property
 from .defects import Defect, _dipole_parts, _entries
 from .errors import Record, ValidationError
 from .loading import Bimaterial, Loading
-from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b
-from .tipfields import _gradient, _phi_trig, _points_and_table, _table_sums, sif_k0
+from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b, tip_weight_vector
+from .tipfields import _gradient, _phi_trig, _table_sums, sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -108,8 +108,9 @@ def _member_dk(points, table, bimaterial: Bimaterial, d: float, phis, entries) -
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
     sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
     return [
-        _delta_k_closed(_gradient(points, d, trig, mu_b, mu_sum, eta, s), d, trig, entries, bimaterial.mu_series)
-        for trig, mu_b, s in zip(trigs, mu_bs, sums)
+        _delta_k_closed(_gradient(points, d, trig, mu_b, mu_sum, eta, s), tip_weight_vector(d, phi), entries,
+                        bimaterial.mu_series)
+        for phi, trig, mu_b, s in zip(phis, trigs, mu_bs, sums)
     ]
 
 
@@ -141,7 +142,7 @@ def scan_map(
     if k0 == 0.0:
         raise ValidationError("map needs a loading with non-zero K0")
 
-    points, table = _points_and_table(loading)
+    points, table = loading.split
     # Each member's (phi, alpha) per row and column: the companion's as
     # neutral_pair_a (same phi, alpha - pi/2) or neutral_pair_b (mirrored) set them.
     if arrangement.pair == "a":

@@ -11,12 +11,11 @@ plain sums (dilute, non-interacting defects).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .defects import Defect, _dipole_parts, dipole_matrix
 from .errors import InvalidDefect, Record
 from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, _points_and_table, grad_u0
+from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, grad_u0
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -27,11 +26,11 @@ def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
 
 
 class EffectiveTraction(Record):
-    """Crack-line tractions induced by one defect's dipole field.
-
-    avg and jump evaluate <sigma>(x1) and [sigma](x1); both decay like
-    x1^(-2) far from the defect and the jump vanishes for identical
-    half-planes.
+    """Crack-line tractions induced by one defect's dipole field:
+    <sigma>(x1) = -(mu_sum/2) w(x1) and [sigma](x1) = -mu_dif w(x1), with
+    w = _dwdx2 the x2-derivative of the dipole field on the crack line.
+    Both decay like x1^(-2) far from the defect, and the jump vanishes for
+    identical half-planes.
     """
 
     u1: float  # dipole matrix applied to the gradient at the center
@@ -47,12 +46,6 @@ class EffectiveTraction(Record):
         v1 = -self.yy * dx / (math.pi * rho2 * rho2)
         v2 = -1.0 / (2.0 * math.pi * rho2) + self.yy * self.yy / (math.pi * rho2 * rho2)
         return self.u1 * v1 + self.u2 * v2
-
-    def avg(self, x1):
-        return -0.5 * self.mu_sum * self._dwdx2(x1)
-
-    def jump(self, x1):
-        return -self.mu_dif * self._dwdx2(x1)
 
     def weighted(self, x1, eta: float):
         """<sigma> + (eta/2)[sigma], the combination the tip kernel sees."""
@@ -75,16 +68,12 @@ def effective_tractions(
     )
 
 
-def _delta_k_closed(grad, d: float, trig, entries, mu_series: float) -> list[float]:
+def _delta_k_closed(grad, weights, entries, mu_series: float) -> list[float]:
     """Contractions -sqrt(2/pi) mu_series grad . M c of the background
     gradient with each dipole matrix M, given by its entries
-    (m11, m12, m22), and the tip weight vector c.
-
-    trig is _phi_trig(phi) of the defect center.
-    """
-    f = 0.5 / d**1.5
-    c1 = -f * trig[4]
-    c2 = f * trig[5]
+    (m11, m12, m22), and the tip weight vector c = weights
+    (tip_weight_vector of the defect center)."""
+    c1, c2 = weights
     g1, g2 = grad
     scale = -SQRT_2_OVER_PI * mu_series
     return [scale * (g1 * (m11 * c1 + m12 * c2) + g2 * (m12 * c1 + m22 * c2)) for m11, m12, m22 in entries]
@@ -95,28 +84,15 @@ def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, m11
     (m11, m12, m22), under point stations and a table as _grad takes them."""
     trig = _phi_trig(phi)
     grad = _grad(points, table, bimaterial, d, phi, trig)
-    return _delta_k_closed(grad, d, trig, ((m11, m12, m22),), bimaterial.mu_series)[0]
+    return _delta_k_closed(grad, tip_weight_vector(d, phi), ((m11, m12, m22),), bimaterial.mu_series)[0]
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect."""
-    points, table = _points_and_table(loading)
+    points, table = loading.split
     _check_face(points, table, defect.d, defect.phi)
     m = dipole_matrix(defect)
     return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, m.m11, m.m12, m.m22)
-
-
-class DefectPerturbation(Record):
-    per_defect: tuple[float, ...]
-    total: float
-
-
-def delta_k_total(
-    defects: Sequence[Defect], loading: Loading, bimaterial: Bimaterial
-) -> DefectPerturbation:
-    """Per-defect SIF perturbations and their superposed sum."""
-    values = tuple(delta_k_defect(d, loading, bimaterial) for d in defects)
-    return DefectPerturbation(values, math.fsum(values))
 
 
 def delta_k_defect_quadrature(
@@ -151,11 +127,6 @@ def delta_k_defect_quadrature(
     head = adaptive_quad(integrand, 0.0, split, rtol=rtol, atol=atol, points=pts)
     tail = adaptive_quad(integrand, split, math.inf, rtol=rtol, atol=atol)
     return -SQRT_2_OVER_PI * 2.0 * (head + tail)
-
-
-def delta_k_advance(advance: float, a3: float) -> float:
-    """SIF change from a uniform tip advance: (advance/2) * a3."""
-    return 0.5 * advance * a3
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

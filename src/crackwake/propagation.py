@@ -17,7 +17,7 @@ from .defects import Defect, dipole_matrix
 from .errors import DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, Loading
 from .perturbation import _delta_k_at
-from .tipfields import SQRT_2_OVER_PI, _finite, _moments, _points_and_table
+from .tipfields import SQRT_2_OVER_PI, _finite, _moments
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
@@ -31,8 +31,8 @@ class CrackState(Record):
     """Tip position plus the space-fixed defects, loading and materials.
 
     Defect polar coordinates and load stations are measured from the
-    frame origin, where the tip conventionally starts; tip-relative
-    geometry is recomputed from tip_x on demand.
+    frame origin, where the tip conventionally starts; the propagation
+    engine shifts them into tip coordinates at each tip_x.
     """
 
     tip_x: float
@@ -47,21 +47,6 @@ class CrackState(Record):
             raise TipReachesLoad(
                 f"loading support reaches x = {support:g}, not behind tip at {self.tip_x:g}"
             )
-
-    def current_defects(self) -> tuple[Defect, ...]:
-        """Defects with (d, phi) recomputed relative to the current tip."""
-        out = []
-        for df in self.defects:
-            dx = df.x - self.tip_x
-            out.append(df.replace(d=math.hypot(dx, df.y), phi=math.atan2(df.y, dx)))
-        return tuple(out)
-
-    def current_loading(self) -> Loading:
-        """Loading with stations shifted into tip-relative coordinates."""
-        tip_x, dist = self.tip_x, self.loading.distributed
-        if dist is not None:
-            dist = dist.replace(x=tuple(x - tip_x for x in dist.x))
-        return Loading(tuple(f.replace(x1=f.x1 - tip_x) for f in self.loading.forces), dist)
 
 
 class PropagationTrace(Record):
@@ -114,7 +99,7 @@ class _Engine:
 
     def __init__(self, state: CrackState):
         self.bimaterial = state.bimaterial
-        self.stations, self.table = _points_and_table(state.loading)  # x from the frame origin
+        self.stations, self.table = state.loading.split  # x from the frame origin
         self.defects = []
         for df in state.defects:
             m = dipole_matrix(df)
@@ -128,7 +113,7 @@ class _Engine:
         bm = self.bimaterial
         points = [(xs - tip, avg, jump) for xs, avg, jump in self.stations]
         if points and points[-1][0] >= 0.0:  # stations are sorted by x1
-            raise TipReachesLoad(f"tip at {tip:g} reached the load station at {self.stations[-1].x1:g}")
+            raise TipReachesLoad(f"tip at {tip:g} reached the load station at {self.stations[-1][0]:g}")
         table = self.table
         if table is not None:
             table = (tuple(x - tip for x in table[0]), table[1], table[2])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import ContourTruncationFailure, NumericalError, OnCrackFaceUnderLoad, Record, ValidationError
-from .loading import Bimaterial, Loading, decompose
+from .loading import Bimaterial, Loading
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -48,13 +48,6 @@ class FieldPoint(Record):
     @property
     def y(self) -> float:
         return self.d * math.sin(self.phi)
-
-
-class TipFieldCoefficients(Record):
-    """Leading (r^-1/2) and second-order (r^1/2) traction coefficients."""
-
-    k3: float
-    a3: float
 
 
 def _table_moments(x, avg, jump, eta: float) -> tuple[float, float]:
@@ -99,13 +92,6 @@ def _moments(points, table, eta: float) -> tuple[float, float]:
     return half, three_half
 
 
-def _points_and_table(loading: Loading):
-    """A loading's point stations and its table as (x, avg, jump), or None."""
-    dec = decompose(loading)
-    t = dec.distributed
-    return dec.stations, None if t is None else (t.x, t.avg, t.jump)
-
-
 def _finite(name: str, value: float) -> float:
     """value, or NumericalError naming it when it is not finite."""
     if not math.isfinite(value):
@@ -119,19 +105,13 @@ def sif_k0(loading: Loading, bimaterial: Bimaterial) -> float:
     K0 = -sqrt(2/pi) * integral of {<p> + (eta/2)[p]}(-r) r^(-1/2) dr;
     positive for crack-opening loads (negative <p> in this convention).
     """
-    points, table = _points_and_table(loading)
-    return _finite("K0", -SQRT_2_OVER_PI * _moments(points, table, bimaterial.contrast)[0])
+    return _finite("K0", -SQRT_2_OVER_PI * _moments(*loading.split, bimaterial.contrast)[0])
 
 
 def coeff_a0(loading: Loading, bimaterial: Bimaterial) -> float:
     """Second-order tip coefficient, same kernel as sif_k0 with r^(-3/2)
     and opposite overall sign; controls the tip-advance sensitivity."""
-    points, table = _points_and_table(loading)
-    return _finite("A0", SQRT_2_OVER_PI * _moments(points, table, bimaterial.contrast)[1])
-
-
-def tip_coefficients(loading: Loading, bimaterial: Bimaterial) -> TipFieldCoefficients:
-    return TipFieldCoefficients(k3=sif_k0(loading, bimaterial), a3=coeff_a0(loading, bimaterial))
+    return _finite("A0", SQRT_2_OVER_PI * _moments(*loading.split, bimaterial.contrast)[1])
 
 
 def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
@@ -274,7 +254,7 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     phi < 0; on the interface (phi = 0) du/dx2 carries the upper-side
     limit, which differs from the lower one by mu_minus/mu_plus.
     """
-    points, table = _points_and_table(loading)
+    points, table = loading.split
     _check_face(points, table, point.d, point.phi)
     return _grad(points, table, bimaterial, point.d, point.phi, _phi_trig(point.phi))
 
@@ -298,9 +278,10 @@ def _angular_ratios(omega: float, t, theta: float):
     )
 
 
-def _mellin_transform(dec):
+def _mellin_transform(stations, table):
     """The transform s -> sum and integral of (avg, jump)(x1) (-x1)^s of
-    the loading, for an array s; returns shape (len(s), 2).
+    point stations (x1, avg, jump) and a table (x, avg, jump) or None, for
+    an array s; returns shape (len(s), 2).
 
     Stations enter as (-x1)^s.  A table panel [yb, ya] on y = -x1, with
     L = log(ya/yb) and c = s + 1, enters exactly: its near-end value
@@ -311,12 +292,12 @@ def _mellin_transform(dec):
     """
     import numpy as np
 
-    log_y = np.log([-s.x1 for s in dec.stations])
-    loads = np.array([(s.avg, s.jump) for s in dec.stations]).reshape(-1, 2)
-    dist = dec.distributed
-    if dist is not None:
-        y = -np.asarray(dist.x)
-        p = np.column_stack((dist.avg, dist.jump))
+    log_y = np.log([-x1 for x1, _, _ in stations])
+    loads = np.array([(avg, jump) for _, avg, jump in stations]).reshape(-1, 2)
+    if table is not None:
+        x, avg, jump = table
+        y = -np.asarray(x)
+        p = np.column_stack((avg, jump))
         near, rise = p[1:], p[:-1] - p[1:]
         log_yb = np.log(y[1:])
         em1 = (y[:-1] - y[1:]) / y[1:]  # expm1(L)
@@ -324,7 +305,7 @@ def _mellin_transform(dec):
 
     def transform(s):
         out = np.exp(np.outer(s, log_y)) @ loads
-        if dist is not None:
+        if table is not None:
             c = (s + 1.0)[:, None]
             eb = np.exp(c * log_yb)
             e1 = np.expm1(c * log_ratio)
@@ -361,7 +342,7 @@ def displacement_u0(
     mu_sum = bimaterial.mu_sum
     mu_dif = bimaterial.mu_plus - bimaterial.mu_minus
     omega = MELLIN_OMEGA
-    transform = _mellin_transform(decompose(loading))
+    transform = _mellin_transform(*loading.split)
     log_r = math.log(r)
 
     def integrand(t):

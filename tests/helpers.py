@@ -1,10 +1,11 @@
-"""Shared test utilities: canonical loads, mollified tables, random draws."""
+"""Shared test utilities: canonical loads, mollified tables, random draws,
+and the one-line compositions of the library that only the tests use."""
 
 import math
 
 import numpy as np
 
-from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce
+from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, delta_k_defect
 
 # mu ratio 167/33 makes the contrast parameter exactly 0.67
 MU_CONTRAST_67 = 167.0 / 33.0
@@ -73,3 +74,50 @@ def random_defect(rng, kind):
     if kind in ("soft_line", "stiff_line"):
         kwargs["kappa"] = rng.uniform(0.1, 3.0)
     return Defect(kind, d=float(d), phi=float(phi), alpha=float(alpha), l_a=float(l_a), **kwargs)
+
+
+def scaled(loading, factor):
+    """The loading with every force and table value times factor."""
+    dist = loading.distributed
+    if dist is not None:
+        dist = dist.replace(avg=tuple(factor * v for v in dist.avg), jump=tuple(factor * v for v in dist.jump))
+    return Loading(tuple(f.replace(magnitude=factor * f.magnitude) for f in loading.forces), dist)
+
+
+def current_defects(state):
+    """A CrackState's defects with (d, phi) measured from its tip."""
+    return tuple(df.replace(d=math.hypot(df.x - state.tip_x, df.y), phi=math.atan2(df.y, df.x - state.tip_x))
+                 for df in state.defects)
+
+
+def current_loading(state):
+    """A CrackState's loading with its stations measured from its tip."""
+    tip_x, dist = state.tip_x, state.loading.distributed
+    if dist is not None:
+        dist = dist.replace(x=tuple(x - tip_x for x in dist.x))
+    return Loading(tuple(f.replace(x1=f.x1 - tip_x) for f in state.loading.forces), dist)
+
+
+def delta_k_total(defects, loading, bimaterial):
+    """The superposed closed-form dK of dilute defects."""
+    return math.fsum(delta_k_defect(df, loading, bimaterial) for df in defects)
+
+
+def delta_k_advance(advance, a3):
+    """SIF change from a uniform tip advance: (advance/2) * a3."""
+    return 0.5 * advance * a3
+
+
+def as_matrix(m):
+    """A DipoleMatrix as a 2x2 numpy array."""
+    return np.array([[m.m11, m.m12], [m.m12, m.m22]])
+
+
+def traction_avg(eff, x1):
+    """<sigma>(x1) of an EffectiveTraction."""
+    return -0.5 * eff.mu_sum * eff._dwdx2(x1)
+
+
+def traction_jump(eff, x1):
+    """[sigma](x1) of an EffectiveTraction."""
+    return -eff.mu_dif * eff._dwdx2(x1)

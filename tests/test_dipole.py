@@ -6,14 +6,14 @@ from pytest import approx
 
 from crackwake import DEFECT_KINDS, Defect, DilutenessWarning, InvalidDefect, NumericalError, dipole_matrix
 
-from helpers import random_defect
+from helpers import as_matrix, random_defect
 
 SOFT_KINDS = ("microcrack", "elliptic_void", "soft_line")
 STIFF_KINDS = ("rigid_ellipse", "rigid_line", "stiff_line")
 
 
 def mat(defect):
-    return dipole_matrix(defect).as_matrix()
+    return as_matrix(dipole_matrix(defect))
 
 
 def rel_mat(m_a, m_b):

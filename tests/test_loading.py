@@ -7,16 +7,23 @@ from pytest import approx
 
 from crackwake import (
     Bimaterial,
+    Defect,
     DistributedLoad,
+    FieldPoint,
     InvalidPreset,
     Loading,
     LoadTooCloseToTip,
+    PairArrangement,
     PointForce,
     UnbalancedLoading,
     ValidationError,
     check_balance,
-    contrast,
+    coeff_a0,
     decompose,
+    delta_k_defect,
+    grad_u0,
+    scan_map,
+    sif_k0,
     three_point_preset,
 )
 
@@ -24,15 +31,15 @@ positive_mu = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
 
 def test_contrast_values():
-    assert contrast(Bimaterial(1.0, 1.0)) == 0.0
-    assert contrast(Bimaterial(1.0, 5.0)) == approx(2.0 / 3.0)
-    assert contrast(Bimaterial(5.0, 1.0)) == approx(-2.0 / 3.0)
+    assert Bimaterial(1.0, 1.0).contrast == 0.0
+    assert Bimaterial(1.0, 5.0).contrast == approx(2.0 / 3.0)
+    assert Bimaterial(5.0, 1.0).contrast == approx(-2.0 / 3.0)
 
 
 @given(positive_mu, positive_mu)
 def test_contrast_antisymmetric_and_bounded(mu_a, mu_b):
-    eta = contrast(Bimaterial(mu_a, mu_b))
-    assert eta == -contrast(Bimaterial(mu_b, mu_a))
+    eta = Bimaterial(mu_a, mu_b).contrast
+    assert eta == -Bimaterial(mu_b, mu_a).contrast
     assert -1.0 < eta < 1.0
 
 
@@ -52,25 +59,26 @@ def test_point_force_validation():
 
 def test_decompose_symmetric_load():
     q = 0.7
-    dec = decompose(Loading((PointForce(-2.0, "+", q), PointForce(-2.0, "-", q))))
-    assert len(dec.stations) == 1
-    assert dec.stations[0].avg == approx(q)
-    assert dec.stations[0].jump == 0.0
+    stations, table = decompose(Loading((PointForce(-2.0, "+", q), PointForce(-2.0, "-", q))))
+    ((x1, avg, jump),) = stations
+    assert (x1, jump, table) == (-2.0, 0.0, None)
+    assert avg == approx(q)
 
 
 def test_decompose_antisymmetric_load():
     q = 0.7
-    dec = decompose(Loading((PointForce(-2.0, "+", q), PointForce(-2.0, "-", -q))))
-    assert dec.stations[0].avg == 0.0
-    assert dec.stations[0].jump == approx(2.0 * q)
+    ((_, avg, jump),), _ = decompose(Loading((PointForce(-2.0, "+", q), PointForce(-2.0, "-", -q))))
+    assert avg == 0.0
+    assert jump == approx(2.0 * q)
 
 
 forces = st.lists(
     st.builds(
         PointForce,
-        st.floats(min_value=-50.0, max_value=-0.1),
+        # a few shared abscissae and magnitudes that cancel, so stations merge and drop
+        st.sampled_from([-1.0, -2.5]) | st.floats(min_value=-50.0, max_value=-0.1),
         st.sampled_from(["+", "-"]),
-        st.floats(min_value=-10.0, max_value=10.0),
+        st.sampled_from([0.0, 1.5, -1.5]) | st.floats(min_value=-10.0, max_value=10.0),
     ),
     min_size=1,
     max_size=6,
@@ -78,11 +86,43 @@ forces = st.lists(
 
 
 @given(forces)
-def test_decompose_recombine_round_trip(force_list):
-    loading = Loading(tuple(force_list))
-    first = decompose(loading)
-    second = decompose(first.recombine())
-    assert first.stations == second.stations
+def test_decompose_merges_each_abscissa_into_avg_and_jump(force_list):
+    """Each station is (x1, (p+ + p-)/2, p+ - p-) of the face loads summed
+    at its abscissa, in order; stations come sorted by x1, and an abscissa
+    whose face sums are both zero has none."""
+    faces = {}
+    for f in force_list:
+        sums = faces.setdefault(f.x1, [0.0, 0.0])
+        sums[0 if f.face == "+" else 1] += f.magnitude
+    stations, table = decompose(Loading(tuple(force_list)))
+    assert table is None
+    assert stations == tuple((x1, 0.5 * (p_up + p_lo), p_up - p_lo)
+                             for x1, (p_up, p_lo) in sorted(faces.items()) if (p_up, p_lo) != (0.0, 0.0))
+    assert all(type(v) is float for station in stations for v in station)
+
+
+def test_decompose_passes_the_table_columns():
+    table = DistributedLoad((-3.0, -2.0, -1.0), (0.0, 1.0, 0.0), (0.0, -0.5, 0.0))
+    stations, columns = decompose(Loading((), table))
+    assert stations == () and columns == (table.x, table.avg, table.jump)
+
+
+def test_a_loading_is_split_once(monkeypatch):
+    """One Loading passed to every kernel is decomposed once, on first use."""
+    import crackwake.loading as loading_module
+
+    calls = []
+    real = loading_module.decompose
+    monkeypatch.setattr(loading_module, "decompose", lambda loading: calls.append(loading) or real(loading))
+    loading = three_point_preset(1.0, 3.0, 1.0)
+    bm = Bimaterial(1.0, 5.0)
+    defect = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
+    sif_k0(loading, bm)
+    coeff_a0(loading, bm)
+    grad_u0(loading, bm, FieldPoint(1.0, 0.4))
+    delta_k_defect(defect, loading, bm)
+    scan_map(PairArrangement("a", l1=0.1, d1=1.0), loading, bm, grid=(4, 2))
+    assert calls == [loading]
 
 
 @given(
@@ -96,10 +136,10 @@ def test_three_point_preset_always_balanced(a, frac, P):
 
 
 def test_three_point_preset_symmetric_iff_b_zero():
-    dec = decompose(three_point_preset(2.5, 3.0, 0.0))
-    assert all(s.jump == 0.0 for s in dec.stations)
-    dec = decompose(three_point_preset(2.5, 3.0, 1.0))
-    assert any(s.jump != 0.0 for s in dec.stations)
+    stations, _ = decompose(three_point_preset(2.5, 3.0, 0.0))
+    assert all(jump == 0.0 for _, _, jump in stations)
+    stations, _ = decompose(three_point_preset(2.5, 3.0, 1.0))
+    assert any(jump != 0.0 for _, _, jump in stations)
 
 
 def test_three_point_preset_geometry():

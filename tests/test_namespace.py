@@ -17,14 +17,12 @@ EXPORTS = [
     "DistributedLoad", "EffectiveTraction", "FieldPoint", "InvalidDefect", "InvalidPreset",
     "LoadTooCloseToTip", "Loading", "NumericalError", "OnCrackFaceUnderLoad",
     "PairArrangement", "PointForce", "PropagationTrace", "QuadratureFailure", "RegionMap",
-    "Scenario", "ScenarioParams", "TipFieldCoefficients", "TipReachesDefect",
-    "TipReachesLoad", "UnbalancedLoading", "ValidationError", "advance_increment",
-    "check_balance", "classify", "coeff_a0", "contrast", "decompose", "delta_k_advance",
-    "delta_k_defect", "delta_k_defect_quadrature", "delta_k_remote", "delta_k_total",
-    "dipole_matrix", "displacement_u0", "dump_scenario", "effective_tractions", "grad_u0",
-    "neutral_pair_a", "neutral_pair_b", "parse_scenario", "propagate", "scan_map",
-    "sif_k0", "step", "three_point_preset", "tip_coefficients", "tip_weight_vector",
-    "write_map_csv", "write_map_pgm", "write_trace_csv",
+    "Scenario", "ScenarioParams", "TipReachesDefect", "TipReachesLoad", "UnbalancedLoading",
+    "ValidationError", "advance_increment", "check_balance", "classify", "coeff_a0", "decompose",
+    "delta_k_defect", "delta_k_defect_quadrature", "delta_k_remote", "dipole_matrix",
+    "displacement_u0", "dump_scenario", "effective_tractions", "grad_u0", "neutral_pair_a",
+    "neutral_pair_b", "parse_scenario", "propagate", "scan_map", "sif_k0", "step",
+    "three_point_preset", "tip_weight_vector", "write_map_csv", "write_map_pgm", "write_trace_csv",
 ]
 
 SCENARIO = """
@@ -49,7 +47,7 @@ def crackwake_modules(loaded: set) -> set:
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(EXPORTS) == 59
+    assert len(EXPORTS) == 54
     assert sorted(crackwake.__all__) == sorted(EXPORTS)
     assert set(EXPORTS) <= set(dir(crackwake))
 
@@ -237,11 +235,10 @@ def test_no_command_or_table_call_loads_numpy_polynomial(tmp_path):
 
 # The only numpy imports in the package, each inside the function that
 # needs arrays: the displacement oracle and the two helpers only it
-# calls, the 2x2 matrix view of a dipole matrix, and the two grid views
-# of a map.
+# calls, and the two grid views of a map.
 NUMPY_IMPORTS_ALLOWED = {
     "tipfields.displacement_u0", "tipfields._angular_ratios", "tipfields._mellin_transform",
-    "defects.DipoleMatrix.as_matrix", "mapgen.RegionMap.ratio", "mapgen.RegionMap.region",
+    "mapgen.RegionMap.ratio", "mapgen.RegionMap.region",
 }
 
 

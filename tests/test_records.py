@@ -6,8 +6,7 @@ import math
 import pytest
 
 from crackwake import (
-    Bimaterial, Defect, FieldPoint, InvalidDefect, Loading, PointForce, Scenario, ScenarioParams,
-    TipFieldCoefficients, three_point_preset,
+    Bimaterial, Defect, FieldPoint, InvalidDefect, Loading, PointForce, Scenario, ScenarioParams, three_point_preset,
 )
 
 
@@ -68,7 +67,7 @@ def test_equality_needs_the_exact_class():
     values = ("microcrack", 1.0, 0.4, 0.3, 0.1, 0.0, 1.0, 0.0)
     assert defect != values and values != defect
     assert defect.__eq__(values) is NotImplemented
-    assert FieldPoint(1.0, 0.5) != TipFieldCoefficients(1.0, 0.5)
+    assert FieldPoint(1.0, 0.5) != Bimaterial(1.0, 0.5)
     assert FieldPoint(1.0, 0.5) == FieldPoint(1.0, 0.5)
     assert microcrack(l_a=0.2) != defect
 
