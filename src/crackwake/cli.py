@@ -16,6 +16,7 @@ from .config import Scenario, ScenarioParams, _param_value, _parse_value, dump_s
 from .errors import NumericalError, ValidationError
 
 COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
+NUMBER_FLAGS = ("--grid", "--delta", "--max-iter", "--arrest-tol", "--threads")
 
 
 def _fmt(value: float) -> str:
@@ -39,6 +40,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", help="a positive integer, ignored: maps run in one pass")
     parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
     return parser
+
+
+def _join_signed_values(argv: list) -> list:
+    """argv with each spaced value of a number flag that starts with one
+    "-" joined to its flag: argparse reads --delta -1e-3 as two options and
+    stops at "expected one argument", --delta=-1e-3 reaches the value's
+    own check."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in NUMBER_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
@@ -181,7 +196,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # a usage error is a configuration error; --help exits 0
         return 1 if exc.code else 0
     try:

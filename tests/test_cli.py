@@ -356,6 +356,27 @@ def test_negative_threads_flag_exits_1(cfg, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--delta", "-1e-3"), ("--delta", "-inf"), ("--arrest-tol", "-1e-9"),
+                                         ("--max-iter", "-1e3"), ("--threads", "-3e0"), ("--grid", "-4x4")])
+def test_negative_flag_value_after_a_space_reaches_its_check(cfg, capsys, flag, value):
+    """--delta -1e-3 gives the error of --delta=-1e-3, which names the
+    flag and its rule, not argparse's "expected one argument"."""
+    path = cfg(SYM_PAIR_CFG)
+    results = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        results.append((main(["sif", "--config", path, *argv, "--dump-config"]), capsys.readouterr()))
+    (spaced_code, spaced), (joined_code, joined) = results
+    assert spaced_code == joined_code == 1
+    assert spaced.out == joined.out == ""
+    assert spaced.err == joined.err
+    assert spaced.err.startswith(f"error: {flag}: {flag[2:].replace('-', '_')}")
+
+
+def test_negative_delta_after_a_space_names_the_rule(cfg, capsys):
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--delta", "-1e-3"]) == 1
+    assert capsys.readouterr().err == "error: --delta: delta must be positive and finite, got -0.001\n"
+
+
 # (flag, the same text as a params entry): each parses through the same
 # rules, so both give one ScenarioParams or both fail with one message
 FLAG_AND_ENTRY = [
