@@ -115,7 +115,7 @@ def coeff_a0(loading: Loading, bimaterial: Bimaterial) -> float:
 
 
 def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
-    """Angular factors of the gradient kernel and the tip weight vector:
+    """Angular factors of the gradient kernel:
     (cos phi, sin phi, sin phi/2, cos phi/2, sin 3phi/2, cos 3phi/2)."""
     return (
         math.cos(phi),

@@ -372,11 +372,6 @@ def test_negative_flag_value_after_a_space_reaches_its_check(cfg, capsys, flag, 
     assert spaced.err.startswith(f"error: {flag}: {flag[2:].replace('-', '_')}")
 
 
-def test_negative_delta_after_a_space_names_the_rule(cfg, capsys):
-    assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--delta", "-1e-3"]) == 1
-    assert capsys.readouterr().err == "error: --delta: delta must be positive and finite, got -0.001\n"
-
-
 # (flag, the same text as a params entry): each parses through the same
 # rules, so both give one ScenarioParams or both fail with one message
 FLAG_AND_ENTRY = [
