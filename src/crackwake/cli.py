@@ -42,14 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_signed_values(argv: list) -> list:
-    """argv with each spaced value of a number flag that starts with one
-    "-" joined to its flag: argparse reads --delta -1e-3 as two options and
+def _join_signed_values(argv: list, flags) -> list:
+    """argv with each spaced value that starts with one "-" joined to the
+    number flag before it: argparse reads --delta -1e-3 as two options and
     stops at "expected one argument", --delta=-1e-3 reaches the value's
-    own check."""
+    own check.  A flag counts by its full name or by a prefix of no other
+    of the parser's option strings (flags), as argparse resolves it."""
     out = []
     for arg in argv:
-        if out and out[-1] in NUMBER_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag not in flags:
+            named = [f for f in flags if f.startswith(flag)]
+            flag = named[0] if len(named) == 1 else flag
+        if flag in NUMBER_FLAGS and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -134,14 +139,7 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
 
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
-    region_map = scan_map(
-        arrangement,
-        scenario.loading,
-        scenario.bimaterial,
-        grid=params.grid,
-        delta=params.delta,
-        threads=params.threads,
-    )
+    region_map = scan_map(arrangement, scenario.loading, scenario.bimaterial, grid=params.grid, delta=params.delta)
     write_map_csv(region_map, out)
     if params.pgm:
         pgm_path = Path(params.out).with_suffix(".pgm")
@@ -196,7 +194,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv)))
+        parser = _build_parser()
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv),
+                                                     parser._option_string_actions))
     except SystemExit as exc:  # a usage error is a configuration error; --help exits 0
         return 1 if exc.code else 0
     try:

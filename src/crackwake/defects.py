@@ -139,12 +139,16 @@ def _mod_pi(alpha: float) -> float:
     return 0.0 if alpha == math.pi else alpha
 
 
+def _double_angle(alpha: float) -> tuple[float, float]:
+    """(cos 2 alpha, sin 2 alpha) of alpha in [0, pi), as a Defect holds it."""
+    alpha = 2.0 * _mod_pi(alpha)
+    return math.cos(alpha), math.sin(alpha)
+
+
 def _entries(iso: float, dev: float, alpha: float) -> tuple[float, float, float]:
-    """Entries (m11, m12, m22) of m_iso I + m_dev R(2 alpha), with alpha
-    taken in [0, pi) as a Defect holds it."""
-    alpha = _mod_pi(alpha)
-    c2 = math.cos(2.0 * alpha)
-    return iso + dev * c2, dev * math.sin(2.0 * alpha), iso - dev * c2
+    """Entries (m11, m12, m22) of m_iso I + m_dev R(2 alpha)."""
+    c2, s2 = _double_angle(alpha)
+    return iso + dev * c2, dev * s2, iso - dev * c2
 
 
 def dipole_matrix(defect: Defect) -> DipoleMatrix:

@@ -2,10 +2,10 @@
 orientation.
 
 A map scans the microcrack angles (phi1, alpha1) on cell centers of a
-regular grid; the rigid-line companion is derived per arrangement rule
-for every cell.  Each row of the grid is one gradient per pair member
-contracted with every column's dipole matrix, on plain floats, and the
-output ordering is fixed row-major (phi1 outer, alpha1 inner).
+regular grid, with the rigid-line companion of each arrangement rule.  A
+member's dK is a + b cos 2alpha + c sin 2alpha: each row takes (a, b, c)
+from one gradient per member, each column (cos 2alpha, sin 2alpha), and a
+cell is four products on plain floats, row-major (phi1 outer, alpha1 inner).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .defects import Defect, _dipole_parts, _entries
+from .defects import Defect, _dipole_parts, _double_angle
 from .errors import Record, ValidationError
 from .loading import Bimaterial, Loading
-from .perturbation import _delta_k_closed, neutral_pair_a, neutral_pair_b, tip_weight_vector
+from .perturbation import _dk_harmonics, neutral_pair_a, neutral_pair_b, tip_weight_vector
 from .tipfields import _gradient, _phi_trig, _table_sums, sif_k0
 
 SHIELDING = "shielding"
@@ -93,23 +93,21 @@ class RegionMap(Record):
         return self.labels.count(region)
 
 
-def _member_dk(points, table, bimaterial: Bimaterial, d: float, phis, entries) -> list[list[float]]:
-    """Closed-form dK of one pair member at distance d over a block of
-    rows and all columns, as one list per row.
+def _member_harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float, dev: float) -> list:
+    """_dk_harmonics (a, b, c) of one pair member at distance d with dipole
+    parts (iso, dev), one triple per row of a block at the angles phis.
 
-    phis holds the member's angle per row, entries its dipole matrix
-    (m11, m12, m22) per column.  Each row takes one gradient from its
-    angular factors; a table adds its panel integrals, in one call for
-    the block.  No row needs the face check of delta_k_defect: a cell
-    center is at least pi/n_phi from a face.
+    Each row takes one gradient from its angular factors; a table adds its
+    panel integrals, in one call for the block.  No row needs the face
+    check of delta_k_defect: a cell center is at least pi/n_phi from a face.
     """
     trigs = [_phi_trig(phi) for phi in phis]
     mu_bs = [bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus for phi in phis]
-    mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
+    mu_sum, eta, mu_series = bimaterial.mu_sum, bimaterial.contrast, bimaterial.mu_series
     sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
     return [
-        _delta_k_closed(_gradient(points, d, trig, mu_b, mu_sum, eta, s), tip_weight_vector(d, phi), entries,
-                        bimaterial.mu_series)
+        _dk_harmonics(_gradient(points, d, trig, mu_b, mu_sum, eta, s), tip_weight_vector(d, phi), iso, dev,
+                      mu_series)
         for phi, trig, mu_b, s in zip(phis, trigs, mu_bs, sums)
     ]
 
@@ -125,11 +123,11 @@ def scan_map(
     """Classify every (phi1, alpha1) cell of the grid.
 
     phi1 spans (-pi, pi) and alpha1 spans (0, pi), both sampled at cell
-    centers.  A member's gradient varies along phi1 (rows) and its dipole
-    matrix along alpha1 (columns), and each cell is their contraction,
-    bit-identical to delta_k_defect cell by cell.  Cells whose ratio is
-    not finite are marked invalid, never skipped.  threads is accepted so
-    older callers keep working, and ignored.
+    centers.  A member's dK = a + b cos 2alpha + c sin 2alpha takes
+    (a, b, c) from phi1 (rows) and the angles from alpha1 (columns); a
+    cell sums both members, bit-identical to delta_k_defect cell by cell.
+    Cells whose ratio is not finite are marked invalid, never skipped.
+    threads is accepted so older callers keep working, and ignored.
     """
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
@@ -143,12 +141,13 @@ def scan_map(
         raise ValidationError("map needs a loading with non-zero K0")
 
     points, table = loading.split
-    # Each member's (phi, alpha) per row and column: the companion's as
-    # neutral_pair_a (same phi, alpha - pi/2) or neutral_pair_b (mirrored) set them.
+    # The companion's phi per row and alpha per column, as neutral_pair_a
+    # (same phi, alpha - pi/2) or neutral_pair_b (mirrored) set them.
     if arrangement.pair == "a":
-        angles = (phis, alphas), (phis, [a - 0.5 * math.pi for a in alphas])
+        phis2, alphas2 = phis, [a - 0.5 * math.pi for a in alphas]
     else:
-        angles = (phis, alphas), ([-p for p in phis], [0.5 * math.pi - a for a in alphas])
+        phis2, alphas2 = [-p for p in phis], [0.5 * math.pi - a for a in alphas]
+    cols = [(*_double_angle(a1), *_double_angle(a2)) for a1, a2 in zip(alphas, alphas2)]
     # The members' sizes depend on phi1 only through the sides of the
     # interface they sit on (pair b sizes its companion by them), so the
     # rows of one block share one validated pair and its dipole parts.
@@ -160,12 +159,12 @@ def scan_map(
     for block in blocks.values():
         pair = arrangement.defects(phis[block[0]], alphas[0], bimaterial)
         first, second = (
-            _member_dk(points, table, bimaterial, member.d, [member_phis[i] for i in block],
-                       [_entries(*_dipole_parts(member), a) for a in member_alphas])
-            for member, (member_phis, member_alphas) in zip(pair, angles)
+            _member_harmonics(points, table, bimaterial, member.d, [member_phis[i] for i in block],
+                              *_dipole_parts(member))
+            for member, member_phis in zip(pair, (phis, phis2))
         )
-        for i, dk1, dk2 in zip(block, first, second):
-            rows[i] = [(a + b) / k0 for a, b in zip(dk1, dk2)]
+        for i, (a1, b1, c1), (a2, b2, c2) in zip(block, first, second):
+            rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
 
     inf, nan, low = math.inf, math.nan, -delta
     ratios = tuple([r if -inf < r < inf else nan for row in rows for r in row])
@@ -201,4 +200,4 @@ def write_map_pgm(region_map: RegionMap, fh) -> None:
     fh.write(f"P2\n{n_phi} {n_alpha}\n255\n")
     grey = {region: str(level) for region, level in REGION_GREY.items()}
     for j in reversed(range(n_alpha)):  # column j of the row-major labels
-        fh.write(" ".join(grey[r] for r in region_map.labels[j::n_alpha]) + "\n")
+        fh.write(" ".join(map(grey.__getitem__, region_map.labels[j::n_alpha])) + "\n")

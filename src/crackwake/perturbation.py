@@ -1,18 +1,18 @@
 """Stress-intensity-factor perturbations produced by small defects.
 
-The closed-form route contracts the background displacement gradient
-with the defect's dipole matrix and the tip weight vector; the
-quadrature route integrates the defect-induced effective tractions
-against the (-x1)^(-1/2) weight-function kernel and serves as an
-independent oracle for the closed form.  Multi-defect results are
-plain sums (dilute, non-interacting defects).
+The closed form contracts the background displacement gradient with the
+dipole matrix m_iso I + m_dev R(2 alpha) and the tip weight vector, as
+dK = a + b cos 2alpha + c sin 2alpha with (a, b, c) set by the position.
+The quadrature route integrates the defect's effective tractions against
+the (-x1)^(-1/2) weight-function kernel, an independent oracle for the
+closed form.  Multi-defect results are plain sums (dilute defects).
 """
 
 from __future__ import annotations
 
 import math
 
-from .defects import Defect, _dipole_parts, dipole_matrix
+from .defects import Defect, _dipole_parts, _double_angle, dipole_matrix
 from .errors import InvalidDefect, Record
 from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, grad_u0
@@ -68,31 +68,30 @@ def effective_tractions(
     )
 
 
-def _delta_k_closed(grad, weights, entries, mu_series: float) -> list[float]:
-    """Contractions -sqrt(2/pi) mu_series grad . M c of the background
-    gradient with each dipole matrix M, given by its entries
-    (m11, m12, m22), and the tip weight vector c = weights
-    (tip_weight_vector of the defect center)."""
-    c1, c2 = weights
+def _dk_harmonics(grad, weights, iso: float, dev: float, mu_series: float) -> tuple[float, float, float]:
+    """(a, b, c) of dK = a + b cos 2alpha + c sin 2alpha = s g . M w, with
+    M = m_iso I + m_dev R(2 alpha), s = -sqrt(2/pi) mu_series, g = grad,
+    w = weights (tip_weight_vector) and (m_iso, m_dev) = (iso, dev)."""
     g1, g2 = grad
-    scale = -SQRT_2_OVER_PI * mu_series
-    return [scale * (g1 * (m11 * c1 + m12 * c2) + g2 * (m12 * c1 + m22 * c2)) for m11, m12, m22 in entries]
+    w1, w2 = weights
+    s = -SQRT_2_OVER_PI * mu_series
+    return s * iso * (g1 * w1 + g2 * w2), s * dev * (g1 * w1 - g2 * w2), s * dev * (g1 * w2 + g2 * w1)
 
 
-def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, m11, m12, m22) -> float:
-    """Closed-form dK of a defect at (d, phi) with dipole entries
-    (m11, m12, m22), under point stations and a table as _grad takes them."""
-    trig = _phi_trig(phi)
-    grad = _grad(points, table, bimaterial, d, phi, trig)
-    return _delta_k_closed(grad, tip_weight_vector(d, phi), ((m11, m12, m22),), bimaterial.mu_series)[0]
+def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, iso, dev, c2, s2) -> float:
+    """Closed-form dK of a defect at (d, phi) with dipole parts (iso, dev)
+    and (c2, s2) = _double_angle(alpha), under stations and a table."""
+    grad = _grad(points, table, bimaterial, d, phi, _phi_trig(phi))
+    a, b, c = _dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series)
+    return a + b * c2 + c * s2
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect."""
     points, table = loading.split
     _check_face(points, table, defect.d, defect.phi)
-    m = dipole_matrix(defect)
-    return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, m.m11, m.m12, m.m22)
+    return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, *_dipole_parts(defect),
+                       *_double_angle(defect.alpha))
 
 
 def delta_k_defect_quadrature(

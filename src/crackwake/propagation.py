@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .defects import Defect, dipole_matrix
+from .defects import Defect, _dipole_parts, _double_angle
 from .errors import DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError
 from .loading import Bimaterial, Loading
 from .perturbation import _delta_k_at
@@ -90,8 +90,8 @@ class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
     It keeps what does not move with the tip: the point stations, the
-    table columns and each defect's position, dipole entries, size and
-    kind.  At a tip it shifts the stations and the table into tip
+    table columns and each defect's position, _dipole_parts, _double_angle,
+    size and kind.  At a tip it shifts the stations and the table into tip
     coordinates and evaluates them with the library's own moments and
     closed form, so every value equals sif_k0, coeff_a0 and
     delta_k_defect on the tip-relative loading and defects.
@@ -100,10 +100,8 @@ class _Engine:
     def __init__(self, state: CrackState):
         self.bimaterial = state.bimaterial
         self.stations, self.table = state.loading.split  # x from the frame origin
-        self.defects = []
-        for df in state.defects:
-            m = dipole_matrix(df)
-            self.defects.append((df.x, df.y, m.m11, m.m12, m.m22, df.l_a, df.kind))
+        self.defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha), df.l_a, df.kind)
+                        for df in state.defects]
         dists = [math.hypot(x - state.tip_x, y) for x, y, *_ in self.defects]
         self.d_ref = min(dists) if dists else 1.0
         self.on_path = _on_path(state.defects)
@@ -121,14 +119,14 @@ class _Engine:
         k0 = _finite("K0", -SQRT_2_OVER_PI * half)
         a3 = _finite("A0", SQRT_2_OVER_PI * three_half)
         per = []
-        for xd, yd, m11, m12, m22, la, kind in self.defects:
+        for xd, yd, iso, dev, c2, s2, la, kind in self.defects:
             dx = xd - tip
             dj = math.hypot(dx, yd)
             if dj <= la:
                 raise TipReachesDefect(
                     f"tip at {tip:g} is within {la:g} of the {kind} centered at ({xd:g}, {yd:g})"
                 )
-            per.append(_delta_k_at(points, table, bm, dj, math.atan2(yd, dx), m11, m12, m22))
+            per.append(_delta_k_at(points, table, bm, dj, math.atan2(yd, dx), iso, dev, c2, s2))
         return k0, a3, tuple(per), math.fsum(per)
 
 

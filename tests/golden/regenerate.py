@@ -1,8 +1,12 @@
 """SHA-256 digests of crackwake's outputs on the scenarios in this directory.
 
     PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py --show readme.propagate
 
-rewrites digests.json from the outputs of the code on the path.
+The first rewrites digests.json from the outputs of the code on the path.
+The second writes the bytes of the one output named to stdout and writes
+no digest, so an output whose digest moved can be diffed line by line
+against the same command run on the parent checkout.
 tests/test_golden.py recomputes every output and compares its digest with
 the committed one, so a change that moves one byte of an output fails
 there until digests.json is regenerated, and the regeneration shows in
@@ -21,10 +25,12 @@ The outputs:
   table syntax.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,12 +96,25 @@ def _table_outputs() -> dict:
     return out
 
 
+def outputs() -> dict:
+    """The bytes of every output, by name."""
+    return {**_readme_outputs(), **_map_outputs(), **_table_outputs()}
+
+
 def digests() -> dict:
     """The SHA-256 hex digest of every output, by name."""
-    outputs = {**_readme_outputs(), **_map_outputs(), **_table_outputs()}
-    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs.items())}
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs().items())}
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n")
-    print(f"wrote {DIGESTS}")
+    parser = argparse.ArgumentParser(description="Rewrite digests.json, or show one output.")
+    parser.add_argument("--show", metavar="NAME", help="write output NAME to stdout instead; no digest is written")
+    args = parser.parse_args()
+    if args.show is None:
+        DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n")
+        print(f"wrote {DIGESTS}")
+    else:
+        everything = outputs()
+        if args.show not in everything:
+            parser.error(f"no output named {args.show!r}; the names are {', '.join(sorted(everything))}")
+        sys.stdout.buffer.write(everything[args.show])

@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, delta_k_defect
+from crackwake.defects import _entries
+from crackwake.tipfields import SQRT_2_OVER_PI
 
 # mu ratio 167/33 makes the contrast parameter exactly 0.67
 MU_CONTRAST_67 = 167.0 / 33.0
@@ -101,6 +103,15 @@ def current_loading(state):
 def delta_k_total(defects, loading, bimaterial):
     """The superposed closed-form dK of dilute defects."""
     return math.fsum(delta_k_defect(df, loading, bimaterial) for df in defects)
+
+
+def delta_k_entrywise(grad, weights, iso, dev, alpha, mu_series):
+    """-sqrt(2/pi) mu_series g . M w contracted entry by entry, with M =
+    m_iso I + m_dev R(2 alpha) given by its entries (m11, m12, m22): the
+    closed form before the harmonic kernel, an accuracy reference for it."""
+    m11, m12, m22 = _entries(iso, dev, alpha)
+    (g1, g2), (c1, c2) = grad, weights
+    return -SQRT_2_OVER_PI * mu_series * (g1 * (m11 * c1 + m12 * c2) + g2 * (m12 * c1 + m22 * c2))
 
 
 def delta_k_advance(advance, a3):

@@ -372,6 +372,29 @@ def test_negative_flag_value_after_a_space_reaches_its_check(cfg, capsys, flag, 
     assert spaced.err.startswith(f"error: {flag}: {flag[2:].replace('-', '_')}")
 
 
+@pytest.mark.parametrize("prefix, value, flag", [("--del", "-1e-3", "--delta"), ("--gri", "-3x4", "--grid"),
+                                                 ("--arr", "-1e-9", "--arrest-tol"), ("--m", "-1e3", "--max-iter"),
+                                                 ("--t", "-3e0", "--threads")])
+def test_abbreviated_flag_with_negative_value_after_a_space_reaches_its_check(cfg, capsys, prefix, value, flag):
+    """argparse takes a unique prefix of a flag, so --del -1e-3 is --delta
+    -1e-3 and gives the error of --delta=-1e-3."""
+    path = cfg(SYM_PAIR_CFG)
+    results = []
+    for argv in ([prefix, value], [f"{flag}={value}"]):
+        results.append((main(["sif", "--config", path, *argv, "--dump-config"]), capsys.readouterr()))
+    (spaced_code, spaced), (joined_code, joined) = results
+    assert spaced_code == joined_code == 1
+    assert spaced.out == joined.out == ""
+    assert spaced.err == joined.err
+    assert spaced.err.startswith(f"error: {flag}: ")
+
+
+def test_ambiguous_flag_prefix_keeps_the_argparse_message(cfg, capsys):
+    """--d could be --delta or --dump-config: argparse names both."""
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--d", "-1e-3"]) == 1
+    assert "ambiguous option: --d could match --delta, --dump-config" in capsys.readouterr().err
+
+
 # (flag, the same text as a params entry): each parses through the same
 # rules, so both give one ScenarioParams or both fail with one message
 FLAG_AND_ENTRY = [

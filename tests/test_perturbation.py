@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from crackwake import (
@@ -24,8 +26,12 @@ from crackwake import (
     tip_weight_vector,
 )
 
-from helpers import (BIMATERIALS, delta_k_advance, delta_k_total, hat_load, random_balanced_loading, random_defect,
-                     rel_err, scaled, sym_pair_at, traction_avg, traction_jump)
+from crackwake.defects import _dipole_parts, _double_angle
+from crackwake.perturbation import _dk_harmonics
+
+from helpers import (BIMATERIALS, delta_k_advance, delta_k_entrywise, delta_k_total, hat_load,
+                     random_balanced_loading, random_defect, rel_err, scaled, sym_pair_at, traction_avg,
+                     traction_jump)
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -34,6 +40,52 @@ def test_tip_weight_vector_norm():
     for d, phi in ((0.3, 0.1), (2.0, -2.9), (7.0, 1.2)):
         c1, c2 = tip_weight_vector(d, phi)
         assert math.hypot(c1, c2) == approx(0.5 / d**1.5, rel=1e-15)
+
+
+# gradient and weight components over 60 decades, so no product underflows
+components = st.just(0.0) | st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
+# alpha at the edges of _mod_pi: rounding to pi itself, the middle, the last float below pi
+orientations = st.sampled_from([-1e-300, 0.5 * math.pi, math.nextafter(math.pi, 0.0)]) | st.floats(-10.0, 10.0)
+
+
+def _mp_contraction(grad, weights, iso, dev, alpha, mu_series):
+    """-sqrt(2/pi) mu_series g . (m_iso I + m_dev R(2 alpha)) . w in 40-digit
+    mpmath, from the same floats."""
+    with mpmath.workdps(40):
+        g1, g2, w1, w2, iso, dev, alpha, mu = map(mpmath.mpf, (*grad, *weights, iso, dev, alpha, mu_series))
+        c, s = mpmath.cos(2 * alpha), mpmath.sin(2 * alpha)
+        m11, m12, m22 = iso + dev * c, dev * s, iso - dev * c
+        return -mpmath.sqrt(2 / mpmath.pi) * mu * (g1 * (m11 * w1 + m12 * w2) + g2 * (m12 * w1 + m22 * w2))
+
+
+@pytest.mark.parametrize("kind", DEFECT_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(
+    grad=st.tuples(components, components),
+    weights=st.tuples(components, components),
+    alpha=orientations,
+    l_a=st.floats(1e-3, 1e3),
+    aspect=st.floats(1e-3, 1.0),
+    stiffness=st.floats(1e-3, 1e3),
+    mu=st.tuples(st.floats(1e-2, 1e2), st.floats(1e-2, 1e2)),
+)
+def test_harmonic_kernel_matches_a_40_digit_contraction(kind, grad, weights, alpha, l_a, aspect, stiffness, mu):
+    """dK = a + b cos 2alpha + c sin 2alpha from _dk_harmonics is within a
+    few rounding errors of the exact contraction of the same floats, and
+    the entry-wise contraction it replaced meets the same bound."""
+    extra = {"l_b": aspect * l_a} if kind in ("elastic_ellipse", "rigid_ellipse", "elliptic_void") else {}
+    if kind == "elastic_ellipse":
+        extra["mu_star"] = stiffness
+    if kind in ("soft_line", "stiff_line"):
+        extra["kappa"] = stiffness
+    iso, dev = _dipole_parts(Defect(kind, d=4.0 * l_a, phi=0.5, alpha=alpha, l_a=l_a, **extra))
+    mu_series = Bimaterial(*mu).mu_series
+    a, b, c = _dk_harmonics(grad, weights, iso, dev, mu_series)
+    c2, s2 = _double_angle(alpha)
+    want = _mp_contraction(grad, weights, iso, dev, alpha, mu_series)
+    bound = 8.0 * 2.0**-52 * SQ2PI * mu_series * (abs(iso) + abs(dev)) * math.hypot(*grad) * math.hypot(*weights)
+    assert abs(a + b * c2 + c * s2 - want) <= bound
+    assert abs(delta_k_entrywise(grad, weights, iso, dev, alpha, mu_series) - want) <= bound
 
 
 def test_effective_tractions_zero_matrix(bm_pos, sym_pair):

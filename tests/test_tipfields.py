@@ -25,8 +25,9 @@ from crackwake import (
 )
 from crackwake._quad import adaptive_quad
 from crackwake.errors import QuadratureFailure
-from crackwake.mapgen import _member_dk
-from crackwake.perturbation import _delta_k_closed, tip_weight_vector
+from crackwake.defects import _dipole_parts, _double_angle
+from crackwake.mapgen import _member_harmonics
+from crackwake.perturbation import _dk_harmonics, tip_weight_vector
 from crackwake.tipfields import _phi_trig
 
 from helpers import hat_load, rel_err, scaled, sym_pair_at
@@ -543,8 +544,8 @@ def test_lowered_table_sum_matches_fsum_of_its_stations(table, mu, where, phis):
     """The closed-form table gradient matches the mpmath residue reference
     at least 1e-2 rad from a face and 1e-3 rad from the interface (where
     the reference's roots merge): at one angle (grad_u0 on floats) and for
-    a block of rows (the map's member evaluation, contracted with two
-    dipole matrices), with d on or off the support.  The bound is 1e-12 of
+    a block of rows (the map's member evaluation, at two orientations),
+    with d on or off the support.  The bound is 1e-12 of
     the sum of the panels' gradient norms, which is the norm of the
     gradient unless the random signed panels cancel."""
     bm = Bimaterial(*mu)
@@ -557,15 +558,18 @@ def test_lowered_table_sum_matches_fsum_of_its_stations(table, mu, where, phis):
     for phi, (*ref, scale) in zip(phis, refs):
         got = grad_u0(loading, bm, FieldPoint(d, phi))
         assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= 1e-12 * scale
-    matrices = [dipole_matrix(Defect("microcrack", d=d, phi=0.0, alpha=a, l_a=0.1 * d)) for a in (0.3, 1.9)]
-    dk = _member_dk(*loading.split, bm, d, phis, [(m.m11, m.m12, m.m22) for m in matrices])
-    assert len(dk) == len(phis) and all(len(row) == len(matrices) for row in dk)
-    for i, (phi, (*ref, scale)) in enumerate(zip(phis, refs)):
+    defects = [Defect("microcrack", d=d, phi=0.0, alpha=a, l_a=0.1 * d) for a in (0.3, 1.9)]
+    iso, dev = _dipole_parts(defects[0])
+    rows = _member_harmonics(*loading.split, bm, d, phis, iso, dev)
+    assert len(rows) == len(phis)
+    for (a, b, c), phi, (*ref, scale) in zip(rows, phis, refs):
         trig = _phi_trig(phi)
-        want = _delta_k_closed(ref, tip_weight_vector(d, phi), [(m.m11, m.m12, m.m22) for m in matrices],
-                               bm.mu_series)
-        for j, m in enumerate(matrices):
-            assert math.isfinite(dk[i][j])
+        want_a, want_b, want_c = _dk_harmonics(ref, tip_weight_vector(d, phi), iso, dev, bm.mu_series)
+        for defect in defects:
+            c2, s2 = _double_angle(defect.alpha)
+            dk, want = a + b * c2 + c * s2, want_a + want_b * c2 + want_c * s2
+            assert math.isfinite(dk)
             # |dK error| <= sqrt(2/pi) mu_series |grad error| |M c|, c the tip weight vector
+            m = dipole_matrix(defect)
             mc = math.hypot(m.m11 * trig[4] - m.m12 * trig[5], m.m12 * trig[4] - m.m22 * trig[5])
-            assert abs(dk[i][j] - want[j]) <= 1e-12 * scale * SQ2PI * bm.mu_series * mc * 0.5 / d**1.5
+            assert abs(dk - want) <= 1e-12 * scale * SQ2PI * bm.mu_series * mc * 0.5 / d**1.5
