@@ -19,11 +19,11 @@ _EXPORTS = {
     "loading": ("Bimaterial", "DistributedLoad", "Loading", "PointForce", "check_balance", "decompose",
                 "three_point_preset"),
     "mapgen": ("PairArrangement", "RegionMap", "classify", "scan_map", "write_map_csv", "write_map_pgm"),
-    "perturbation": ("EffectiveTraction", "delta_k_defect", "delta_k_defect_quadrature", "delta_k_remote",
-                     "effective_tractions", "neutral_pair_a", "neutral_pair_b", "tip_weight_vector"),
+    "oracles": ("EffectiveTraction", "delta_k_defect_quadrature", "displacement_u0", "effective_tractions"),
+    "perturbation": ("delta_k_defect", "delta_k_remote", "neutral_pair_a", "neutral_pair_b", "tip_weight_vector"),
     "propagation": ("CrackState", "PropagationTrace", "advance_increment", "propagate", "step",
                     "write_trace_csv"),
-    "tipfields": ("FieldPoint", "coeff_a0", "displacement_u0", "grad_u0", "sif_k0"),
+    "tipfields": ("FieldPoint", "coeff_a0", "grad_u0", "sif_k0"),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "_quad")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -103,7 +103,8 @@ def _cmd_sif(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
-    from .perturbation import delta_k_defect, delta_k_defect_quadrature
+    from .oracles import delta_k_defect_quadrature
+    from .perturbation import delta_k_defect
     from .propagation import CrackState, advance_increment
     from .tipfields import coeff_a0, sif_k0
 

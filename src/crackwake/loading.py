@@ -11,7 +11,6 @@ so building and validating a loading never imports numpy.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from functools import cached_property
 
@@ -115,7 +114,10 @@ class DistributedLoad(Record):
 
 def _column(values) -> tuple[float, ...]:
     """A table column as a tuple of floats; ValidationError unless it is
-    a sequence of real numbers (a string, None or a nested entry is not)."""
+    a sequence of real numbers (a string, None or a nested entry is not).
+    numbers is imported here, as only a table needs it."""
+    import numbers
+
     try:
         column = tuple(values)
         if all(isinstance(v, numbers.Real) for v in column):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import Record, ValidationError
@@ -112,6 +113,17 @@ def _member_harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso
     ]
 
 
+def _finite_or_nan(rows) -> tuple:
+    """The rows' ratios, row-major, with each one that is not finite made
+    nan.  One sum decides: a finite total means every ratio is finite, so
+    only a nan, an inf or an overflowing total takes the per-cell check."""
+    flat = tuple(chain.from_iterable(rows))
+    if math.isfinite(sum(flat)):
+        return flat
+    inf = math.inf
+    return tuple([r if -inf < r < inf else math.nan for r in flat])
+
+
 def scan_map(
     arrangement: PairArrangement,
     loading: Loading,
@@ -166,8 +178,8 @@ def scan_map(
         for i, (a1, b1, c1), (a2, b2, c2) in zip(block, first, second):
             rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
 
-    inf, nan, low = math.inf, math.nan, -delta
-    ratios = tuple([r if -inf < r < inf else nan for row in rows for r in row])
+    ratios = _finite_or_nan(rows)
+    low = -delta
     # the comparisons of classify; only a nan cell fails all three
     labels = tuple([SHIELDING if r < low else AMPLIFICATION if r > delta else NEUTRAL if r == r else INVALID
                     for r in ratios])
@@ -175,22 +187,24 @@ def scan_map(
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:
-    """CSV rows phi1,alpha1,ratio,region in fixed row-major order,
-    formatted by one % per block of 16 phi1 rows."""
+    """CSV rows phi1,alpha1,ratio,region in fixed row-major order.
+
+    One row template holds each alpha1 string, the commas and the
+    newlines; a row's phi1 string replaces its "#" marks, and each block
+    of 16 phi1 rows formats its (ratio, letter) pairs by one %."""
     fh.write("phi1,alpha1,ratio,region\n")
+    n_alpha = len(region_map.alpha1)
+    row = "".join([f"#,{a:.9g},%.9g,%s\n" for a in region_map.alpha1])
     phis = [f"{p:.9g}" for p in region_map.phi1]
-    alphas = [f"{a:.9g}" for a in region_map.alpha1]
     ratios = region_map.ratios
-    letters = [REGION_LETTER[g] for g in region_map.labels]
+    letters = list(map(REGION_LETTER.__getitem__, region_map.labels))
     for start in range(0, len(phis), 16):
-        lead = [p for p in phis[start:start + 16] for _ in alphas]
-        cells = slice(start * len(alphas), start * len(alphas) + len(lead))
-        values = [None] * (4 * len(lead))  # the cells' four fields, interleaved
-        values[0::4] = lead
-        values[1::4] = alphas * (len(lead) // len(alphas))
-        values[2::4] = ratios[cells]
-        values[3::4] = letters[cells]
-        fh.write("%s,%s,%.9g,%s\n" * len(lead) % tuple(values))
+        block = phis[start:start + 16]
+        cells = slice(start * n_alpha, (start + len(block)) * n_alpha)
+        pairs = [None] * (2 * n_alpha * len(block))
+        pairs[0::2] = ratios[cells]
+        pairs[1::2] = letters[cells]
+        fh.write("".join([row.replace("#", p) for p in block]) % tuple(pairs))
 
 
 def write_map_pgm(region_map: RegionMap, fh) -> None:
@@ -199,5 +213,6 @@ def write_map_pgm(region_map: RegionMap, fh) -> None:
     n_alpha = len(region_map.alpha1)
     fh.write(f"P2\n{n_phi} {n_alpha}\n255\n")
     grey = {region: str(level) for region, level in REGION_GREY.items()}
-    for j in reversed(range(n_alpha)):  # column j of the row-major labels
-        fh.write(" ".join(map(grey.__getitem__, region_map.labels[j::n_alpha])) + "\n")
+    levels = list(map(grey.__getitem__, region_map.labels))
+    for j in reversed(range(n_alpha)):  # column j of the row-major cells
+        fh.write(" ".join(levels[j::n_alpha]) + "\n")

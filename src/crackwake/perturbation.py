@@ -3,19 +3,19 @@
 The closed form contracts the background displacement gradient with the
 dipole matrix m_iso I + m_dev R(2 alpha) and the tip weight vector, as
 dK = a + b cos 2alpha + c sin 2alpha with (a, b, c) set by the position.
-The quadrature route integrates the defect's effective tractions against
-the (-x1)^(-1/2) weight-function kernel, an independent oracle for the
-closed form.  Multi-defect results are plain sums (dilute defects).
+Its independent oracle, the weight-function quadrature of the defect's
+effective tractions, is oracles.delta_k_defect_quadrature.  Multi-defect
+results are plain sums (dilute defects).
 """
 
 from __future__ import annotations
 
 import math
 
-from .defects import Defect, _dipole_parts, _double_angle, dipole_matrix
-from .errors import InvalidDefect, Record
+from .defects import Defect, _dipole_parts, _double_angle
+from .errors import InvalidDefect
 from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, FieldPoint, _check_face, _grad, _phi_trig, grad_u0
+from .tipfields import SQRT_2_OVER_PI, _check_face, _grad, _phi_trig
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -23,49 +23,6 @@ def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
     (-sin(3 phi/2), cos(3 phi/2))."""
     f = 0.5 / d**1.5
     return -f * math.sin(1.5 * phi), f * math.cos(1.5 * phi)
-
-
-class EffectiveTraction(Record):
-    """Crack-line tractions induced by one defect's dipole field:
-    <sigma>(x1) = -(mu_sum/2) w(x1) and [sigma](x1) = -mu_dif w(x1), with
-    w = _dwdx2 the x2-derivative of the dipole field on the crack line.
-    Both decay like x1^(-2) far from the defect, and the jump vanishes for
-    identical half-planes.
-    """
-
-    u1: float  # dipole matrix applied to the gradient at the center
-    u2: float
-    yx: float  # defect center in tip coordinates
-    yy: float
-    mu_sum: float
-    mu_dif: float
-
-    def _dwdx2(self, x1):
-        dx = x1 - self.yx
-        rho2 = dx * dx + self.yy * self.yy
-        v1 = -self.yy * dx / (math.pi * rho2 * rho2)
-        v2 = -1.0 / (2.0 * math.pi * rho2) + self.yy * self.yy / (math.pi * rho2 * rho2)
-        return self.u1 * v1 + self.u2 * v2
-
-    def weighted(self, x1, eta: float):
-        """<sigma> + (eta/2)[sigma], the combination the tip kernel sees."""
-        return -(0.5 * self.mu_sum + 0.5 * eta * self.mu_dif) * self._dwdx2(x1)
-
-
-def effective_tractions(
-    defect: Defect, grad_at_center: tuple[float, float], bimaterial: Bimaterial
-) -> EffectiveTraction:
-    """Effective tractions along x2 = 0 from the defect's dipole field."""
-    m = dipole_matrix(defect)
-    u1, u2 = m.apply(*grad_at_center)
-    return EffectiveTraction(
-        u1=u1,
-        u2=u2,
-        yx=defect.x,
-        yy=defect.y,
-        mu_sum=bimaterial.mu_sum,
-        mu_dif=bimaterial.mu_plus - bimaterial.mu_minus,
-    )
 
 
 def _dk_harmonics(grad, weights, iso: float, dev: float, mu_series: float) -> tuple[float, float, float]:
@@ -92,40 +49,6 @@ def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> 
     _check_face(points, table, defect.d, defect.phi)
     return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, *_dipole_parts(defect),
                        *_double_angle(defect.alpha))
-
-
-def delta_k_defect_quadrature(
-    defect: Defect, loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-9
-) -> float:
-    """SIF perturbation by weight-function quadrature of the effective
-    tractions; independent oracle for delta_k_defect.
-
-    The kernel integral over x1 < 0 runs on the substituted axis
-    t = sqrt(-x1), which removes the endpoint singularity.
-    """
-    from ._quad import adaptive_quad
-
-    grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi))
-    eff = effective_tractions(defect, grad, bimaterial)
-    eta = bimaterial.contrast
-
-    def integrand(ts):
-        return [eff.weighted(-t * t, eta) for t in ts]
-
-    # natural magnitude of the integral, for the absolute error floor
-    m = dipole_matrix(defect)
-    norm = (abs(grad[0]) + abs(grad[1])) * max(
-        abs(m.m11) + abs(m.m12), abs(m.m12) + abs(m.m22)
-    )
-    atol = 1e-15 * (norm / defect.d**1.5 + 1e-280)
-
-    split = 8.0 * max(1.0, math.sqrt(defect.d))
-    pts = [math.sqrt(defect.d)]
-    if eff.yx < 0.0:
-        pts.append(math.sqrt(-eff.yx))
-    head = adaptive_quad(integrand, 0.0, split, rtol=rtol, atol=atol, points=pts)
-    tail = adaptive_quad(integrand, split, math.inf, rtol=rtol, atol=atol)
-    return -SQRT_2_OVER_PI * 2.0 * (head + tail)
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

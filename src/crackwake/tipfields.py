@@ -1,29 +1,23 @@
-"""Unperturbed interfacial-crack fields: tip coefficients, displacement
-gradient at interior points, and the displacement itself (test oracle).
+"""Unperturbed interfacial-crack fields: tip coefficients and the
+displacement gradient at interior points, in closed form.
 
 All operations are linear in the loading.  Point forces enter through
 delta sifting of the kernels.  A tabulated load enters K0 and A0 through
 exact moments of its piecewise-linear profile, and the gradient through
-exact integrals of the station kernel over each linear panel.  Only the
-displacement oracle integrates adaptively, over the exact transform of
-the loading.
-
-K0, A0 and the gradient run on plain floats, for point forces and
-tables alike; numpy is imported only inside the displacement oracle.
+exact integrals of the station kernel over each linear panel.  Nothing
+here integrates adaptively or imports numpy: K0, A0 and the gradient run
+on plain floats, for point forces and tables alike.  The displacement
+itself, the gradient's oracle, is oracles.displacement_u0.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ContourTruncationFailure, NumericalError, OnCrackFaceUnderLoad, Record, ValidationError
+from .errors import NumericalError, OnCrackFaceUnderLoad, Record, ValidationError
 from .loading import Bimaterial, Loading
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-# Inversion contour abscissa for the displacement transform; any value
-# in (0, 0.5) is admissible, mid-strip maximizes decay on both sides.
-MELLIN_OMEGA = 0.25
 
 
 class FieldPoint(Record):
@@ -258,119 +252,3 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     _check_face(points, table, point.d, point.phi)
     return _grad(points, table, bimaterial, point.d, point.phi, _phi_trig(point.phi))
 
-
-def _angular_ratios(omega: float, t, theta: float):
-    """sin(s*theta)/cos(pi*s) and cos(s*theta)/sin(pi*s) at s = omega + i*t
-    for an array t, overflow-safe for large |t|."""
-    import numpy as np
-
-    u = t * theta
-    v = math.pi * t
-    eu = np.exp(-2.0 * np.abs(u))
-    ev = np.exp(-2.0 * np.abs(v))
-    su, sv = np.copysign(1.0, u), np.copysign(1.0, v)
-    sin_w, cos_w = math.sin(omega * theta), math.cos(omega * theta)
-    sin_p, cos_p = math.sin(math.pi * omega), math.cos(math.pi * omega)
-    f = np.exp(np.abs(u) - np.abs(v))
-    return (
-        f * (sin_w * (1.0 + eu) + 1j * su * cos_w * (1.0 - eu)) / (cos_p * (1.0 + ev) - 1j * sv * sin_p * (1.0 - ev)),
-        f * (cos_w * (1.0 + eu) - 1j * su * sin_w * (1.0 - eu)) / (sin_p * (1.0 + ev) + 1j * sv * cos_p * (1.0 - ev)),
-    )
-
-
-def _mellin_transform(stations, table):
-    """The transform s -> sum and integral of (avg, jump)(x1) (-x1)^s of
-    point stations (x1, avg, jump) and a table (x, avg, jump) or None, for
-    an array s; returns shape (len(s), 2).
-
-    Stations enter as (-x1)^s.  A table panel [yb, ya] on y = -x1, with
-    L = log(ya/yb) and c = s + 1, enters exactly: its near-end value
-    times yb^c expm1(cL)/c, plus its rise times the transform of the hat
-    (y - yb)/(ya - yb), yb^c (c e^(cL) expm1(L) - expm1(cL)) / (c (c+1) expm1(L)).
-    No node rule aliases at large |Im s|, and expm1 keeps narrow panels
-    from cancelling.
-    """
-    import numpy as np
-
-    log_y = np.log([-x1 for x1, _, _ in stations])
-    loads = np.array([(avg, jump) for _, avg, jump in stations]).reshape(-1, 2)
-    if table is not None:
-        x, avg, jump = table
-        y = -np.asarray(x)
-        p = np.column_stack((avg, jump))
-        near, rise = p[1:], p[:-1] - p[1:]
-        log_yb = np.log(y[1:])
-        em1 = (y[:-1] - y[1:]) / y[1:]  # expm1(L)
-        log_ratio = np.log1p(em1)
-
-    def transform(s):
-        out = np.exp(np.outer(s, log_y)) @ loads
-        if table is not None:
-            c = (s + 1.0)[:, None]
-            eb = np.exp(c * log_yb)
-            e1 = np.expm1(c * log_ratio)
-            out += (eb * e1 / c) @ near
-            out += (eb * (c * (e1 + 1.0) * em1 - e1) / (c * (c + 1.0) * em1)) @ rise
-        return out
-
-    return transform
-
-
-def displacement_u0(
-    loading: Loading,
-    bimaterial: Bimaterial,
-    r: float,
-    theta: float,
-    rtol: float = 1e-8,
-) -> float:
-    """Out-of-plane displacement of the unperturbed crack at (r, theta).
-
-    Numerical inversion of the angular transform along Re(s) = 0.25:
-    the truncation bound doubles until a further doubling changes the
-    result by less than rtol relative.  Intended as a test oracle for
-    grad_u0, not as part of the perturbation pipeline.
-    """
-    if not r > 0.0:
-        raise ValidationError(f"radius must be positive, got {r}")
-    if not abs(theta) < math.pi:
-        raise ValidationError(f"displacement needs |theta| < pi, got {theta}")
-    import numpy as np
-
-    from ._quad import adaptive_quad
-
-    mu_b = bimaterial.mu_plus if theta >= 0.0 else bimaterial.mu_minus
-    mu_sum = bimaterial.mu_sum
-    mu_dif = bimaterial.mu_plus - bimaterial.mu_minus
-    omega = MELLIN_OMEGA
-    transform = _mellin_transform(*loading.split)
-    log_r = math.log(r)
-
-    def integrand(t):
-        t = np.array(t)
-        s = omega + 1j * t
-        avg_t, jump_t = transform(s).T
-        s2c, c2s = _angular_ratios(omega, t, theta)
-        u_t = (
-            -s2c * avg_t / mu_b
-            + (c2s / mu_sum + mu_dif * s2c / (2.0 * mu_b * mu_sum)) * jump_t
-        ) / s
-        return (u_t * np.exp(-s * log_r)).real.tolist()
-
-    # Decay rate of the transform ratios is pi - |theta|; cap the segment
-    # so slow-decay (near-face) cases fail by truncation, not inside quad
-    seg = min(max(8.0, 16.0 / max(math.pi - abs(theta), 0.05)), 1024.0)
-    total = adaptive_quad(integrand, 0.0, seg, rtol=1e-11, atol=1e-300)
-    upper = seg
-    scale = abs(total)
-    while upper < 1e6:
-        inc = adaptive_quad(
-            integrand, upper, 2.0 * upper, rtol=1e-9, atol=1e-13 * max(scale, 1e-30)
-        )
-        total += inc
-        upper *= 2.0
-        scale = max(scale, abs(total))
-        if abs(inc) <= rtol * abs(total):
-            return total / math.pi
-    raise ContourTruncationFailure(
-        f"transform truncation at |Im s| = {upper:g} did not settle (r={r:g}, theta={theta:g})"
-    )

@@ -14,6 +14,7 @@ from crackwake import (
     Loading,
     PairArrangement,
     PointForce,
+    RegionMap,
     ValidationError,
     classify,
     delta_k_defect,
@@ -21,7 +22,7 @@ from crackwake import (
     sif_k0,
     three_point_preset,
 )
-from crackwake.mapgen import write_map_csv, write_map_pgm
+from crackwake.mapgen import REGION_GREY, REGION_LETTER, _finite_or_nan, write_map_csv, write_map_pgm
 
 from helpers import sym_pair_at
 
@@ -210,6 +211,73 @@ def test_scan_map_non_finite_ratio_is_invalid():
     buf = io.StringIO()
     write_map_csv(m, buf)
     assert buf.getvalue().count(",nan,X\n") == 8
+
+
+def test_finite_or_nan_keeps_finite_ratios_whose_sum_overflows():
+    rows = [[1e308, 1.5e308, -0.0], [1.7e308, -1e-300, 5e307]]
+    assert math.isinf(sum(r for row in rows for r in row))
+    kept = _finite_or_nan(rows)
+    assert kept == (1e308, 1.5e308, -0.0, 1.7e308, -1e-300, 5e307)
+    assert math.copysign(1.0, kept[2]) == -1.0
+    for bad in (math.inf, -math.inf, math.nan):
+        out = _finite_or_nan([[1e308, 1.5e308], [bad, 2.0]])
+        assert out[:2] == (1e308, 1.5e308) and out[3] == 2.0
+        assert math.isnan(out[2])
+
+
+def test_scan_map_labels_finite_ratios_whose_sum_overflows(bm_equal, monkeypatch):
+    """Cells near 1e308 in a map whose ratios overflow when summed are
+    kept and labelled; only a row whose harmonics are inf becomes X."""
+    import crackwake.mapgen as mapgen
+
+    loading = three_point_preset(1.0, 3.0, 1.0)
+    k0 = sif_k0(loading, bm_equal)
+    grid = (4, 3)
+    poisoned_phi = -math.pi + 2.5 * (2.0 * math.pi / grid[0])  # row 2
+
+    def huge(points, table, bimaterial, d, phis, iso, dev):
+        return [(math.inf if phi == poisoned_phi else 4e307 * k0, 0.0, 0.0) for phi in phis]
+
+    monkeypatch.setattr(mapgen, "_member_harmonics", huge)
+    m = scan_map(PairArrangement("a", l1=0.1, d1=1.0, d2=2.0), loading, bm_equal, grid=grid)
+    assert m.phi1[2] == poisoned_phi
+    assert m.labels == ("amplification",) * 6 + ("invalid",) * 3 + ("amplification",) * 3
+    kept = m.ratios[:6] + m.ratios[9:]
+    assert all(r == 8e307 * k0 / k0 for r in kept)
+    assert math.isinf(sum(kept))
+    assert all(math.isnan(r) for r in m.ratios[6:9])
+
+
+@pytest.mark.parametrize("grid", [(2, 2), (17, 3), (33, 5)])
+def test_map_writers_match_a_naive_reference(grid):
+    """Byte for byte against one formatted line per cell, on grids whose
+    last 16-row block is partial, with a nan (X) cell and a -0.0 ratio."""
+    n_phi, n_alpha = grid
+    phis = tuple(-math.pi + (i + 0.5) * (2.0 * math.pi / n_phi) for i in range(n_phi))
+    alphas = tuple((j + 0.5) * (math.pi / n_alpha) for j in range(n_alpha))
+    ratios = [(-1) ** k * 10.0 ** (k % 13 - 9) * (1.0 + k / 7.0) for k in range(n_phi * n_alpha)]
+    ratios[1] = math.nan
+    ratios[-1] = -0.0
+    ratios = tuple(ratios)
+    labels = tuple("invalid" if r != r else classify(r, 1e-6) for r in ratios)
+    m = RegionMap(phis, alphas, ratios, labels, 1e-6)
+    if n_phi > 2:
+        assert {"invalid", "neutral", "shielding", "amplification"} <= set(labels)
+
+    csv = io.StringIO()
+    write_map_csv(m, csv)
+    cells = [(p, a) for p in phis for a in alphas]
+    assert csv.getvalue() == "phi1,alpha1,ratio,region\n" + "".join(
+        f"{p:.9g},{a:.9g},{r:.9g},{REGION_LETTER[g]}\n" for (p, a), r, g in zip(cells, ratios, labels)
+    )
+    assert ",nan,X\n" in csv.getvalue() and csv.getvalue().endswith(",-0,N\n")
+
+    pgm = io.StringIO()
+    write_map_pgm(m, pgm)
+    assert pgm.getvalue() == f"P2\n{n_phi} {n_alpha}\n255\n" + "".join(
+        " ".join(str(REGION_GREY[labels[i * n_alpha + j]]) for i in range(n_phi)) + "\n"
+        for j in reversed(range(n_alpha))
+    )
 
 
 mu_values = st.floats(min_value=0.2, max_value=5.0)

@@ -233,11 +233,44 @@ def test_no_command_or_table_call_loads_numpy_polynomial(tmp_path):
     assert "numpy" in loaded and "numpy.polynomial" not in loaded
 
 
+def test_oracles_are_one_module_behind_the_namespace():
+    import crackwake.oracles as oracles
+
+    assert crackwake.displacement_u0 is oracles.displacement_u0
+    assert crackwake.delta_k_defect_quadrature is oracles.delta_k_defect_quadrature
+    assert crackwake.effective_tractions is oracles.effective_tractions
+    assert crackwake.EffectiveTraction is oracles.EffectiveTraction
+    for closed_form in (crackwake.tipfields, crackwake.perturbation):
+        assert not hasattr(closed_form, "displacement_u0")
+        assert not hasattr(closed_form, "delta_k_defect_quadrature")
+
+
+def test_only_perturb_loads_the_oracles(tmp_path):
+    scenario = SCENARIO + "params { max_iter = 20 }\n"
+    commands = [["map", "--grid", "4x4", "--out", str(tmp_path / "map.csv"), "--pgm"], ["sif"],
+                ["propagate", "--out", str(tmp_path / "trace.csv")], ["dipole"], ["neutral", "--pair", "a"],
+                ["neutral", "--pair", "b"], ["perturb", "--dump-config"]]
+    loaded = after_main_calls(tmp_path, [(argv, scenario, 0) for argv in commands])
+    assert "crackwake.oracles" not in loaded
+    assert {"crackwake.mapgen", "crackwake.propagation"} <= loaded
+    assert "crackwake.oracles" in after_main_calls(tmp_path, [(["perturb"], scenario, 0)])
+
+
+def test_point_force_map_and_sif_never_load_numbers(tmp_path):
+    """numbers serves only a table's column check."""
+    calls = [(["map", "--grid", "4x4", "--out", str(tmp_path / "map.csv"), "--pgm"], SCENARIO, 0),
+             (["sif"], SCENARIO, 0)]
+    loaded = after_main_calls(tmp_path, calls)
+    assert "crackwake.mapgen" in loaded
+    assert "numbers" not in loaded
+    assert "numbers" in loaded_after(TABLE_LOADING)
+
+
 # The only numpy imports in the package, each inside the function that
 # needs arrays: the displacement oracle and the two helpers only it
 # calls, and the two grid views of a map.
 NUMPY_IMPORTS_ALLOWED = {
-    "tipfields.displacement_u0", "tipfields._angular_ratios", "tipfields._mellin_transform",
+    "oracles.displacement_u0", "oracles._angular_ratios", "oracles._mellin_transform",
     "mapgen.RegionMap.ratio", "mapgen.RegionMap.region",
 }
 
