@@ -12,11 +12,12 @@ import sys
 from pathlib import Path
 
 # every command parses a scenario; each handler imports what it runs
-from .config import Scenario, ScenarioParams, _param_value, _parse_value, dump_scenario, parse_scenario
+from .config import Scenario, ScenarioParams, _apply_params, dump_scenario, parse_scenario
 from .errors import NumericalError, ValidationError
 
 COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
-NUMBER_FLAGS = ("--grid", "--delta", "--max-iter", "--arrest-tol", "--threads")
+PARAMS_FLAGS = ("grid", "delta", "max_iter", "arrest_tol", "pair", "out", "pgm")  # spelled as params keys
+NUMBER_FLAGS = ("--grid", "--delta", "--max-iter", "--arrest-tol")
 
 
 def _fmt(value: float) -> str:
@@ -31,13 +32,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="scenario file path")
     parser.add_argument("--out", help="output file (CSV); stdout when omitted")
-    parser.add_argument("--pgm", action="store_true", help="also write a PGM map (needs --out)")
+    parser.add_argument("--pgm", action="store_const", const="true", help="also write a PGM map (needs --out)")
     parser.add_argument("--grid", help="map grid as NxM (phi x alpha cells)")
     parser.add_argument("--delta", help="neutrality accuracy for map cells")
     parser.add_argument("--pair", help="companion arrangement rule, a or b")
     parser.add_argument("--max-iter", help="propagation iteration budget")
     parser.add_argument("--arrest-tol", help="propagation arrest threshold")
-    parser.add_argument("--threads", help="a positive integer, ignored: maps run in one pass")
     parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
     return parser
 
@@ -59,20 +59,6 @@ def _join_signed_values(argv: list, flags) -> list:
         else:
             out.append(arg)
     return out
-
-
-def _merge_params(params: ScenarioParams, args) -> ScenarioParams:
-    """params with the flags given, each spelled as in the params block
-    (--out verbatim); an error names its flag."""
-    for key in ("grid", "delta", "max_iter", "arrest_tol", "pair", "threads"):
-        text = getattr(args, key)
-        if text is not None:
-            try:
-                params = params.replace(**{key: _param_value(key, _parse_value(text, None))})
-            except ValidationError as exc:
-                exc.args = (f"--{key.replace('_', '-')}: {exc}",)
-                raise
-    return params.replace(out=params.out if args.out is None else args.out, pgm=params.pgm or args.pgm)
 
 
 def _first_microcrack(scenario: Scenario):
@@ -207,12 +193,8 @@ def main(argv=None) -> int:
         return 1
     try:
         scenario = parse_scenario(text)
-        params = _merge_params(scenario.params, args)
-        if params.threads != 1:
-            print(
-                f"warning: threads = {params.threads} is ignored; maps run in one pass",
-                file=sys.stderr,
-            )
+        flags = [(key, getattr(args, key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
+        params = _apply_params(scenario.params, flags)
         if args.dump_config:
             sys.stdout.write(dump_scenario(scenario.replace(params=params)))
             return 0

@@ -17,6 +17,8 @@ The outputs:
 - stdout of dipole, sif, perturb, neutral (pairs a and b) and
   --dump-config, and the propagate trace CSV, on readme.cfg, the
   scenario of the README;
+- stdout of dipole and --dump-config on kinds.cfg, one defect of each
+  kind and a params block that sets every key;
 - the map CSV and PGM of pairs a and b on map_seed1.cfg, map_seed5.cfg
   and map_seed10.cfg, the full-size map_point scenarios that
   perfbench/inputs.py generates for those seeds;
@@ -61,6 +63,12 @@ def _readme_outputs() -> dict:
     return out
 
 
+def _kinds_outputs() -> dict:
+    cfg = str(HERE / "kinds.cfg")
+    return {"kinds.dipole": _cli("dipole", "--config", cfg),
+            "kinds.dump_config": _cli("sif", "--config", cfg, "--dump-config")}
+
+
 def _map_outputs() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,7 +106,7 @@ def _table_outputs() -> dict:
 
 def outputs() -> dict:
     """The bytes of every output, by name."""
-    return {**_readme_outputs(), **_map_outputs(), **_table_outputs()}
+    return {**_readme_outputs(), **_kinds_outputs(), **_map_outputs(), **_table_outputs()}
 
 
 def digests() -> dict:

@@ -314,17 +314,6 @@ def test_unwritable_out_exits_1(cfg, tmp_path, capsys):
     assert err.startswith("error:") and "no-such-dir" in err
 
 
-def test_threads_ignored_with_one_warning(cfg, tmp_path, capsys):
-    out1, out4 = tmp_path / "m1.csv", tmp_path / "m4.csv"
-    path = cfg(SYM_PAIR_CFG)
-    assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out1)]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["map", "--config", path, "--grid", "8x4", "--out", str(out4), "--threads", "4"]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("warning:")
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 @pytest.mark.parametrize(
     "command, old, new",
     [
@@ -351,13 +340,8 @@ def test_invalid_values_exit_1(cfg, capsys, command, old, new):
     assert err.startswith("error:")
 
 
-def test_negative_threads_flag_exits_1(cfg, capsys):
-    assert main(["sif", "--config", cfg(SYM_PAIR_CFG), "--threads", "-3", "--dump-config"]) == 1
-    assert "--threads" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag, value", [("--delta", "-1e-3"), ("--delta", "-inf"), ("--arrest-tol", "-1e-9"),
-                                         ("--max-iter", "-1e3"), ("--threads", "-3e0"), ("--grid", "-4x4")])
+                                         ("--max-iter", "-1e3"), ("--grid", "-4x4")])
 def test_negative_flag_value_after_a_space_reaches_its_check(cfg, capsys, flag, value):
     """--delta -1e-3 gives the error of --delta=-1e-3, which names the
     flag and its rule, not argparse's "expected one argument"."""
@@ -373,8 +357,7 @@ def test_negative_flag_value_after_a_space_reaches_its_check(cfg, capsys, flag, 
 
 
 @pytest.mark.parametrize("prefix, value, flag", [("--del", "-1e-3", "--delta"), ("--gri", "-3x4", "--grid"),
-                                                 ("--arr", "-1e-9", "--arrest-tol"), ("--m", "-1e3", "--max-iter"),
-                                                 ("--t", "-3e0", "--threads")])
+                                                 ("--arr", "-1e-9", "--arrest-tol"), ("--m", "-1e3", "--max-iter")])
 def test_abbreviated_flag_with_negative_value_after_a_space_reaches_its_check(cfg, capsys, prefix, value, flag):
     """argparse takes a unique prefix of a flag, so --del -1e-3 is --delta
     -1e-3 and gives the error of --delta=-1e-3."""
@@ -418,9 +401,6 @@ FLAG_AND_ENTRY = [
     ("--pair=b", "pair = b"),
     ("--pair=c", "pair = c"),
     ('--pair="b"', 'pair = "b"'),
-    ("--threads=4", "threads = 4"),
-    ("--threads=0", "threads = 0"),
-    ("--threads=-3", "threads = -3"),
 ]
 
 

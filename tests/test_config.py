@@ -253,6 +253,80 @@ def test_integer_keys_accept_integral_numbers():
     assert params.threads == 2
 
 
+EVERY_BLOCK_MULTILINE = """\
+bimaterial {
+  mu_plus = 1
+  mu_minus = 1
+}
+loading {
+  three_point {
+    P = 1
+    a = 3
+  }
+  force {
+    face = "+"
+    x1 = -2
+    p = 0
+  }
+}
+defect {
+  kind = microcrack
+  d = 1
+  phi = 0.3
+  alpha = 0
+  la = 0.1
+}
+params {
+  grid = 8x4
+}
+"""
+
+
+@pytest.mark.parametrize("block", ["bimaterial", "loading", "three_point", "force", "defect", "params"])
+def test_a_block_inside_any_block_is_refused_at_its_line(block):
+    """A block nested where the grammar has none is an error at its own
+    line, in every block: none is dropped in silence."""
+    lines = EVERY_BLOCK_MULTILINE.splitlines()
+    assert parse_scenario(EVERY_BLOCK_MULTILINE).params.grid == (8, 4)
+    at = next(i for i, text in enumerate(lines) if text.strip() == f"{block} {{") + 1
+    lines.insert(at, "    defect { kind = microcrack, d = 2, phi = 0.1, alpha = 0, la = 0.1 }")
+    with pytest.raises(UnknownKey, match=f"^line {at + 1}: unknown block 'defect' inside '{block}'$"):
+        parse_scenario("\n".join(lines))
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("bimaterial", "mu_minus = 1 }", "mu_minus = 1, extra { a = 1 } }"),
+    ("three_point", "b = 0 }", "b = 0, extra { a = 1 } }"),
+    ("defect", "la = 0.1 }", "la = 0.1, extra { a = 1 } }"),
+])
+def test_an_inline_block_inside_a_block_is_refused(name, old, new):
+    line = next(i for i, text in enumerate(MINIMAL.splitlines(), start=1) if old in text)
+    with pytest.raises(UnknownKey, match=f"^line {line}: unknown block 'extra' inside '{name}'$"):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "kind, key, extra",
+    [("rigid_line", "kappa", "kappa = 0.5"), ("microcrack", "lb", "lb = 0.05"),
+     ("rigid_ellipse", "mu_star", "lb = 0.05, mu_star = 3"), ("elliptic_void", "kappa", "lb = 0.05, kappa = 1"),
+     ("soft_line", "mu_star", "kappa = 1, mu_star = 2"), ("elastic_ellipse", "kappa", "lb = 0.05, kappa = 1")],
+)
+def test_a_key_the_defect_kind_does_not_take_is_refused_at_its_line(kind, key, extra):
+    """Such a key used to parse and vanish from --dump-config, so the dump
+    did not parse back to the same scenario."""
+    entries = ["kind = " + kind, "d = 2", "phi = 0.5", "la = 0.1", *extra.split(", ")]
+    text = MINIMAL + "defect {\n" + "".join(f"  {entry}\n" for entry in entries) + "}\n"
+    line = 9 + next(i for i, entry in enumerate(entries) if entry.startswith(key + " "))
+    with pytest.raises(UnknownKey, match=f"^line {line}: defect kind '{kind}' takes no key '{key}'$"):
+        parse_scenario(text)
+
+
+def test_a_non_number_names_its_own_line():
+    text = MINIMAL + "defect {\n  kind = rigid_line\n  d = far\n  phi = 0.5\n  la = 0.1\n}\n"
+    with pytest.raises(ConfigSyntaxError, match="^line 10: key 'd' expects a number, got 'far'$"):
+        parse_scenario(text)
+
+
 def test_diluteness_warning_names_the_defect_line():
     text = MINIMAL + "defect { kind = rigid_line, d = 1, phi = 0.3, alpha = 0, la = 0.5 }\n"
     with pytest.warns(DilutenessWarning) as caught:

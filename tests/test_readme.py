@@ -1,11 +1,16 @@
 """The README's scenario and library sketch run as written."""
 
+import contextlib
+import io
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crackwake import parse_scenario
+from crackwake import DilutenessWarning, ValidationError, parse_scenario
 from crackwake.cli import main
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -39,3 +44,41 @@ def test_library_sketch_runs():
     exec(fenced_block("## Library sketch", "python"), namespace)
     assert namespace["trace"].verdict in ("arrest", "steady_state", "max_iterations")
     assert namespace["grid"].region.shape == (128, 64)
+
+
+# the grammar's alphabet: what a mutation inserts or writes over one character
+ALPHABET = ["{", "}", '"', "#", "=", ",", " ", "\n", "-", ".", "x", *"0123456789", "deg", "inf", "nan",
+            "bimaterial", "loading", "force", "three_point", "defect", "params",
+            "mu_plus", "kind", "face", "x1", "p", "P", "a", "b", "d", "phi", "y", "alpha", "la", "lb",
+            "mu_star", "kappa", "grid", "delta", "max_iter", "pair", "threads", "true"]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The README scenario after one to four random inserts, deletes or
+    one-character replacements."""
+    text = SCENARIO
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        new = "" if op == "delete" else draw(st.sampled_from(ALPHABET))
+        text = text[:at] + new + text[at + (op != "insert"):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenario_parses_or_fails_validation(text):
+    """A damaged scenario either parses or raises a ValidationError, and
+    the CLI ends in exit 0, 1 or 2: never a traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DilutenessWarning)
+        try:
+            parse_scenario(text)
+        except ValidationError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.cfg"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["sif", "--config", str(path)]) in (0, 1, 2)
