@@ -192,9 +192,9 @@ def _require(block: _Block, values: dict, keys) -> None:
 
 
 def _read(block: _Block, children: bool = False) -> dict:
-    """block's entries as {key: value}, checked against its keys in _KEYS:
-    none unknown or given twice, a number where the key takes one, and
-    every required key given.  A child block is refused unless children
+    """block's entries as {key: value}, checked against its keys in _KEYS
+    and a defect's kind in _KIND_KEYS: none unknown or given twice, a
+    number where the key takes one, and every required key given.  A child block is refused unless children
     is true, for a caller that reads them itself."""
     required, optional = _KEYS[block.name]
     values = {}
@@ -204,7 +204,10 @@ def _read(block: _Block, children: bool = False) -> dict:
         if key in values:
             raise ConfigSyntaxError(f"duplicate key {key!r} in block {block.name!r}", line)
         values[key] = value
+    takes = _KIND_KEYS.get(values.get("kind"), _DEFECT_FIELDS)  # an unknown kind fails in Defect
     for key, value, line in block.entries:
+        if key in _DEFECT_FIELDS and key not in takes:
+            raise UnknownKey(f"defect kind {values['kind']!r} takes no key {key!r}", line)
         if key not in _NAME_KEYS and not _is_number(value):
             raise ConfigSyntaxError(f"key {key!r} expects a number, got {value!r}", line)
     _require(block, values, required)
@@ -270,9 +273,6 @@ def _build_defect(block: _Block) -> Defect:
     kind = e["kind"]
     if not isinstance(kind, str):
         raise ConfigSyntaxError(f"defect kind must be a name, got {kind!r}", block.line)
-    for key, _, line in block.entries:  # an unknown kind fails in Defect
-        if key in _DEFECT_FIELDS and key not in _KIND_KEYS.get(kind, _DEFECT_FIELDS):
-            raise UnknownKey(f"defect kind {kind!r} takes no key {key!r}", line)
     polar = "d" in e or "phi" in e
     cart = "x" in e or "y" in e
     if polar and cart:
