@@ -1,7 +1,8 @@
 """Command-line front end: crackwake <cmd> --config <path> [options].
 
 Exit status: 0 on success, 1 on configuration/validation errors, 2 on
-numerical failures, an overflowing result among them.  All numbers print with 9 significant digits.
+numerical failures, any arithmetic failure (an overflow, a division by
+zero) among them.  All numbers print with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, OverflowError) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

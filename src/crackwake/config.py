@@ -13,7 +13,7 @@ import math
 import re
 import warnings
 
-from .defects import Defect
+from .defects import _KIND_FIELDS, Defect
 from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
@@ -75,6 +75,8 @@ class Scenario(Record):
     params: ScenarioParams = ScenarioParams()
 
 
+# the Defect field each defect parameter key sets; _KIND_FIELDS says which a kind takes
+_KEY_FIELDS = {"lb": "l_b", "mu_star": "mu_star", "kappa": "kappa"}
 # Each block's keys: (required, optional).  Every key but kind, face and
 # the params keys takes a number.
 _KEYS = {
@@ -82,14 +84,10 @@ _KEYS = {
     "loading": ((), ()),
     "force": (("face", "x1", "p"), ()),
     "three_point": (("P", "a"), ("b",)),
-    "defect": (("kind", "la"), ("lb", "mu_star", "kappa", "alpha", "d", "phi", "x", "y")),
+    "defect": (("kind", "la"), (*_KEY_FIELDS, "alpha", "d", "phi", "x", "y")),
     "params": ((), ScenarioParams._fields),
 }
 _NAME_KEYS = ("kind", "face", *ScenarioParams._fields)
-# the keys a defect kind takes beyond kind, its position, alpha and la
-_KIND_KEYS = {"elastic_ellipse": ("lb", "mu_star"), "rigid_ellipse": ("lb",), "elliptic_void": ("lb",),
-              "microcrack": (), "rigid_line": (), "soft_line": ("kappa",), "stiff_line": ("kappa",)}
-_DEFECT_FIELDS = {"lb": "l_b", "mu_star": "mu_star", "kappa": "kappa"}  # the Defect field each sets
 
 
 class _Block:
@@ -193,9 +191,10 @@ def _require(block: _Block, values: dict, keys) -> None:
 
 def _read(block: _Block, children: bool = False) -> dict:
     """block's entries as {key: value}, checked against its keys in _KEYS
-    and a defect's kind in _KIND_KEYS: none unknown or given twice, a
-    number where the key takes one, and every required key given.  A child block is refused unless children
-    is true, for a caller that reads them itself."""
+    and a defect's kind in _KIND_FIELDS: none unknown or given twice, a
+    number where the key takes one, and every required key given.  A
+    child block is refused unless children is true, for a caller that
+    reads them itself."""
     required, optional = _KEYS[block.name]
     values = {}
     for key, value, line in block.entries:
@@ -204,9 +203,10 @@ def _read(block: _Block, children: bool = False) -> dict:
         if key in values:
             raise ConfigSyntaxError(f"duplicate key {key!r} in block {block.name!r}", line)
         values[key] = value
-    takes = _KIND_KEYS.get(values.get("kind"), _DEFECT_FIELDS)  # an unknown kind fails in Defect
+    # every field for a block with no known kind: an unknown kind fails in Defect
+    takes = _KIND_FIELDS.get(values.get("kind"), _KEY_FIELDS.values())
     for key, value, line in block.entries:
-        if key in _DEFECT_FIELDS and key not in takes:
+        if key in _KEY_FIELDS and _KEY_FIELDS[key] not in takes:
             raise UnknownKey(f"defect kind {values['kind']!r} takes no key {key!r}", line)
         if key not in _NAME_KEYS and not _is_number(value):
             raise ConfigSyntaxError(f"key {key!r} expects a number, got {value!r}", line)
@@ -261,8 +261,6 @@ def _build_loading(block: _Block) -> Loading:
         e = _read(child)
         if child.name == "three_point":
             forces.extend(_at_line(child.line, three_point_preset, e["P"], e["a"], e.get("b", 0.0)).forces)
-        elif e["face"] not in ("+", "-"):
-            raise ConfigSyntaxError(f'force face must be "+" or "-", got {e["face"]!r}', child.line)
         else:
             forces.append(_at_line(child.line, PointForce, e["x1"], e["face"], e["p"]))
     return Loading(tuple(forces))
@@ -271,8 +269,6 @@ def _build_loading(block: _Block) -> Loading:
 def _build_defect(block: _Block) -> Defect:
     e = _read(block)
     kind = e["kind"]
-    if not isinstance(kind, str):
-        raise ConfigSyntaxError(f"defect kind must be a name, got {kind!r}", block.line)
     polar = "d" in e or "phi" in e
     cart = "x" in e or "y" in e
     if polar and cart:
@@ -281,7 +277,7 @@ def _build_defect(block: _Block) -> Defect:
         raise MissingBlock("defect needs a position: (d, phi) or (x, y)", block.line)
     _require(block, e, ("d", "phi") if polar else ("x", "y"))
     alpha = e.get("alpha", 0.0)
-    extras = {field: e[key] for key, field in _DEFECT_FIELDS.items() if key in e}
+    extras = {field: e[key] for key, field in _KEY_FIELDS.items() if key in e}
     # raise the constructor's warnings again at the defect's line of the scenario
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -339,7 +335,8 @@ def dump_scenario(scenario: Scenario) -> str:
     lines.append("}")
     for df in scenario.defects:
         parts = [f"kind = {df.kind}", f"d = {df.d!r}", f"phi = {df.phi!r}", f"alpha = {df.alpha!r}", f"la = {df.l_a!r}"]
-        parts += [f"{key} = {getattr(df, _DEFECT_FIELDS[key])!r}" for key in _KIND_KEYS[df.kind]]
+        parts += [f"{key} = {getattr(df, field)!r}" for key, field in _KEY_FIELDS.items()
+                  if field in _KIND_FIELDS[df.kind]]
         lines.append("defect { " + ", ".join(parts) + " }")
     parts = [f"grid = {p.grid[0]}x{p.grid[1]}", f"delta = {p.delta!r}", f"max_iter = {p.max_iter}"]
     if p.arrest_tol is not None:

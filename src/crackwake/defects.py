@@ -13,9 +13,10 @@ import warnings
 
 from .errors import DilutenessWarning, InvalidDefect, NumericalError, Record
 
-AREA_KINDS = ("elastic_ellipse", "rigid_ellipse", "elliptic_void")
-LINE_KINDS = ("microcrack", "rigid_line", "soft_line", "stiff_line")
-DEFECT_KINDS = AREA_KINDS + LINE_KINDS
+# the Defect fields each kind takes beyond its position, alpha and l_a
+_KIND_FIELDS = {"elastic_ellipse": ("l_b", "mu_star"), "rigid_ellipse": ("l_b",), "elliptic_void": ("l_b",),
+                "microcrack": (), "rigid_line": (), "soft_line": ("kappa",), "stiff_line": ("kappa",)}
+DEFECT_KINDS = tuple(_KIND_FIELDS)
 
 # l/d above which the dilute (non-interacting) assumption gets shaky
 DILUTENESS_RATIO = 0.3
@@ -27,7 +28,8 @@ class Defect(Record):
     l_a is the major semi-axis for area kinds and the half-length for
     line kinds (l_b unused there); mu_star is the matrix/inclusion
     stiffness ratio (elastic_ellipse only); kappa is the bonding
-    compliance (soft_line) or stiffness parameter (stiff_line).
+    compliance (soft_line) or stiffness parameter (stiff_line).  A
+    parameter the kind does not take is stored as its default.
     """
 
     kind: str
@@ -53,15 +55,16 @@ class Defect(Record):
             )
         if not self.l_a > 0.0:
             raise InvalidDefect(f"defect size must be positive, got l_a = {self.l_a}")
-        if self.kind in AREA_KINDS:
-            if not 0.0 < self.l_b <= self.l_a:
-                raise InvalidDefect(
-                    f"area defect needs 0 < l_b <= l_a, got l_b = {self.l_b}, l_a = {self.l_a}"
-                )
-        if self.kind == "elastic_ellipse" and not self.mu_star > 0.0:
+        takes = _KIND_FIELDS[self.kind]
+        if "l_b" in takes and not 0.0 < self.l_b <= self.l_a:
+            raise InvalidDefect(f"area defect needs 0 < l_b <= l_a, got l_b = {self.l_b}, l_a = {self.l_a}")
+        if "mu_star" in takes and not self.mu_star > 0.0:
             raise InvalidDefect(f"stiffness ratio must be positive, got {self.mu_star}")
-        if self.kind in ("soft_line", "stiff_line") and self.kappa < 0.0:
+        if "kappa" in takes and self.kappa < 0.0:
             raise InvalidDefect(f"bonding parameter must be >= 0, got {self.kappa}")
+        for name, default in self._defaults.items():  # l_b, mu_star, kappa
+            if name not in takes:
+                object.__setattr__(self, name, default)
         object.__setattr__(self, "alpha", _mod_pi(self.alpha))
         if self.l_a / self.d > DILUTENESS_RATIO:
             warnings.warn(

@@ -32,7 +32,8 @@ class CrackState(Record):
 
     Defect polar coordinates and load stations are measured from the
     frame origin, where the tip conventionally starts; the propagation
-    engine shifts them into tip coordinates at each tip_x.
+    engine shifts them into tip coordinates at each tip_x.  This is the
+    one check that the tip is a finite position ahead of the load.
     """
 
     tip_x: float
@@ -42,6 +43,8 @@ class CrackState(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "defects", tuple(self.defects))
+        if not math.isfinite(self.tip_x):
+            raise ValidationError(f"tip position must be finite, got tip_x = {self.tip_x}")
         support = self.loading.support_max()
         if support is not None and support >= self.tip_x:
             raise TipReachesLoad(
@@ -110,8 +113,6 @@ class _Engine:
         """Return (k0, a3, per-defect dK tuple, dK total) at tip."""
         bm = self.bimaterial
         points = [(xs - tip, avg, jump) for xs, avg, jump in self.stations]
-        if points and points[-1][0] >= 0.0:  # stations are sorted by x1
-            raise TipReachesLoad(f"tip at {tip:g} reached the load station at {self.stations[-1][0]:g}")
         table = self.table
         if table is not None:
             table = (tuple(x - tip for x in table[0]), table[1], table[2])
@@ -157,12 +158,9 @@ def step(state: CrackState, phi: float) -> CrackState:
     TipReachesDefect if the path comes within l_a of a defect's center."""
     if not math.isfinite(phi):
         raise ValidationError(f"advance must be finite, got {phi}")
-    tip = state.tip_x + phi
-    support = state.loading.support_max()
-    if support is not None and support >= tip:
-        raise TipReachesLoad(f"tip at {tip:g} entered the loading support (max x = {support:g})")
-    _check_path(min(state.tip_x, tip), max(state.tip_x, tip), _on_path(state.defects))
-    return state.replace(tip_x=tip)
+    moved = state.replace(tip_x=state.tip_x + phi)  # CrackState checks the new tip
+    _check_path(min(state.tip_x, moved.tip_x), max(state.tip_x, moved.tip_x), _on_path(state.defects))
+    return moved
 
 
 def propagate(
@@ -188,59 +186,35 @@ def propagate(
 
     tip = state.tip_x
     elong = 0.0
-    increments = []
-    col_phi = []
-    col_x = []
-    col_dk = []
-    col_k0 = []
-    col_a0 = []
-    flags = []
-    prev_phi = None
+    # the rows (phi, x, dK_total, K0, A0, flag) end to end: a tuple per row
+    # would keep one more object per iteration and set off the garbage collector
+    rows = []
+    prev_phi = math.inf  # no streak before the first applied advance
     streak = 0
     verdict = "max_iterations"
 
     for _ in range(max_iter):
         k0, a3, _, total = engine.evaluate(tip)
         phi = _increment(total, a3, k0, engine.d_ref)
-        col_phi.append(phi)
-        col_dk.append(total)
-        col_k0.append(k0)
-        col_a0.append(a3)
         if phi < arrest_tol:
-            col_x.append(elong)
-            flags.append(ARREST_FLAG)
+            rows += (phi, elong, total, k0, a3, ARREST_FLAG)
             verdict = "arrest"
             break
         _check_path(tip, tip + phi, engine.on_path)
         tip += phi
         elong += phi
-        increments.append(phi)
-        col_x.append(elong)
-        if prev_phi is not None and abs(phi - prev_phi) < STEADY_REL * phi:
-            streak += 1
-        else:
-            streak = 0
+        streak = streak + 1 if abs(phi - prev_phi) < STEADY_REL * phi else 0
         prev_phi = phi
+        rows += (phi, elong, total, k0, a3, STEADY_FLAG if streak >= STEADY_WINDOW else 0)
         if streak >= STEADY_WINDOW:
-            flags.append(STEADY_FLAG)
             verdict = "steady_state"
             break
-        flags.append(0)
     else:
-        if flags:
-            flags[-1] = MAX_ITER_FLAG
+        rows[-1] = MAX_ITER_FLAG
 
-    return PropagationTrace(
-        increments=tuple(increments),
-        elongation=elong,
-        verdict=verdict,
-        phi=tuple(col_phi),
-        x=tuple(col_x),
-        dk_total=tuple(col_dk),
-        k0=tuple(col_k0),
-        a0=tuple(col_a0),
-        flags=tuple(flags),
-    )
+    phis, xs, dks, k0s, a0s, flags = (tuple(rows[i::6]) for i in range(6))
+    increments = phis[:-1] if verdict == "arrest" else phis  # an arrest's increment is not applied
+    return PropagationTrace(increments, elong, verdict, phis, xs, dks, k0s, a0s, flags)
 
 
 def write_trace_csv(trace: PropagationTrace, fh) -> None:

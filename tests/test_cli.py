@@ -233,6 +233,10 @@ defect { kind = microcrack, d = 1e300, phi = 0.4, alpha = 0, la = 1e200 }
 
 HUGE_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e+200 overflows\n"
 
+# d**1.5 in the defect's tip weight underflows to 0, and the closed form divides by it
+NEAR_TIP_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la = 0.1",
+                                           "d = 1e-250, phi = 0.3, alpha = 0.2, la = 1e-251")
+
 
 @pytest.mark.parametrize(
     "command, text, message",
@@ -244,9 +248,11 @@ HUGE_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with l
         ("dipole", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
         ("perturb", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
         ("propagate", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
+        ("perturb", NEAR_TIP_DEFECT_CFG, "numerical failure: float division by zero\n"),
+        ("propagate", NEAR_TIP_DEFECT_CFG, "numerical failure: float division by zero\n"),
     ],
     ids=["perturb-a0-cancels", "sif-a0-inf", "perturb-a0-inf", "propagate-a0-inf",
-         "dipole-overflow", "perturb-overflow", "propagate-overflow"],
+         "dipole-overflow", "perturb-overflow", "propagate-overflow", "perturb-near-tip", "propagate-near-tip"],
 )
 def test_numerical_failure_exits_2(cfg, capsys, command, text, message):
     assert main([command, "--config", cfg(text)]) == 2

@@ -20,7 +20,8 @@ from crackwake import (
     parse_scenario,
     three_point_preset,
 )
-from crackwake.errors import ConfigSyntaxError, InvalidDefect, InvalidPreset, MissingBlock, UnknownKey
+from crackwake.defects import _KIND_FIELDS
+from crackwake.errors import ConfigError, ConfigSyntaxError, InvalidDefect, InvalidPreset, MissingBlock, UnknownKey
 
 MINIMAL = """
 # weak interface, symmetric pair, one microcrack ahead
@@ -38,12 +39,18 @@ defect { kind = microcrack, d = 1, phi = 22.5 deg, alpha = 0, la = 0.1 }
         ("a = 3, b = 0", "a = -3, b = 0", InvalidPreset, "a must be positive"),
         ("d = 1,", "d = -1,", InvalidDefect, "defect distance must be positive"),
         ("mu_minus = 1", "mu_minus = 0", ValidationError, "shear moduli must be positive"),
+        ("kind = microcrack", "kind = 7", InvalidDefect, "unknown defect kind 7.0"),
+        ("three_point { P = 1, a = 3, b = 0 }", 'force { face = "x", x1 = -1, p = 0 }', ValidationError,
+         "face must be \"\\+\" or \"-\", got 'x'"),
     ],
 )
 def test_constructor_errors_keep_their_class_and_gain_the_block_line(old, new, error, message):
+    """The constructors are the only checks of these values: the parser
+    passes them on and adds the block's line to what the constructor raises."""
     line = next(i for i, text in enumerate(MINIMAL.splitlines(), start=1) if old in text)
-    with pytest.raises(error, match=f"^line {line}: {message}"):
+    with pytest.raises(error, match=f"^line {line}: {message}") as caught:
         parse_scenario(MINIMAL.replace(old, new))
+    assert not isinstance(caught.value, ConfigError)
 
 
 def test_minimal_scenario_parses():
@@ -340,21 +347,37 @@ positive = st.floats(min_value=1e-300, max_value=1e300)
 
 
 @st.composite
-def defects(draw):
-    """A defect of any kind, with the fields its config form carries."""
-    kind = draw(st.sampled_from(DEFECT_KINDS))
+def defect_arguments(draw):
+    """Keyword arguments of a Defect of any kind: a dilute size, and valid
+    l_b, mu_star and kappa whether the kind takes them or not."""
     d = draw(st.floats(min_value=1e-3, max_value=1e2))
     l_a = d * draw(st.floats(min_value=1e-6, max_value=0.25))  # dilute: no warning
-    kwargs = {}
-    if kind in ("elastic_ellipse", "rigid_ellipse", "elliptic_void"):
-        kwargs["l_b"] = l_a * draw(st.floats(min_value=1e-6, max_value=1.0))
-    if kind == "elastic_ellipse":
-        kwargs["mu_star"] = draw(st.floats(min_value=1e-3, max_value=1e3))
-    if kind in ("soft_line", "stiff_line"):
-        kwargs["kappa"] = draw(st.floats(min_value=0.0, max_value=1e3))
-    phi = draw(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True, exclude_max=True))
-    alpha = draw(st.floats(min_value=-10.0, max_value=10.0))
-    return Defect(kind, d=d, phi=phi, alpha=alpha, l_a=l_a, **kwargs)
+    return dict(
+        kind=draw(st.sampled_from(DEFECT_KINDS)),
+        d=d,
+        phi=draw(st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True, exclude_max=True)),
+        alpha=draw(st.floats(min_value=-10.0, max_value=10.0)),
+        l_a=l_a,
+        l_b=l_a * draw(st.floats(min_value=1e-6, max_value=1.0)),
+        mu_star=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        kappa=draw(st.floats(min_value=0.0, max_value=1e3)),
+    )
+
+
+def defects():
+    """A defect of any kind, built with every parameter."""
+    return defect_arguments().map(lambda kwargs: Defect(**kwargs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(defect_arguments())
+def test_defect_keeps_only_the_parameters_its_kind_takes(kwargs):
+    """A parameter the kind does not take is stored as its default, so the
+    defect equals, hashes and prints as the one built without it."""
+    kind = kwargs["kind"]
+    own = {k: v for k, v in kwargs.items() if k not in ("l_b", "mu_star", "kappa") or k in _KIND_FIELDS[kind]}
+    full, bare = Defect(**kwargs), Defect(**own)
+    assert full == bare and hash(full) == hash(bare) and repr(full) == repr(bare)
 
 
 @st.composite

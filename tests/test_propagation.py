@@ -86,6 +86,9 @@ def test_step_guards(bm_equal):
     no_defect = CrackState(0.0, (), sym_pair_at(3.0), bm_equal)
     with pytest.raises(TipReachesLoad):
         step(no_defect, -4.0)
+    # two finite advances whose sum overflows do not leave the tip at inf
+    with pytest.raises(ValidationError, match="tip position must be finite"):
+        step(step(no_defect, 1e308), 1e308)
 
 
 def test_tip_cannot_jump_through_a_defect_on_its_path(bm_equal):
@@ -109,6 +112,12 @@ def test_tip_cannot_jump_through_a_defect_on_its_path(bm_equal):
 def test_state_rejects_load_ahead_of_tip(bm_equal):
     with pytest.raises(TipReachesLoad):
         CrackState(-5.0, (), sym_pair_at(3.0), bm_equal)
+
+
+@pytest.mark.parametrize("tip_x", [math.inf, -math.inf, math.nan])
+def test_state_rejects_non_finite_tip(bm_equal, tip_x):
+    with pytest.raises(ValidationError, match="tip position must be finite"):
+        CrackState(tip_x, (), sym_pair_at(3.0), bm_equal)
 
 
 def test_propagate_no_defects_arrests_immediately(bm_equal):

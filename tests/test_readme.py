@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crackwake import DilutenessWarning, ValidationError, parse_scenario
+from crackwake import DEFECT_KINDS, DilutenessWarning, ValidationError, parse_scenario
 from crackwake.cli import main
+from crackwake.config import _KEY_FIELDS
+from crackwake.defects import _KIND_FIELDS
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -37,6 +39,17 @@ def test_scenario_block_runs(tmp_path, capsys, argv):
     assert main([*argv, "--config", str(cfg)]) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+def test_defect_kind_table_matches_the_code():
+    """The README table of defect kinds lists every kind in order with the
+    scenario keys of the parameters that the code's per-kind table gives it."""
+    table = README[README.index("Defect kinds and their parameters"):].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `(\w+)` *\|(.*)\|$", table, re.M)
+    listed = {kind: re.findall(r"`(\w+)`", params.split("(")[0]) for kind, params in rows}
+    assert list(listed) == list(DEFECT_KINDS)
+    assert listed == {kind: [key for key, field in _KEY_FIELDS.items() if field in fields]
+                      for kind, fields in _KIND_FIELDS.items()}
 
 
 def test_library_sketch_runs():
