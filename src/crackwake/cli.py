@@ -7,7 +7,6 @@ zero) among them.  All numbers print with 9 significant digits.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -16,50 +15,57 @@ from pathlib import Path
 from .config import Scenario, ScenarioParams, _apply_params, dump_scenario, parse_scenario
 from .errors import NumericalError, ValidationError
 
-COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
 PARAMS_FLAGS = ("grid", "delta", "max_iter", "arrest_tol", "pair", "out", "pgm")  # spelled as params keys
-NUMBER_FLAGS = ("--grid", "--delta", "--max-iter", "--arrest-tol")
+FLAGS = ("--config", *("--" + key.replace("_", "-") for key in PARAMS_FLAGS), "--dump-config", "--help")
+SWITCHES = ("--pgm", "--dump-config", "--help")  # every other flag takes a value
+USAGE = """usage: crackwake {dipole,sif,perturb,propagate,map,neutral} --config PATH
+                 [--grid NxM] [--delta F] [--max-iter N] [--arrest-tol F]
+                 [--pair a|b] [--out PATH] [--pgm] [--dump-config] [-h]
+"""
 
 
 def _fmt(value: float) -> str:
     return format(float(value) + 0.0, ".9g")  # +0.0 folds -0.0 into 0.0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crackwake",
-        description="Perturbation of Mode III interfacial crack-tip fields by small defects",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="scenario file path")
-    parser.add_argument("--out", help="output file (CSV); stdout when omitted")
-    parser.add_argument("--pgm", action="store_const", const="true", help="also write a PGM map (needs --out)")
-    parser.add_argument("--grid", help="map grid as NxM (phi x alpha cells)")
-    parser.add_argument("--delta", help="neutrality accuracy for map cells")
-    parser.add_argument("--pair", help="companion arrangement rule, a or b")
-    parser.add_argument("--max-iter", help="propagation iteration budget")
-    parser.add_argument("--arrest-tol", help="propagation arrest threshold")
-    parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
-    return parser
-
-
-def _join_signed_values(argv: list, flags) -> list:
-    """argv with each spaced value that starts with one "-" joined to the
-    number flag before it: argparse reads --delta -1e-3 as two options and
-    stops at "expected one argument", --delta=-1e-3 reaches the value's
-    own check.  A flag counts by its full name or by a prefix of no other
-    of the parser's option strings (flags), as argparse resolves it."""
-    out = []
-    for arg in argv:
-        flag = out[-1] if out else ""
-        if flag.startswith("--") and flag not in flags:
-            named = [f for f in flags if f.startswith(flag)]
-            flag = named[0] if len(named) == 1 else flag
-        if flag in NUMBER_FLAGS and arg.startswith("-") and not arg.startswith("--"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+def _parse_args(argv) -> dict:
+    """The command and flag values of argv by key: "command", and each
+    flag's name without "--" and with "_" for "-" ("true" for a switch).
+    A flag is its name or a unique prefix, either with "=value"; a value
+    flag otherwise takes the next argument unless that starts with "--".
+    A later flag wins; -h or --help returns {"help": "true"} at once."""
+    args, extras, rest = {}, [], iter(argv)
+    for arg in rest:
+        name, eq, value = ("--help" if arg == "-h" else arg).partition("=")
+        flags = [name] if name in FLAGS else [flag for flag in FLAGS if name.startswith("--") and flag.startswith(name)]
+        if len(flags) > 1:
+            raise ValidationError(f"ambiguous option: {arg} could match {', '.join(flags)}")
+        if not flags:  # the command, or an argument outside the grammar
+            if "command" in args or name.startswith("--"):
+                extras.append(arg)
+            elif arg in COMMANDS:
+                args["command"] = arg
+            else:
+                raise ValidationError(f"argument command: invalid choice: {arg!r} (choose from {', '.join(COMMANDS)})")
+            continue
+        flag = flags[0]
+        if flag in SWITCHES:
+            if eq:
+                raise ValidationError(f"argument {flag}: ignored explicit argument {value!r}")
+            value = "true"
+        elif not eq:
+            value = next(rest, "--")  # a missing value fails as one that starts with "--"
+            if value.startswith("--"):
+                raise ValidationError(f"argument {flag}: expected one argument")
+        args[flag[2:].replace("-", "_")] = value
+        if flag == "--help":
+            return args
+    missing = [name for name in ("command", "--config") if name.lstrip("-") not in args]
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValidationError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _first_microcrack(scenario: Scenario):
@@ -67,9 +73,7 @@ def _first_microcrack(scenario: Scenario):
         raise ValidationError("scenario has no defect blocks")
     defect = scenario.defects[0]
     if defect.kind != "microcrack":
-        raise ValidationError(
-            f"pair arrangements start from a microcrack, first defect is {defect.kind!r}"
-        )
+        raise ValidationError(f"pair arrangements start from a microcrack, first defect is {defect.kind!r}")
     return defect
 
 
@@ -130,8 +134,7 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     region_map = scan_map(arrangement, scenario.loading, scenario.bimaterial, grid=params.grid, delta=params.delta)
     write_map_csv(region_map, out)
     if params.pgm:
-        pgm_path = Path(params.out).with_suffix(".pgm")
-        with open(pgm_path, "w") as fh:
+        with open(Path(params.out).with_suffix(".pgm"), "w") as fh:
             write_map_pgm(region_map, fh)
 
 
@@ -143,12 +146,8 @@ def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
         companion = neutral_pair_a(defect)
     else:
         companion = neutral_pair_b(defect, scenario.bimaterial)
-    out.write(
-        "defect { "
-        f"kind = {companion.kind}, d = {_fmt(companion.d)}, phi = {_fmt(companion.phi)}, "
-        f"alpha = {_fmt(companion.alpha)}, la = {_fmt(companion.l_a)}"
-        " }\n"
-    )
+    out.write(f"defect {{ kind = {companion.kind}, d = {_fmt(companion.d)}, phi = {_fmt(companion.phi)}, "
+              f"alpha = {_fmt(companion.alpha)}, la = {_fmt(companion.l_a)} }}\n")
 
 
 class _OpenOnFirstWrite:
@@ -170,37 +169,33 @@ class _OpenOnFirstWrite:
             self.fh.close()
 
 
-_HANDLERS = {
-    "dipole": _cmd_dipole,
-    "sif": _cmd_sif,
-    "perturb": _cmd_perturb,
-    "propagate": _cmd_propagate,
-    "map": _cmd_map,
-    "neutral": _cmd_neutral,
-}
+COMMANDS = {"dipole": _cmd_dipole, "sif": _cmd_sif, "perturb": _cmd_perturb, "propagate": _cmd_propagate,
+            "map": _cmd_map, "neutral": _cmd_neutral}
 
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else list(argv),
-                                                     parser._option_string_actions))
-    except SystemExit as exc:  # a usage error is a configuration error; --help exits 0
-        return 1 if exc.code else 0
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except ValidationError as exc:  # a usage error is a configuration error
+        print(f"{USAGE}crackwake: error: {exc}", file=sys.stderr)
+        return 1
+    if "help" in args:
+        sys.stdout.write(USAGE)
+        return 0
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args["config"]).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
         scenario = parse_scenario(text)
-        flags = [(key, getattr(args, key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
+        flags = [(key, args.get(key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
         params = _apply_params(scenario.params, flags)
-        if args.dump_config:
+        if "dump_config" in args:
             sys.stdout.write(dump_scenario(scenario.replace(params=params)))
             return 0
-        handler = _HANDLERS[args.command]
-        if params.out is not None and args.command in ("propagate", "map"):
+        handler = COMMANDS[args["command"]]
+        if params.out is not None and args["command"] in ("propagate", "map"):
             out = _OpenOnFirstWrite(params.out)
             try:
                 handler(scenario, params, out)

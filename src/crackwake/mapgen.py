@@ -34,15 +34,19 @@ def classify(ratio: float, delta: float) -> str:
     """Region label for a perturbation ratio dK/K0 at accuracy delta.
 
     Boundaries are inclusive to neutral: shielding needs ratio < -delta,
-    amplification ratio > delta.
+    amplification ratio > delta.  A nan or infinite ratio is invalid.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValidationError(f"classification accuracy must be positive and finite, got {delta}")
-    if ratio < -delta:
-        return SHIELDING
-    if ratio > delta:
-        return AMPLIFICATION
-    return NEUTRAL
+    if not (isinstance(delta, (int, float)) and 0.0 < delta < math.inf):
+        raise ValidationError(f"classification accuracy must be positive and finite, got {delta!r}")
+    return _labels((ratio,), delta)[0]
+
+
+def _labels(ratios, delta: float) -> list:
+    """classify's label of each ratio, by comparisons alone: a map labels
+    its cells with no call per cell."""
+    low, inf = -delta, math.inf
+    return [SHIELDING if -inf < r < low else AMPLIFICATION if delta < r < inf else NEUTRAL if low <= r <= delta
+            else INVALID for r in ratios]
 
 
 class PairArrangement(Record):
@@ -141,11 +145,13 @@ def scan_map(
     Cells whose ratio is not finite are marked invalid, never skipped.
     threads is accepted so older callers keep working, and ignored.
     """
+    if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(isinstance(n, int) for n in grid)):
+        raise ValidationError(f"grid expects two integers, got {grid!r}")
     n_phi, n_alpha = grid
     if n_phi < 2 or n_alpha < 2:
         raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
-    if not 0.0 < delta < math.inf:
-        raise ValidationError(f"map accuracy delta must be positive and finite, got {delta}")
+    if not (isinstance(delta, (int, float)) and 0.0 < delta < math.inf):
+        raise ValidationError(f"map accuracy delta must be positive and finite, got {delta!r}")
     phis = tuple(-math.pi + (i + 0.5) * (2.0 * math.pi / n_phi) for i in range(n_phi))
     alphas = tuple((j + 0.5) * (math.pi / n_alpha) for j in range(n_alpha))
     k0 = sif_k0(loading, bimaterial)
@@ -179,11 +185,7 @@ def scan_map(
             rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
 
     ratios = _finite_or_nan(rows)
-    low = -delta
-    # the comparisons of classify; only a nan cell fails all three
-    labels = tuple([SHIELDING if r < low else AMPLIFICATION if r > delta else NEUTRAL if r == r else INVALID
-                    for r in ratios])
-    return RegionMap(phis, alphas, ratios, labels, delta)
+    return RegionMap(phis, alphas, ratios, tuple(_labels(ratios, delta)), delta)
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:

@@ -1,6 +1,9 @@
 """Shared test utilities: canonical loads, mollified tables, random draws,
 and the one-line compositions of the library that only the tests use."""
 
+import argparse
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -132,3 +135,59 @@ def traction_avg(eff, x1):
 def traction_jump(eff, x1):
     """[sigma](x1) of an EffectiveTraction."""
     return -eff.mu_dif * eff._dwdx2(x1)
+
+
+# The command line's argparse parser before the hand-written one replaced
+# it, kept verbatim as the reference of the differential parser test.
+COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
+NUMBER_FLAGS = ("--grid", "--delta", "--max-iter", "--arrest-tol")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="crackwake",
+        description="Perturbation of Mode III interfacial crack-tip fields by small defects",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="scenario file path")
+    parser.add_argument("--out", help="output file (CSV); stdout when omitted")
+    parser.add_argument("--pgm", action="store_const", const="true", help="also write a PGM map (needs --out)")
+    parser.add_argument("--grid", help="map grid as NxM (phi x alpha cells)")
+    parser.add_argument("--delta", help="neutrality accuracy for map cells")
+    parser.add_argument("--pair", help="companion arrangement rule, a or b")
+    parser.add_argument("--max-iter", help="propagation iteration budget")
+    parser.add_argument("--arrest-tol", help="propagation arrest threshold")
+    parser.add_argument("--dump-config", action="store_true", help="print the canonical scenario and exit")
+    return parser
+
+
+def _join_signed_values(argv: list, flags) -> list:
+    """argv with each spaced value that starts with one "-" joined to the
+    number flag before it: argparse reads --delta -1e-3 as two options and
+    stops at "expected one argument", --delta=-1e-3 reaches the value's
+    own check.  A flag counts by its full name or by a prefix of no other
+    of the parser's option strings (flags), as argparse resolves it."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and flag not in flags:
+            named = [f for f in flags if f.startswith(flag)]
+            flag = named[0] if len(named) == 1 else flag
+        if flag in NUMBER_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def reference_parse(argv):
+    """The reference parser's outcome for argv: "help", "refused", or the
+    command and each given flag's value by key, a switch's as "true"."""
+    parser = _build_parser()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = parser.parse_args(_join_signed_values(list(argv), parser._option_string_actions))
+    except SystemExit as exc:
+        return "refused" if exc.code else "help"
+    args.dump_config = "true" if args.dump_config else None
+    return {key: value for key, value in vars(args).items() if value is not None}

@@ -164,6 +164,12 @@ def test_bad_config_exits_1(cfg, capsys):
     assert main(["sif", "--config", cfg("bimaterial { mu_plus = 1 }")]) == 1
     assert "error" in capsys.readouterr().err
     assert main(["sif", "--config", "/nonexistent/file.cfg"]) == 1
+    not_utf8 = cfg("")
+    with open(not_utf8, "wb") as fh:
+        fh.write(b"# \xff\xfe\n" + SYM_PAIR_CFG.encode())
+    capsys.readouterr()
+    assert main(["sif", "--config", not_utf8]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize(

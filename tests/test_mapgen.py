@@ -35,6 +35,9 @@ def test_classify_regions():
     # boundaries inclusive to neutral
     assert classify(-delta, delta) == "neutral"
     assert classify(delta, delta) == "neutral"
+    # as scan_map labels a cell whose ratio is not finite
+    for ratio in (math.nan, math.inf, -math.inf):
+        assert classify(ratio, delta) == "invalid"
 
 
 def test_classify_requires_positive_delta():
@@ -151,6 +154,11 @@ def test_scan_map_validates_grid_and_delta(bm_equal):
             scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(4, 4), delta=delta)
         with pytest.raises(ValidationError):
             classify(0.0, delta)
+    for kwargs in ({"grid": (2.5, 3)}, {"grid": ("4", 4)}, {"grid": (4,)}, {"grid": None}, {"delta": "1e-6"}):
+        with pytest.raises(ValidationError):
+            scan_map(arrangement, sym_pair_at(3.0), bm_equal, **kwargs)
+    with pytest.raises(ValidationError):
+        classify(0.1, "x")
     with pytest.raises(ValidationError):
         PairArrangement("c", l1=0.1, d1=1.0)
 
@@ -259,7 +267,7 @@ def test_map_writers_match_a_naive_reference(grid):
     ratios[1] = math.nan
     ratios[-1] = -0.0
     ratios = tuple(ratios)
-    labels = tuple("invalid" if r != r else classify(r, 1e-6) for r in ratios)
+    labels = tuple(classify(r, 1e-6) for r in ratios)
     m = RegionMap(phis, alphas, ratios, labels, 1e-6)
     if n_phi > 2:
         assert {"invalid", "neutral", "shielding", "amplification"} <= set(labels)

@@ -106,6 +106,7 @@ def test_sif_command_on_point_forces_loads_only_what_it_runs(tmp_path):
     assert "crackwake.tipfields" in loaded
     assert not crackwake_modules(loaded) & {"mapgen", "perturbation", "propagation", "_quad"}
     assert "numpy.polynomial" not in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}
 
 
 def after_main_calls(tmp_path, calls) -> set:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crackwake import DEFECT_KINDS, DilutenessWarning, ValidationError, parse_scenario
-from crackwake.cli import main
+from crackwake.cli import USAGE, main
 from crackwake.config import _KEY_FIELDS
 from crackwake.defects import _KIND_FIELDS
 
@@ -39,6 +39,10 @@ def test_scenario_block_runs(tmp_path, capsys, argv):
     assert main([*argv, "--config", str(cfg)]) == 0
     out, err = capsys.readouterr()
     assert out and err == ""
+
+
+def test_cli_usage_block_is_the_help_text():
+    assert fenced_block("## CLI", "sh") == USAGE
 
 
 def test_defect_kind_table_matches_the_code():
