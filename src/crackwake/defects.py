@@ -100,40 +100,48 @@ class DipoleMatrix(Record):
 
 def _dipole_parts(defect: Defect) -> tuple[float, float]:
     """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix;
-    NumericalError beyond the float range."""
+    NumericalError beyond the float range, or when the size prefactor
+    (l_a^2, l_a l_b, ...) underflows to 0."""
     kind = defect.kind
     try:
         if kind == "elastic_ellipse":
             e = defect.l_b / defect.l_a
             ms = defect.mu_star
+            size = defect.l_a * defect.l_b
             pref = -0.5 * math.pi * defect.l_a * defect.l_b * (1.0 + e) * (ms - 1.0)
             a, b = 1.0 / (e + ms), 1.0 / (1.0 + e * ms)
             # factored: a - b cancels for mu_star near 1
             iso, dev = pref * (a + b), -pref * (1.0 - e) * (ms - 1.0) * a * b
         elif kind == "rigid_ellipse":
             e = defect.l_b / defect.l_a
+            size = defect.l_a * (defect.l_a + defect.l_b)
             pref = 0.5 * math.pi * defect.l_a * (defect.l_a + defect.l_b)
             iso, dev = pref * (1.0 + e), pref * (1.0 - e)
         elif kind == "elliptic_void":
             e = defect.l_b / defect.l_a
-            pref = -0.5 * math.pi * (defect.l_a + defect.l_b) ** 2
+            size = (defect.l_a + defect.l_b) ** 2
+            pref = -0.5 * math.pi * size
             iso, dev = pref, -pref * (1.0 - e) / (1.0 + e)
-        elif kind == "microcrack":
-            iso = -0.5 * math.pi * defect.l_a**2
-            dev = -iso
-        elif kind == "soft_line":
-            # direct limit form; the l_b -> 0 route through the ellipse cancels badly
-            iso = -0.5 * math.pi * defect.l_a**2 * defect.kappa / (defect.l_a + defect.kappa)
-            dev = -iso
-        elif kind == "rigid_line":
-            iso = dev = 0.5 * math.pi * defect.l_a**2
-        else:  # stiff_line
-            iso = dev = 0.5 * math.pi * defect.l_a**2 / (1.0 + defect.kappa * defect.l_a)
+        else:  # a line kind
+            size = defect.l_a**2
+            if kind == "microcrack":
+                iso = -0.5 * math.pi * size
+                dev = -iso
+            elif kind == "soft_line":
+                # direct limit form; the l_b -> 0 route through the ellipse cancels badly
+                iso = -0.5 * math.pi * size * defect.kappa / (defect.l_a + defect.kappa)
+                dev = -iso
+            elif kind == "rigid_line":
+                iso = dev = 0.5 * math.pi * size
+            else:  # stiff_line
+                iso = dev = 0.5 * math.pi * size / (1.0 + defect.kappa * defect.l_a)
     except OverflowError:  # a square beyond the float range; a product gives inf instead
         iso = dev = math.inf
-    if math.isfinite(iso) and math.isfinite(dev):
-        return iso, dev
-    raise NumericalError(f"dipole matrix of the {defect.kind} with la = {defect.l_a:g} overflows")
+    if not (math.isfinite(iso) and math.isfinite(dev)):
+        raise NumericalError(f"dipole matrix of the {kind} with la = {defect.l_a:g} overflows")
+    if size == 0.0:  # the size, not the matrix, which mu_star = 1 or kappa = 0 make 0 at any size
+        raise NumericalError(f"dipole matrix of the {kind} with la = {defect.l_a:g} underflows")
+    return iso, dev
 
 
 def _mod_pi(alpha: float) -> float:

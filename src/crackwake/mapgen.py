@@ -30,20 +30,11 @@ REGION_LETTER = {SHIELDING: "S", AMPLIFICATION: "A", NEUTRAL: "N", INVALID: "X"}
 REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
 
 
-def classify(ratio: float, delta: float) -> str:
-    """Region label for a perturbation ratio dK/K0 at accuracy delta.
-
-    Boundaries are inclusive to neutral: shielding needs ratio < -delta,
-    amplification ratio > delta.  A nan or infinite ratio is invalid.
-    """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < math.inf):
-        raise ValidationError(f"classification accuracy must be positive and finite, got {delta!r}")
-    return _labels((ratio,), delta)[0]
-
-
 def _labels(ratios, delta: float) -> list:
-    """classify's label of each ratio, by comparisons alone: a map labels
-    its cells with no call per cell."""
+    """Region label of each perturbation ratio dK/K0 at accuracy delta, by
+    comparisons alone.  Boundaries are inclusive to neutral: shielding
+    needs ratio < -delta, amplification ratio > delta.  A nan or infinite
+    ratio is invalid."""
     low, inf = -delta, math.inf
     return [SHIELDING if -inf < r < low else AMPLIFICATION if delta < r < inf else NEUTRAL if low <= r <= delta
             else INVALID for r in ratios]

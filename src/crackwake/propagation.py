@@ -55,15 +55,12 @@ class CrackState(Record):
 class PropagationTrace(Record):
     """Per-iteration record of a propagation run.
 
-    increments holds the applied advances only, so elongation equals
-    their prefix sum exactly.  The row columns keep one entry per
-    iteration including the terminal evaluation that triggered the
-    verdict (an arrest-triggering increment is recorded but never
-    applied, its row repeats the previous elongation).
+    The row columns keep one entry per iteration including the terminal
+    evaluation that triggered the verdict.  An arrest-triggering
+    increment is recorded but never applied: its row repeats the
+    previous elongation.
     """
 
-    increments: tuple[float, ...]
-    elongation: float
     verdict: str
     phi: tuple[float, ...]
     x: tuple[float, ...]
@@ -71,6 +68,16 @@ class PropagationTrace(Record):
     k0: tuple[float, ...]
     a0: tuple[float, ...]
     flags: tuple[int, ...]
+
+    @property
+    def increments(self) -> tuple[float, ...]:
+        """The applied advances: phi without an arrest's last row."""
+        return self.phi[:-1] if self.verdict == "arrest" else self.phi
+
+    @property
+    def elongation(self) -> float:
+        """Total applied advance, the prefix sum that the x column records."""
+        return self.x[-1]
 
 
 def _on_path(defects) -> list:
@@ -153,22 +160,12 @@ def _increment(total: float, a3: float, k0: float, d_ref: float) -> float:
     return phi
 
 
-def step(state: CrackState, phi: float) -> CrackState:
-    """Advance the tip by phi, keeping defects and loads fixed in space;
-    TipReachesDefect if the path comes within l_a of a defect's center."""
-    if not math.isfinite(phi):
-        raise ValidationError(f"advance must be finite, got {phi}")
-    moved = state.replace(tip_x=state.tip_x + phi)  # CrackState checks the new tip
-    _check_path(min(state.tip_x, moved.tip_x), max(state.tip_x, moved.tip_x), _on_path(state.defects))
-    return moved
-
-
 def propagate(
     state: CrackState,
     max_iter: int = 10_000,
     arrest_tol: float | None = None,
 ) -> PropagationTrace:
-    """Iterate advance_increment/step until arrest, steady state, or the
+    """Advance the tip by advance_increment until arrest, steady state, or the
     iteration budget runs out.
 
     Arrest: increment below arrest_tol (negative counts as arrested).
@@ -212,9 +209,7 @@ def propagate(
     else:
         rows[-1] = MAX_ITER_FLAG
 
-    phis, xs, dks, k0s, a0s, flags = (tuple(rows[i::6]) for i in range(6))
-    increments = phis[:-1] if verdict == "arrest" else phis  # an arrest's increment is not applied
-    return PropagationTrace(increments, elong, verdict, phis, xs, dks, k0s, a0s, flags)
+    return PropagationTrace(verdict, *(tuple(rows[i::6]) for i in range(6)))
 
 
 def write_trace_csv(trace: PropagationTrace, fh) -> None:

@@ -1,15 +1,22 @@
 """Shared test utilities: canonical loads, mollified tables, random draws,
-and the one-line compositions of the library that only the tests use."""
+the one-line compositions of the library that only the tests use, and
+the child interpreter that refuses numpy."""
 
 import argparse
 import contextlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, delta_k_defect
 from crackwake.defects import _entries
+from crackwake.mapgen import _labels
+from crackwake.propagation import _check_path, _on_path
 from crackwake.tipfields import SQRT_2_OVER_PI
 
 # mu ratio 167/33 makes the contrast parameter exactly 0.67
@@ -137,6 +144,20 @@ def traction_jump(eff, x1):
     return -eff.mu_dif * eff._dwdx2(x1)
 
 
+def step(state, phi):
+    """The state with its tip advanced by phi, as propagate applies an
+    increment: CrackState checks the new tip, and TipReachesDefect if the
+    path comes within l_a of a defect's center."""
+    moved = state.replace(tip_x=state.tip_x + phi)
+    _check_path(min(state.tip_x, moved.tip_x), max(state.tip_x, moved.tip_x), _on_path(state.defects))
+    return moved
+
+
+def classify(ratio, delta):
+    """A map's region label for one ratio dK/K0 at accuracy delta."""
+    return _labels((ratio,), delta)[0]
+
+
 # The command line's argparse parser before the hand-written one replaced
 # it, kept verbatim as the reference of the differential parser test.
 COMMANDS = ("dipole", "sif", "perturb", "propagate", "map", "neutral")
@@ -191,3 +212,39 @@ def reference_parse(argv):
         return "refused" if exc.code else "help"
     args.dump_config = "true" if args.dump_config else None
     return {key: value for key, value in vars(args).items() if value is not None}
+
+
+# Prepended to the code of a child interpreter: a sys.meta_path finder,
+# first in line, that refuses numpy and scipy and each of their
+# submodules with ModuleNotFoundError, and records every attempt.
+_REFUSE_NUMPY = """\
+import json, sys
+
+REFUSED = []
+
+
+class _Refuse:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "scipy"):
+            REFUSED.append(name)
+            raise ModuleNotFoundError(f"No module named {name!r} (refused)", name=name)
+        return None
+
+
+assert not [m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")]
+sys.meta_path.insert(0, _Refuse)
+result = None
+"""
+
+
+def run_refusing_numpy(code: str):
+    """Run code in a fresh interpreter that cannot import numpy or scipy.
+    Return (result, refused): the JSON value that code leaves in the name
+    result, and every numpy or scipy module it tried to import, in order."""
+    code = _REFUSE_NUMPY + code + "\nprint(json.dumps([result, REFUSED]))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=300, capture_output=True, text=True)
+    if proc.returncode:
+        raise AssertionError(f"child interpreter exited {proc.returncode}:\n{proc.stderr}")
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))

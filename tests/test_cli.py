@@ -239,9 +239,14 @@ defect { kind = microcrack, d = 1e300, phi = 0.4, alpha = 0, la = 1e200 }
 
 HUGE_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e+200 overflows\n"
 
-# d**1.5 in the defect's tip weight underflows to 0, and the closed form divides by it
+# la**2 of the dipole matrix underflows to 0, as does d**1.5 in the defect's tip weight
 NEAR_TIP_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la = 0.1",
                                            "d = 1e-250, phi = 0.3, alpha = 0.2, la = 1e-251")
+NEAR_TIP_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e-251 underflows\n"
+# la**2 underflows to 0 while the defect's distance d**1.5 does not
+TINY_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la = 0.1",
+                                       "d = 1e-150, phi = 0.3, alpha = 0.2, la = 1e-170")
+TINY_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e-170 underflows\n"
 
 
 @pytest.mark.parametrize(
@@ -254,11 +259,14 @@ NEAR_TIP_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la
         ("dipole", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
         ("perturb", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
         ("propagate", HUGE_DEFECT_CFG, HUGE_DEFECT_MESSAGE),
-        ("perturb", NEAR_TIP_DEFECT_CFG, "numerical failure: float division by zero\n"),
-        ("propagate", NEAR_TIP_DEFECT_CFG, "numerical failure: float division by zero\n"),
+        ("perturb", NEAR_TIP_DEFECT_CFG, NEAR_TIP_DEFECT_MESSAGE),
+        ("propagate", NEAR_TIP_DEFECT_CFG, NEAR_TIP_DEFECT_MESSAGE),
+        ("dipole", NEAR_TIP_DEFECT_CFG, NEAR_TIP_DEFECT_MESSAGE),
+        ("dipole", TINY_DEFECT_CFG, TINY_DEFECT_MESSAGE),
     ],
     ids=["perturb-a0-cancels", "sif-a0-inf", "perturb-a0-inf", "propagate-a0-inf",
-         "dipole-overflow", "perturb-overflow", "propagate-overflow", "perturb-near-tip", "propagate-near-tip"],
+         "dipole-overflow", "perturb-overflow", "propagate-overflow", "perturb-near-tip", "propagate-near-tip",
+         "dipole-near-tip-underflow", "dipole-underflow"],
 )
 def test_numerical_failure_exits_2(cfg, capsys, command, text, message):
     assert main([command, "--config", cfg(text)]) == 2

@@ -214,3 +214,20 @@ def test_overflowing_size_names_the_defect(kind):
     defect = Defect(kind, d=1e300, phi=0.4, alpha=0.3, l_a=1e200, l_b=1e200, kappa=1.0, mu_star=2.0)
     with pytest.raises(NumericalError, match=f"dipole matrix of the {kind} with la = 1e\\+200 overflows"):
         dipole_matrix(defect)
+
+
+@pytest.mark.parametrize("kind", DEFECT_KINDS)
+def test_underflowing_size_names_the_defect(kind):
+    """A size prefactor (l_a^2, l_a l_b, ...) that underflows to 0 is an
+    error, not an all-zero matrix."""
+    defect = Defect(kind, d=1e-150, phi=0.4, alpha=0.3, l_a=1e-170, l_b=1e-170, kappa=1.0, mu_star=2.0)
+    with pytest.raises(NumericalError, match=f"dipole matrix of the {kind} with la = 1e-170 underflows"):
+        dipole_matrix(defect)
+
+
+def test_a_matrix_that_is_zero_by_its_parameters_is_no_underflow():
+    """mu_star = 1 or kappa = 0 make the matrix 0 at any size."""
+    for defect in (Defect("elastic_ellipse", d=1e-150, phi=0.4, alpha=0.3, l_a=1e-160, l_b=1e-160, mu_star=1.0),
+                   Defect("soft_line", d=1e-150, phi=0.4, alpha=0.3, l_a=1e-160, kappa=0.0)):
+        m = dipole_matrix(defect)
+        assert m.m11 == m.m12 == m.m22 == 0.0

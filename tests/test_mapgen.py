@@ -1,8 +1,5 @@
 import io
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +13,6 @@ from crackwake import (
     PointForce,
     RegionMap,
     ValidationError,
-    classify,
     delta_k_defect,
     scan_map,
     sif_k0,
@@ -24,7 +20,7 @@ from crackwake import (
 )
 from crackwake.mapgen import REGION_GREY, REGION_LETTER, _finite_or_nan, write_map_csv, write_map_pgm
 
-from helpers import sym_pair_at
+from helpers import classify, sym_pair_at
 
 
 def test_classify_regions():
@@ -38,11 +34,6 @@ def test_classify_regions():
     # as scan_map labels a cell whose ratio is not finite
     for ratio in (math.nan, math.inf, -math.inf):
         assert classify(ratio, delta) == "invalid"
-
-
-def test_classify_requires_positive_delta():
-    with pytest.raises(ValidationError):
-        classify(0.0, 0.0)
 
 
 @given(
@@ -152,13 +143,9 @@ def test_scan_map_validates_grid_and_delta(bm_equal):
     for delta in (math.inf, math.nan):
         with pytest.raises(ValidationError):
             scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(4, 4), delta=delta)
-        with pytest.raises(ValidationError):
-            classify(0.0, delta)
     for kwargs in ({"grid": (2.5, 3)}, {"grid": ("4", 4)}, {"grid": (4,)}, {"grid": None}, {"delta": "1e-6"}):
         with pytest.raises(ValidationError):
             scan_map(arrangement, sym_pair_at(3.0), bm_equal, **kwargs)
-    with pytest.raises(ValidationError):
-        classify(0.1, "x")
     with pytest.raises(ValidationError):
         PairArrangement("c", l1=0.1, d1=1.0)
 
@@ -313,7 +300,7 @@ stations = st.lists(
 )
 def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n_phi, n_alpha):
     """The batched grid equals the sum of the two scalar delta_k_defect
-    values of each cell, over K0."""
+    values of each cell, over K0, bit for bit."""
     bm = Bimaterial(mu_p, mu_m)
     loading = Loading(tuple(PointForce(x1, face, p) for x1, face, p in forces))
     k0 = sif_k0(loading, bm)
@@ -326,41 +313,8 @@ def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n
             dk = delta_k_defect(mc, loading, bm)
             dk += delta_k_defect(companion, loading, bm)
             expected = dk / k0
-            assert abs(m.ratio[i, j] - expected) <= 1e-12 * abs(expected)
+            assert m.ratio[i, j] == expected
             assert str(m.region[i, j]) == classify(expected, 1e-6)
-
-
-def test_point_force_map_never_imports_scipy():
-    """A point-force map loads no scipy: only the oracles use it."""
-    code = (
-        "import sys, crackwake as cw\n"
-        "bm = cw.Bimaterial(1.0, 5.0)\n"
-        "loading = cw.three_point_preset(1.0, 3.0, 1.0)\n"
-        "cw.sif_k0(loading, bm)\n"
-        "cw.scan_map(cw.PairArrangement('a', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
-
-
-def test_table_loading_never_imports_scipy():
-    """A table enters in closed form: K0, the gradient, propagation and
-    maps all run without scipy."""
-    code = (
-        "import sys, crackwake as cw\n"
-        "bm = cw.Bimaterial(1.0, 5.0)\n"
-        "table = cw.DistributedLoad((-2.5, -2.0, -1.5), (0.0, 0.5, 0.0), (0.0, -1.0, 0.0))\n"
-        "loading = cw.Loading((cw.PointForce(-3.0, '+', 1.0),), table)\n"
-        "cw.sif_k0(loading, bm)\n"
-        "cw.grad_u0(loading, bm, cw.FieldPoint(2.1, 3.0))\n"
-        "mc = cw.Defect('microcrack', d=1.0, phi=0.4, alpha=0.3, l_a=0.1)\n"
-        "cw.propagate(cw.CrackState(0.0, (mc,), loading, bm), max_iter=3)\n"
-        "cw.scan_map(cw.PairArrangement('a', l1=0.1, d1=1.0), loading, bm, grid=(8, 4))\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkeypatch):

@@ -21,12 +21,12 @@ from crackwake import (
     neutral_pair_a,
     propagate,
     sif_k0,
-    step,
     three_point_preset,
     write_trace_csv,
 )
 
-from helpers import BIMATERIALS, current_defects, current_loading, delta_k_total, random_balanced_loading, sym_pair_at
+from helpers import (BIMATERIALS, current_defects, current_loading, delta_k_total, random_balanced_loading, step,
+                     sym_pair_at)
 
 
 def pair_a_state(phi1, alpha1, bm, a=3.0, b=0.0):
