@@ -14,7 +14,7 @@ import re
 import warnings
 
 from .defects import _KIND_FIELDS, Defect
-from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError
+from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError, _check_param, _is_number
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
 _BLOCK_OPEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\{\s*(.*)$")
@@ -24,10 +24,6 @@ _GRID_VALUE = re.compile(r"^\d+x\d+$")
 _NAME_VALUE = re.compile(r"^[A-Za-z_+\-][A-Za-z0-9_+\-./]*$")
 _UNCOMMENTED = re.compile(r'(?:"[^"]*"?|[^"#])*')  # a line up to a "#" outside quotes
 _MARK = re.compile(r'"[^"]*"|[{},"]')  # a quoted string, or a brace, comma or unclosed quote
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ScenarioParams(Record):
@@ -45,27 +41,6 @@ class ScenarioParams(Record):
     def __post_init__(self):
         for key in self._fields:
             _check_param(key, getattr(self, key))
-
-
-def _check_param(key: str, value) -> None:
-    """The one range and type check of every params entry and flag."""
-    if key == "grid":
-        if not (type(value) is tuple and len(value) == 2 and all(type(n) is int for n in value)):
-            raise ValidationError(f"grid expects NxM, got {value!r}")
-        if min(value) < 2:
-            raise ValidationError(f"grid must be at least 2x2, got {value[0]}x{value[1]}")
-    elif key in ("delta", "arrest_tol"):
-        if not (_is_number(value) and 0.0 < value < math.inf or value is None and key == "arrest_tol"):
-            raise ValidationError(f"{key} must be positive and finite, got {value!r}")
-    elif key in ("max_iter", "threads"):
-        if not (type(value) is int and value >= 1):
-            raise ValidationError(f"{key} expects a positive integer, got {value!r}")
-    elif key == "out" and not (value is None or isinstance(value, str)):
-        raise ValidationError(f"out expects a path, got {value!r}")
-    elif key == "pgm" and type(value) is not bool:
-        raise ValidationError(f"pgm expects true/false, got {value!r}")
-    elif key == "pair" and value not in ("a", "b"):
-        raise ValidationError(f'pair expects "a" or "b", got {value!r}')
 
 
 class Scenario(Record):

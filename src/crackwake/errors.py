@@ -1,6 +1,7 @@
 """Exception hierarchy and the immutable record base shared by all
-crackwake modules."""
+crackwake modules, and the one check of the command parameters."""
 
+import math
 import operator
 
 
@@ -135,3 +136,29 @@ class TipReachesDefect(NumericalError):
 
 class DilutenessWarning(UserWarning):
     """Defect size is not small compared with its distance from the tip."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_param(key: str, value) -> None:
+    """The one range and type check of every params entry and flag, and
+    of the same arguments of scan_map and propagate."""
+    if key == "grid":
+        if not (type(value) is tuple and len(value) == 2 and all(type(n) is int for n in value)):
+            raise ValidationError(f"grid expects NxM, got {value!r}")
+        if min(value) < 2:
+            raise ValidationError(f"grid must be at least 2x2, got {value[0]}x{value[1]}")
+    elif key in ("delta", "arrest_tol"):
+        if not (_is_number(value) and 0.0 < value < math.inf or value is None and key == "arrest_tol"):
+            raise ValidationError(f"{key} must be positive and finite, got {value!r}")
+    elif key in ("max_iter", "threads"):
+        if not (type(value) is int and value >= 1):
+            raise ValidationError(f"{key} expects a positive integer, got {value!r}")
+    elif key == "out" and not (value is None or isinstance(value, str)):
+        raise ValidationError(f"out expects a path, got {value!r}")
+    elif key == "pgm" and type(value) is not bool:
+        raise ValidationError(f"pgm expects true/false, got {value!r}")
+    elif key == "pair" and value not in ("a", "b"):
+        raise ValidationError(f'pair expects "a" or "b", got {value!r}')

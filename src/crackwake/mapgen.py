@@ -15,10 +15,10 @@ from functools import cached_property
 from itertools import chain
 
 from .defects import Defect, _dipole_parts, _double_angle
-from .errors import Record, ValidationError
+from .errors import Record, ValidationError, _check_param
 from .loading import Bimaterial, Loading
-from .perturbation import _dk_harmonics, neutral_pair_a, neutral_pair_b, tip_weight_vector
-from .tipfields import _gradient, _phi_trig, _table_sums, sif_k0
+from .perturbation import _harmonics, neutral_pair_a, neutral_pair_b
+from .tipfields import sif_k0
 
 SHIELDING = "shielding"
 AMPLIFICATION = "amplification"
@@ -89,25 +89,6 @@ class RegionMap(Record):
         return self.labels.count(region)
 
 
-def _member_harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float, dev: float) -> list:
-    """_dk_harmonics (a, b, c) of one pair member at distance d with dipole
-    parts (iso, dev), one triple per row of a block at the angles phis.
-
-    Each row takes one gradient from its angular factors; a table adds its
-    panel integrals, in one call for the block.  No row needs the face
-    check of delta_k_defect: a cell center is at least pi/n_phi from a face.
-    """
-    trigs = [_phi_trig(phi) for phi in phis]
-    mu_bs = [bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus for phi in phis]
-    mu_sum, eta, mu_series = bimaterial.mu_sum, bimaterial.contrast, bimaterial.mu_series
-    sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
-    return [
-        _dk_harmonics(_gradient(points, d, trig, mu_b, mu_sum, eta, s), tip_weight_vector(d, phi), iso, dev,
-                      mu_series)
-        for phi, trig, mu_b, s in zip(phis, trigs, mu_bs, sums)
-    ]
-
-
 def _finite_or_nan(rows) -> tuple:
     """The rows' ratios, row-major, with each one that is not finite made
     nan.  One sum decides: a finite total means every ratio is finite, so
@@ -136,13 +117,9 @@ def scan_map(
     Cells whose ratio is not finite are marked invalid, never skipped.
     threads is accepted so older callers keep working, and ignored.
     """
-    if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(isinstance(n, int) for n in grid)):
-        raise ValidationError(f"grid expects two integers, got {grid!r}")
+    _check_param("grid", tuple(grid) if isinstance(grid, list) else grid)
+    _check_param("delta", delta)
     n_phi, n_alpha = grid
-    if n_phi < 2 or n_alpha < 2:
-        raise ValidationError(f"grid must be at least 2x2, got {n_phi}x{n_alpha}")
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < math.inf):
-        raise ValidationError(f"map accuracy delta must be positive and finite, got {delta!r}")
     phis = tuple(-math.pi + (i + 0.5) * (2.0 * math.pi / n_phi) for i in range(n_phi))
     alphas = tuple((j + 0.5) * (math.pi / n_alpha) for j in range(n_alpha))
     k0 = sif_k0(loading, bimaterial)
@@ -167,9 +144,10 @@ def scan_map(
     rows: list = [None] * n_phi
     for block in blocks.values():
         pair = arrangement.defects(phis[block[0]], alphas[0], bimaterial)
+        # No row needs the face check of delta_k_defect: a cell center is
+        # at least pi/n_phi from a face.
         first, second = (
-            _member_harmonics(points, table, bimaterial, member.d, [member_phis[i] for i in block],
-                              *_dipole_parts(member))
+            _harmonics(points, table, bimaterial, member.d, [member_phis[i] for i in block], *_dipole_parts(member))
             for member, member_phis in zip(pair, (phis, phis2))
         )
         for i, (a1, b1, c1), (a2, b2, c2) in zip(block, first, second):

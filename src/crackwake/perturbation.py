@@ -15,7 +15,7 @@ import math
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import InvalidDefect
 from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, _check_face, _grad, _phi_trig
+from .tipfields import SQRT_2_OVER_PI, _check_face, _gradients
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -35,20 +35,22 @@ def _dk_harmonics(grad, weights, iso: float, dev: float, mu_series: float) -> tu
     return s * iso * (g1 * w1 + g2 * w2), s * dev * (g1 * w1 - g2 * w2), s * dev * (g1 * w2 + g2 * w1)
 
 
-def _delta_k_at(points, table, bimaterial: Bimaterial, d: float, phi: float, iso, dev, c2, s2) -> float:
-    """Closed-form dK of a defect at (d, phi) with dipole parts (iso, dev)
-    and (c2, s2) = _double_angle(alpha), under stations and a table."""
-    grad = _grad(points, table, bimaterial, d, phi, _phi_trig(phi))
-    a, b, c = _dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series)
-    return a + b * c2 + c * s2
+def _harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float, dev: float) -> list:
+    """_dk_harmonics (a, b, c) of a defect at distance d with dipole parts
+    (iso, dev) under stations and a table, one triple per angle of phis."""
+    rows = []
+    for phi, grad in zip(phis, _gradients(points, table, bimaterial, d, phis)):
+        rows.append(_dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series))
+    return rows
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect."""
     points, table = loading.split
     _check_face(points, table, defect.d, defect.phi)
-    return _delta_k_at(points, table, bimaterial, defect.d, defect.phi, *_dipole_parts(defect),
-                       *_double_angle(defect.alpha))
+    (a, b, c), = _harmonics(points, table, bimaterial, defect.d, [defect.phi], *_dipole_parts(defect))
+    c2, s2 = _double_angle(defect.alpha)
+    return a + b * c2 + c * s2
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

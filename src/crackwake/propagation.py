@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 
 from .defects import Defect, _dipole_parts, _double_angle
-from .errors import DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError
+from .errors import (DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError,
+                     _check_param)
 from .loading import Bimaterial, Loading
-from .perturbation import _delta_k_at
-from .tipfields import SQRT_2_OVER_PI, _finite, _moments
+from .perturbation import _harmonics
+from .tipfields import _coefficients, _finite
 
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
@@ -102,9 +103,10 @@ class _Engine:
     It keeps what does not move with the tip: the point stations, the
     table columns and each defect's position, _dipole_parts, _double_angle,
     size and kind.  At a tip it shifts the stations and the table into tip
-    coordinates and evaluates them with the library's own moments and
-    closed form, so every value equals sif_k0, coeff_a0 and
-    delta_k_defect on the tip-relative loading and defects.
+    coordinates and evaluates them with tipfields._coefficients and
+    perturbation._harmonics, the functions behind sif_k0, coeff_a0 and
+    delta_k_defect, so every value equals theirs on the tip-relative
+    loading and defects.
     """
 
     def __init__(self, state: CrackState):
@@ -123,9 +125,8 @@ class _Engine:
         table = self.table
         if table is not None:
             table = (tuple(x - tip for x in table[0]), table[1], table[2])
-        half, three_half = _moments(points, table, bm.contrast)
-        k0 = _finite("K0", -SQRT_2_OVER_PI * half)
-        a3 = _finite("A0", SQRT_2_OVER_PI * three_half)
+        k0, a3 = _coefficients(points, table, bm.contrast)
+        k0, a3 = _finite("K0", k0), _finite("A0", a3)
         per = []
         for xd, yd, iso, dev, c2, s2, la, kind in self.defects:
             dx = xd - tip
@@ -134,7 +135,8 @@ class _Engine:
                 raise TipReachesDefect(
                     f"tip at {tip:g} is within {la:g} of the {kind} centered at ({xd:g}, {yd:g})"
                 )
-            per.append(_delta_k_at(points, table, bm, dj, math.atan2(yd, dx), iso, dev, c2, s2))
+            (a, b, c), = _harmonics(points, table, bm, dj, [math.atan2(yd, dx)], iso, dev)
+            per.append(a + b * c2 + c * s2)
         return k0, a3, tuple(per), math.fsum(per)
 
 
@@ -173,13 +175,11 @@ def propagate(
     consecutive iterations.  Defaults: arrest_tol = 1e-8 times the
     smallest initial defect distance.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    _check_param("max_iter", max_iter)
     engine = _Engine(state)
     if arrest_tol is None:
         arrest_tol = 1e-8 * engine.d_ref
-    if not 0.0 < arrest_tol < math.inf:
-        raise ValidationError(f"arrest_tol must be positive and finite, got {arrest_tol}")
+    _check_param("arrest_tol", arrest_tol)
 
     tip = state.tip_x
     elong = 0.0

@@ -86,6 +86,13 @@ def _moments(points, table, eta: float) -> tuple[float, float]:
     return half, three_half
 
 
+def _coefficients(points, table, eta: float) -> tuple[float, float]:
+    """(K0, A0) of point stations and a table or None, as _moments takes
+    them; not checked for being finite."""
+    half, three_half = _moments(points, table, eta)
+    return -SQRT_2_OVER_PI * half, SQRT_2_OVER_PI * three_half
+
+
 def _finite(name: str, value: float) -> float:
     """value, or NumericalError naming it when it is not finite."""
     if not math.isfinite(value):
@@ -99,13 +106,13 @@ def sif_k0(loading: Loading, bimaterial: Bimaterial) -> float:
     K0 = -sqrt(2/pi) * integral of {<p> + (eta/2)[p]}(-r) r^(-1/2) dr;
     positive for crack-opening loads (negative <p> in this convention).
     """
-    return _finite("K0", -SQRT_2_OVER_PI * _moments(*loading.split, bimaterial.contrast)[0])
+    return _finite("K0", _coefficients(*loading.split, bimaterial.contrast)[0])
 
 
 def coeff_a0(loading: Loading, bimaterial: Bimaterial) -> float:
     """Second-order tip coefficient, same kernel as sif_k0 with r^(-3/2)
     and opposite overall sign; controls the tip-advance sensitivity."""
-    return _finite("A0", SQRT_2_OVER_PI * _moments(*loading.split, bimaterial.contrast)[1])
+    return _finite("A0", _coefficients(*loading.split, bimaterial.contrast)[1])
 
 
 def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
@@ -132,23 +139,6 @@ def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
     t1 = (jump * (sphi * sphi - 0.5 * cphi * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
     t2 = (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
     return t1, t2
-
-
-def _gradient(points, d: float, trig, mu_b, mu_sum: float, eta: float, table):
-    """Gradient at (d, phi) of point stations (x1, avg, jump), summed in
-    order, plus a table's (sum t1, sum t2).  A station on the kernel's
-    pole (only on a face) is OnCrackFaceUnderLoad."""
-    g1 = g2 = 0.0
-    try:
-        for x1, avg, jump in points:
-            q = -x1 / d
-            t1, t2 = _station_terms(q, math.sqrt(q), avg, jump, trig, mu_b, mu_sum, eta)
-            g1 += t1
-            g2 -= t2
-    except ZeroDivisionError:
-        raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
-    scale = 1.0 / (math.pi * d)
-    return (g1 + table[0]) * scale, (g2 - table[1]) * scale
 
 
 def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float) -> list:
@@ -232,13 +222,31 @@ def _check_face(points, table, d: float, phi: float) -> None:
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
-def _grad(points, table, bimaterial: Bimaterial, d: float, phi: float, trig):
-    """Gradient at (d, phi) of point stations (x1, avg, jump) and a table
-    (x, avg, jump) or None, with the angular factors given."""
-    mu_b = bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus
+def _gradients(points, table, bimaterial: Bimaterial, d: float, phis) -> list:
+    """Gradient at (d, phi) for each angle phi of phis, of point stations
+    (x1, avg, jump), summed in order, plus a table (x, avg, jump) or None,
+    whose panel sums come from one _table_sums call for all the angles.
+    A station on the kernel's pole (only on a face) is OnCrackFaceUnderLoad."""
+    trigs, mu_bs = [], []
+    for phi in phis:
+        trigs.append(_phi_trig(phi))
+        mu_bs.append(bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus)
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
-    sums = (0.0, 0.0) if table is None else _table_sums(*table, d, [trig], [mu_b], mu_sum, eta)[0]
-    return _gradient(points, d, trig, mu_b, mu_sum, eta, sums)
+    sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
+    scale = 1.0 / (math.pi * d)
+    out = []
+    try:
+        for trig, mu_b, (s1, s2) in zip(trigs, mu_bs, sums):
+            g1 = g2 = 0.0
+            for x1, avg, jump in points:
+                q = -x1 / d
+                t1, t2 = _station_terms(q, math.sqrt(q), avg, jump, trig, mu_b, mu_sum, eta)
+                g1 += t1
+                g2 -= t2
+            out.append(((g1 + s1) * scale, (g2 - s2) * scale))
+    except ZeroDivisionError:
+        raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
+    return out
 
 
 def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
@@ -250,5 +258,5 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     """
     points, table = loading.split
     _check_face(points, table, point.d, point.phi)
-    return _grad(points, table, bimaterial, point.d, point.phi, _phi_trig(point.phi))
+    return _gradients(points, table, bimaterial, point.d, [point.phi])[0]
 

@@ -143,9 +143,12 @@ def test_scan_map_validates_grid_and_delta(bm_equal):
     for delta in (math.inf, math.nan):
         with pytest.raises(ValidationError):
             scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(4, 4), delta=delta)
-    for kwargs in ({"grid": (2.5, 3)}, {"grid": ("4", 4)}, {"grid": (4,)}, {"grid": None}, {"delta": "1e-6"}):
+    for kwargs in ({"grid": (2.5, 3)}, {"grid": ("4", 4)}, {"grid": (4,)}, {"grid": None}, {"delta": "1e-6"},
+                   {"delta": True}):
         with pytest.raises(ValidationError):
             scan_map(arrangement, sym_pair_at(3.0), bm_equal, **kwargs)
+    as_list = scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=[4, 3])
+    assert as_list == scan_map(arrangement, sym_pair_at(3.0), bm_equal, grid=(4, 3))
     with pytest.raises(ValidationError):
         PairArrangement("c", l1=0.1, d1=1.0)
 
@@ -233,7 +236,7 @@ def test_scan_map_labels_finite_ratios_whose_sum_overflows(bm_equal, monkeypatch
     def huge(points, table, bimaterial, d, phis, iso, dev):
         return [(math.inf if phi == poisoned_phi else 4e307 * k0, 0.0, 0.0) for phi in phis]
 
-    monkeypatch.setattr(mapgen, "_member_harmonics", huge)
+    monkeypatch.setattr(mapgen, "_harmonics", huge)
     m = scan_map(PairArrangement("a", l1=0.1, d1=1.0, d2=2.0), loading, bm_equal, grid=grid)
     assert m.phi1[2] == poisoned_phi
     assert m.labels == ("amplification",) * 6 + ("invalid",) * 3 + ("amplification",) * 3
@@ -320,7 +323,7 @@ def test_scan_map_matches_per_cell_reference(mu_p, mu_m, forces, pair, d1, d2, n
 def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkeypatch):
     """A table row whose closed-form gradient is not finite is X, and the
     scan carries on: the other rows keep their values."""
-    import crackwake.mapgen as mapgen
+    import crackwake.tipfields as tipfields
 
     loading = Loading(
         (PointForce(-3.0, "+", 1.0),),
@@ -329,14 +332,14 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
     probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert probe.count("invalid") == 0
-    real = mapgen._table_sums
+    real = tipfields._table_sums
     sin_half = math.sin(0.5 * float(probe.phi1[2]))
 
     def poisoned(x, avg, jump, d, trigs, *rest):
         sums = real(x, avg, jump, d, trigs, *rest)
         return [(math.inf, math.nan) if d == 1.0 and t[2] == sin_half else s for s, t in zip(sums, trigs)]
 
-    monkeypatch.setattr(mapgen, "_table_sums", poisoned)
+    monkeypatch.setattr(tipfields, "_table_sums", poisoned)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
     assert m.count("invalid") == 4
     assert all(str(r) == "invalid" for r in m.region[2, :])

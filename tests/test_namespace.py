@@ -282,6 +282,27 @@ def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
     assert package_import_scopes("scipy") == set()
 
 
+# The closed form's private kernels and the modules that may name them:
+# one owner each, so no module re-derives a step of dK on its own.
+KERNEL_OWNERS = {
+    "_table_sums": {"tipfields"}, "_station_terms": {"tipfields"}, "_phi_trig": {"tipfields"},
+    "_moments": {"tipfields"}, "_gradients": {"tipfields", "perturbation"},
+}
+
+
+def test_each_kernel_step_is_named_only_by_its_owners():
+    """tipfields alone builds the gradient, from the angle factors to the
+    table and station sums, and perturbation alone turns it into the
+    harmonics; mapgen and propagation go through _harmonics."""
+    named = {name: set() for name in KERNEL_OWNERS}
+    for path in Path(crackwake.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in (getattr(node, attr, None) for attr in ("id", "attr", "name")):  # "name": defs, imports
+                if name in named:
+                    named[name].add(path.stem)
+    assert {name: modules - KERNEL_OWNERS[name] for name, modules in named.items()} == {n: set() for n in named}
+
+
 def test_no_module_imports_dataclasses():
     """The value types are errors.Record subclasses, so no import path
     pays for dataclasses and the inspect, ast and dis it pulls in."""

@@ -272,3 +272,14 @@ def test_propagate_rejects_arrest_tol_not_positive_and_finite(bm_equal, arrest_t
     state = CrackState(0.0, (mc,), three_point_preset(1.0, 3.0, 1.0), bm_equal)
     with pytest.raises(ValidationError, match="arrest_tol"):
         propagate(state, max_iter=3, arrest_tol=arrest_tol)
+
+
+@pytest.mark.parametrize(("key", "value"), [("max_iter", 2.5), ("max_iter", None), ("max_iter", "3"),
+                                            ("max_iter", True), ("max_iter", 0), ("arrest_tol", "1e-8")])
+def test_propagate_rejects_parameters_of_the_wrong_type(bm_equal, key, value):
+    """max_iter and arrest_tol follow the rules of the params block: the
+    wrong type is a ValidationError, not a TypeError from a comparison."""
+    mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
+    state = CrackState(0.0, (mc,), three_point_preset(1.0, 3.0, 1.0), bm_equal)
+    with pytest.raises(ValidationError, match=key):
+        propagate(state, **{key: value})

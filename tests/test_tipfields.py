@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from crackwake import (
 from crackwake._quad import adaptive_quad
 from crackwake.errors import QuadratureFailure
 from crackwake.defects import _dipole_parts, _double_angle
-from crackwake.mapgen import _member_harmonics
-from crackwake.perturbation import _dk_harmonics, tip_weight_vector
+from crackwake.perturbation import _dk_harmonics, _harmonics, tip_weight_vector
 from crackwake.tipfields import _phi_trig
 
 from helpers import hat_load, rel_err, scaled, sym_pair_at
@@ -564,7 +564,7 @@ def check_lowered_table_sum(table, mu, where, phis):
         assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= 1e-12 * scale
     defects = [Defect("microcrack", d=d, phi=0.0, alpha=a, l_a=0.1 * d) for a in (0.3, 1.9)]
     iso, dev = _dipole_parts(defects[0])
-    rows = _member_harmonics(*loading.split, bm, d, phis, iso, dev)
+    rows = _harmonics(*loading.split, bm, d, phis, iso, dev)
     assert len(rows) == len(phis)
     for (a, b, c), phi, (*ref, scale) in zip(rows, phis, refs):
         trig = _phi_trig(phi)
@@ -573,10 +573,31 @@ def check_lowered_table_sum(table, mu, where, phis):
             c2, s2 = _double_angle(defect.alpha)
             dk, want = a + b * c2 + c * s2, want_a + want_b * c2 + want_c * s2
             assert math.isfinite(dk)
-            # |dK error| <= sqrt(2/pi) mu_series |grad error| |M c|, c the tip weight vector
+            # |dK error| <= sqrt(2/pi) mu_series |grad error| |M c|, c the tip weight vector,
+            # plus the rounding of the two sums, at most 1.5 eps of |a| + |b c2| + |c s2| each:
+            # |M c| is near 0 at a nearly neutral orientation, the harmonics are not
             m = dipole_matrix(defect)
             mc = math.hypot(m.m11 * trig[4] - m.m12 * trig[5], m.m12 * trig[4] - m.m22 * trig[5])
-            assert abs(dk - want) <= 1e-12 * scale * SQ2PI * bm.mu_series * mc * 0.5 / d**1.5
+            rounding = 4.0 * sys.float_info.epsilon * (abs(a) + abs(b * c2) + abs(c * s2))
+            assert abs(dk - want) <= 1e-12 * scale * SQ2PI * bm.mu_series * mc * 0.5 / d**1.5 + rounding
+
+
+def test_lowered_table_sum_bound_covers_the_rounding_of_the_harmonics_sum():
+    """A draw of tables() (Hypothesis seed 79) on which the dK bound once
+    failed by scaling only with |M c|: at phi = -0.847 and alpha = 0.3 the
+    orientation is nearly neutral, |M c| is about 1e-4 of the harmonics,
+    and dK missed its reference by 0.53 eps of |a| + |b c2| + |c s2|."""
+    x = (-6.868372193261677, -6.641022699742343, -6.1869743763470755, -5.479576994564091, -4.533543047008955,
+         -3.5794942962907887, -3.0932729873237013, -2.948320453116194, -2.9283204531161937, -2.4474007524064563,
+         -1.9505195767050425)
+    avg = (0.6794095682990244, -0.9930843093387023, -0.3643753296321218, -0.9741331261633999, -0.9913424711360843,
+           -0.45555873531481816, -0.5636561886976391, 0.6342093557348678, 0.26402111275682416, -0.36114675188435486,
+           -0.8002618986586292)
+    jump = (-0.8462537677510493, -0.8826992962309657, -0.6976217996280054, 0.2962557474227585, 0.09586912397152392,
+            -0.8213087426240855, -0.3570241357701355, -0.6583368183086686, -0.5128581229464352, -0.5896929319631202,
+            1.203027553685254e-248)
+    check_lowered_table_sum(DistributedLoad(x, avg, jump), (2.4636303971985494, 3.730288752889461),
+                            1.379105899528097, [-0.847256271101593, 2.641592653589793])
 
 
 @pytest.mark.xfail(
