@@ -19,7 +19,7 @@ _EXPORTS = {
     "loading": ("Bimaterial", "DistributedLoad", "Loading", "PointForce", "check_balance", "decompose",
                 "three_point_preset"),
     "mapgen": ("PairArrangement", "RegionMap", "scan_map", "write_map_csv", "write_map_pgm"),
-    "oracles": ("EffectiveTraction", "delta_k_defect_quadrature", "displacement_u0", "effective_tractions"),
+    "oracles": ("delta_k_defect_quadrature", "displacement_u0"),
     "perturbation": ("delta_k_defect", "delta_k_remote", "neutral_pair_a", "neutral_pair_b", "tip_weight_vector"),
     "propagation": ("CrackState", "PropagationTrace", "advance_increment", "propagate", "write_trace_csv"),
     "tipfields": ("FieldPoint", "coeff_a0", "grad_u0", "sif_k0"),

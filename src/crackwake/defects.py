@@ -94,9 +94,6 @@ class DipoleMatrix(Record):
     m12: float
     m22: float
 
-    def apply(self, v1: float, v2: float) -> tuple[float, float]:
-        return self.m11 * v1 + self.m12 * v2, self.m12 * v1 + self.m22 * v2
-
 
 def _dipole_parts(defect: Defect) -> tuple[float, float]:
     """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix;

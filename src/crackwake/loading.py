@@ -23,16 +23,22 @@ class Bimaterial(Record):
     """Two bonded elastic half-planes under antiplane shear.
 
     mu_plus is the shear modulus of the upper half-plane (x2 > 0),
-    mu_minus the one of the lower half-plane.  Both must be positive.
+    mu_minus the one of the lower half-plane.  Both must be positive, their
+    product a normal float and their sum finite, so that mu_series and
+    mu_sum are neither 0 nor inf.
     """
 
     mu_plus: float
     mu_minus: float
 
     def __post_init__(self):
-        if not (0.0 < self.mu_plus < math.inf and 0.0 < self.mu_minus < math.inf):
+        mu_p, mu_m = self.mu_plus, self.mu_minus
+        if not (0.0 < mu_p < math.inf and 0.0 < mu_m < math.inf):
+            raise ValidationError(f"shear moduli must be positive and finite, got ({mu_p}, {mu_m})")
+        if not (sys.float_info.min <= mu_p * mu_m < math.inf and mu_p + mu_m < math.inf):
             raise ValidationError(
-                f"shear moduli must be positive and finite, got ({self.mu_plus}, {self.mu_minus})"
+                f"shear moduli ({mu_p}, {mu_m}) leave the float range: their product must be a normal "
+                "float and their sum finite; only their ratio matters to K0, A0 and dK, so rescale both"
             )
 
     @cached_property

@@ -4,17 +4,19 @@ displacement_u0 inverts the angular transform of the loading: the
 displacement whose gradient grad_u0 gives in closed form.
 delta_k_defect_quadrature integrates a defect's effective crack-line
 tractions against the (-x1)^(-1/2) weight-function kernel: the dK that
-delta_k_defect gives in closed form.  Both integrate adaptively with the
-rule in _quad; only the displacement integrand uses numpy arrays.  Of the
-CLI commands only `perturb` loads this module.
+delta_k_defect gives in closed form.  Those tractions stay internal: the
+kernel sees only <sigma> + (eta/2)[sigma] = -2 mu_series w, with w from
+_crack_line_field on plain floats.  Both oracles integrate adaptively with
+the rule in _quad; only the displacement integrand uses numpy arrays.  Of
+the CLI commands only `perturb` loads this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from .defects import Defect, dipole_matrix
-from .errors import ContourTruncationFailure, Record, ValidationError
+from .defects import Defect, DipoleMatrix, dipole_matrix
+from .errors import ContourTruncationFailure, ValidationError
 from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, FieldPoint, grad_u0
 
@@ -142,78 +144,59 @@ def displacement_u0(
     )
 
 
-class EffectiveTraction(Record):
-    """Crack-line tractions induced by one defect's dipole field:
-    <sigma>(x1) = -(mu_sum/2) w(x1) and [sigma](x1) = -mu_dif w(x1), with
-    w = _dwdx2 the x2-derivative of the dipole field on the crack line.
-    Both decay like x1^(-2) far from the defect, and the jump vanishes for
-    identical half-planes.
+def _crack_line_field(defect: Defect, m: DipoleMatrix, grad: tuple[float, float]):
+    """w(x1s): the x2-derivative on the crack line x2 = 0 of the field of
+    the dipole m grad at the defect's center, at each station of x1s.
+
+    The defect's effective crack-line tractions are <sigma> = -(mu_sum/2) w
+    and [sigma] = -(mu_plus - mu_minus) w; both decay like x1^(-2).
     """
+    g1, g2 = grad
+    u1, u2 = m.m11 * g1 + m.m12 * g2, m.m12 * g1 + m.m22 * g2
+    yx, yy = defect.x, defect.y
 
-    u1: float  # dipole matrix applied to the gradient at the center
-    u2: float
-    yx: float  # defect center in tip coordinates
-    yy: float
-    mu_sum: float
-    mu_dif: float
+    def w(x1s):
+        out = []
+        for x1 in x1s:
+            dx = x1 - yx
+            rho2 = dx * dx + yy * yy
+            v1 = -yy * dx / (math.pi * rho2 * rho2)
+            v2 = -1.0 / (2.0 * math.pi * rho2) + yy * yy / (math.pi * rho2 * rho2)
+            out.append(u1 * v1 + u2 * v2)
+        return out
 
-    def _dwdx2(self, x1):
-        dx = x1 - self.yx
-        rho2 = dx * dx + self.yy * self.yy
-        v1 = -self.yy * dx / (math.pi * rho2 * rho2)
-        v2 = -1.0 / (2.0 * math.pi * rho2) + self.yy * self.yy / (math.pi * rho2 * rho2)
-        return self.u1 * v1 + self.u2 * v2
-
-    def weighted(self, x1, eta: float):
-        """<sigma> + (eta/2)[sigma], the combination the tip kernel sees."""
-        return -(0.5 * self.mu_sum + 0.5 * eta * self.mu_dif) * self._dwdx2(x1)
+    return w
 
 
-def effective_tractions(
-    defect: Defect, grad_at_center: tuple[float, float], bimaterial: Bimaterial
-) -> EffectiveTraction:
-    """Effective tractions along x2 = 0 from the defect's dipole field."""
-    m = dipole_matrix(defect)
-    u1, u2 = m.apply(*grad_at_center)
-    return EffectiveTraction(
-        u1=u1,
-        u2=u2,
-        yx=defect.x,
-        yy=defect.y,
-        mu_sum=bimaterial.mu_sum,
-        mu_dif=bimaterial.mu_plus - bimaterial.mu_minus,
-    )
-
-
-def delta_k_defect_quadrature(
-    defect: Defect, loading: Loading, bimaterial: Bimaterial, rtol: float = 1e-9
-) -> float:
+def delta_k_defect_quadrature(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """SIF perturbation by weight-function quadrature of the effective
     tractions; independent oracle for delta_k_defect.
 
-    The kernel integral over x1 < 0 runs on the substituted axis
-    t = sqrt(-x1), which removes the endpoint singularity.
+    The tip kernel sees <sigma> + (eta/2)[sigma] = -2 mu_series w, which
+    has no difference of moduli to cancel at high contrast.  The kernel
+    integral over x1 < 0 runs on the substituted axis t = sqrt(-x1),
+    which removes the endpoint singularity.
     """
     from ._quad import adaptive_quad
 
     grad = grad_u0(loading, bimaterial, FieldPoint(defect.d, defect.phi))
-    eff = effective_tractions(defect, grad, bimaterial)
-    eta = bimaterial.contrast
+    m = dipole_matrix(defect)
+    w = _crack_line_field(defect, m, grad)
+    scale = -2.0 * bimaterial.mu_series
 
     def integrand(ts):
-        return [eff.weighted(-t * t, eta) for t in ts]
+        return [scale * v for v in w([-t * t for t in ts])]
 
-    # natural magnitude of the integral, for the absolute error floor
-    m = dipole_matrix(defect)
+    # natural magnitude of the integral, modulus factor included, for the absolute error floor
     norm = (abs(grad[0]) + abs(grad[1])) * max(
         abs(m.m11) + abs(m.m12), abs(m.m12) + abs(m.m22)
     )
-    atol = 1e-15 * (norm / defect.d**1.5 + 1e-280)
+    atol = 1e-15 * abs(scale) * (norm / defect.d**1.5 + 1e-280)
 
     split = 8.0 * max(1.0, math.sqrt(defect.d))
     pts = [math.sqrt(defect.d)]
-    if eff.yx < 0.0:
-        pts.append(math.sqrt(-eff.yx))
-    head = adaptive_quad(integrand, 0.0, split, rtol=rtol, atol=atol, points=pts)
-    tail = adaptive_quad(integrand, split, math.inf, rtol=rtol, atol=atol)
+    if defect.x < 0.0:
+        pts.append(math.sqrt(-defect.x))
+    head = adaptive_quad(integrand, 0.0, split, rtol=1e-9, atol=atol, points=pts)
+    tail = adaptive_quad(integrand, split, math.inf, rtol=1e-9, atol=atol)
     return -SQRT_2_OVER_PI * 2.0 * (head + tail)

@@ -134,16 +134,6 @@ def as_matrix(m):
     return np.array([[m.m11, m.m12], [m.m12, m.m22]])
 
 
-def traction_avg(eff, x1):
-    """<sigma>(x1) of an EffectiveTraction."""
-    return -0.5 * eff.mu_sum * eff._dwdx2(x1)
-
-
-def traction_jump(eff, x1):
-    """[sigma](x1) of an EffectiveTraction."""
-    return -eff.mu_dif * eff._dwdx2(x1)
-
-
 def step(state, phi):
     """The state with its tip advanced by phi, as propagate applies an
     increment: CrackState checks the new tip, and TipReachesDefect if the

@@ -482,6 +482,19 @@ def test_constructor_errors_carry_their_block_line(cfg, capsys, old, new, messag
     assert err == message
 
 
+@pytest.mark.parametrize("moduli", ["mu_plus = 1e-300, mu_minus = 1e-300", "mu_plus = 1e308, mu_minus = 1e308"])
+@pytest.mark.parametrize("command", ["map", "perturb"])
+def test_moduli_out_of_the_float_range_exit_1(cfg, capsys, command, moduli):
+    """Moduli whose product underflows or whose sum overflows are refused at
+    the bimaterial's line, before a map of N or nan cells or a dK of 0."""
+    text = SYM_PAIR_CFG.replace("mu_plus = 1, mu_minus = 1", moduli)
+    assert text != SYM_PAIR_CFG
+    assert main([command, "--config", cfg(text), "--grid", "4x4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 2: shear moduli (") and "only their ratio matters" in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -50,6 +50,20 @@ def test_bimaterial_rejects_nonpositive_moduli():
         Bimaterial(1.0, -2.0)
 
 
+@pytest.mark.parametrize("moduli", [(1e-300, 1e-300), (1e308, 1e308), (1e200, 1e200), (1e-160, 1e-160)])
+def test_bimaterial_rejects_moduli_whose_product_or_sum_leaves_the_float_range(moduli):
+    """mu_series = 0 at (1e-300, 1e-300) and nan at (1e308, 1e308); only the
+    ratio of the moduli matters, so both are refused with that advice."""
+    with pytest.raises(ValidationError, match=r"^shear moduli \(.+, .+\) .*only their ratio matters"):
+        Bimaterial(*moduli)
+
+
+def test_bimaterial_accepts_any_ratio_in_range():
+    for moduli in ((1.0, 1e-300), (1e-300, 1.0), (1e300, 1e-8), (1e-150, 1e-150), (1e154, 1e154)):
+        bm = Bimaterial(*moduli)
+        assert 0.0 < bm.mu_series < math.inf and -1.0 <= bm.contrast <= 1.0
+
+
 def test_point_force_validation():
     with pytest.raises(ValidationError):
         PointForce(1.0, "+", 1.0)

@@ -202,8 +202,8 @@ def test_map_pgm_format(bm_equal):
 def test_scan_map_non_finite_ratio_is_invalid():
     """Moduli so small that the gradient overflows while K0 stays finite:
     every ratio is inf or nan, and every cell is X rather than S/A/N."""
-    bm = Bimaterial(1e-300, 1e-300)
-    m = small_map(bm, three_point_preset(1e10, 3.0, 1.0), grid=(4, 2))
+    bm = Bimaterial(1e-150, 1e-150)  # the smallest equal pair whose product is a normal float
+    m = small_map(bm, three_point_preset(1e300, 3.0, 1.0), grid=(4, 2))
     assert m.count("invalid") == 8
     assert np.all(np.isnan(m.ratio))
     buf = io.StringIO()

@@ -15,13 +15,13 @@ from helpers import run_refusing_numpy
 EXPORTS = [
     "Bimaterial", "ContourTruncationFailure", "CrackState", "CrackwakeError",
     "DEFECT_KINDS", "Defect", "DegenerateA0", "DilutenessWarning", "DipoleMatrix",
-    "DistributedLoad", "EffectiveTraction", "FieldPoint", "InvalidDefect", "InvalidPreset",
+    "DistributedLoad", "FieldPoint", "InvalidDefect", "InvalidPreset",
     "LoadTooCloseToTip", "Loading", "NumericalError", "OnCrackFaceUnderLoad",
     "PairArrangement", "PointForce", "PropagationTrace", "QuadratureFailure", "RegionMap",
     "Scenario", "ScenarioParams", "TipReachesDefect", "TipReachesLoad", "UnbalancedLoading",
     "ValidationError", "advance_increment", "check_balance", "coeff_a0", "decompose",
     "delta_k_defect", "delta_k_defect_quadrature", "delta_k_remote", "dipole_matrix",
-    "displacement_u0", "dump_scenario", "effective_tractions", "grad_u0", "neutral_pair_a",
+    "displacement_u0", "dump_scenario", "grad_u0", "neutral_pair_a",
     "neutral_pair_b", "parse_scenario", "propagate", "scan_map", "sif_k0",
     "three_point_preset", "tip_weight_vector", "write_map_csv", "write_map_pgm", "write_trace_csv",
 ]
@@ -48,7 +48,7 @@ def crackwake_modules(loaded: set) -> set:
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 50
     assert sorted(crackwake.__all__) == sorted(EXPORTS)
     assert set(EXPORTS) <= set(dir(crackwake))
 
@@ -210,8 +210,6 @@ def test_oracles_are_one_module_behind_the_namespace():
 
     assert crackwake.displacement_u0 is oracles.displacement_u0
     assert crackwake.delta_k_defect_quadrature is oracles.delta_k_defect_quadrature
-    assert crackwake.effective_tractions is oracles.effective_tractions
-    assert crackwake.EffectiveTraction is oracles.EffectiveTraction
     for closed_form in (crackwake.tipfields, crackwake.perturbation):
         assert not hasattr(closed_form, "displacement_u0")
         assert not hasattr(closed_form, "delta_k_defect_quadrature")

@@ -217,7 +217,7 @@ def test_advance_increment_with_table_matches_direct_formula(bm_pos):
 def test_non_finite_increment_raises():
     """Loads so large against the moduli that dK overflows: propagation
     stops with NumericalError instead of writing NaN rows."""
-    bm = Bimaterial(1e-300, 1e-300)
+    bm = Bimaterial(1e-150, 1e-150)  # the smallest equal pair whose product is a normal float
     mc = Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1)
     state = CrackState(0.0, (mc,), three_point_preset(1e300, 3.0, 1.0), bm)
     with pytest.raises(NumericalError):
