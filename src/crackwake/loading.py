@@ -105,18 +105,6 @@ class DistributedLoad(Record):
         object.__setattr__(self, "avg", avg)
         object.__setattr__(self, "jump", jump)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.x[0], self.x[-1]
-
-    def jump_resultant(self) -> float:
-        # piecewise-linear profile integrates exactly by the trapezoid rule
-        return _trapezoid(self.jump, self.x)
-
-    def abs_scale(self) -> float:
-        faces = [abs(a + 0.5 * j) + abs(a - 0.5 * j) for a, j in zip(self.avg, self.jump)]
-        return _trapezoid(faces, self.x)
-
 
 def _column(values) -> tuple[float, ...]:
     """A table column as a tuple of floats; ValidationError unless it is
@@ -150,41 +138,25 @@ class Loading(Record):
     @cached_property
     def split(self) -> tuple:
         """decompose(self), computed once: the (stations, table) pair that
-        every kernel reads."""
+        every kernel and the balance, scale and support checks read."""
         return decompose(self)
 
-    def balance_residual(self) -> float:
-        """Total upper-face force minus total lower-face force."""
-        res = 0.0
-        for f in self.forces:
-            res += f.magnitude if f.face == "+" else -f.magnitude
-        if self.distributed is not None:
-            res += self.distributed.jump_resultant()
-        return res
-
-    def abs_scale(self) -> float:
-        scale = sum(abs(f.magnitude) for f in self.forces)
-        if self.distributed is not None:
-            scale += self.distributed.abs_scale()
-        return scale
-
     def support_max(self) -> float | None:
-        """Station closest to the tip (largest x1), None for an empty loading."""
-        xs = [f.x1 for f in self.forces]
-        if self.distributed is not None:
-            xs.append(self.distributed.support[1])
-        return max(xs) if xs else None
+        """Largest x1 of the split, the load support closest to the tip; None without load."""
+        stations, table = self.split
+        xs = [x1 for x1, _, _ in stations] + list(table[0] if table else ())
+        return max(xs, default=None)
 
 
 def decompose(loading: Loading) -> tuple:
     """Split a loading into symmetric <p> = (p+ + p-)/2 and skew [p] = p+ - p-:
-    the pair (stations, table) that the kernels take.
+    the pair (stations, table) that the kernels and check_balance read.
 
     stations holds one (x1, avg, jump) triple of floats per abscissa,
     sorted by x1: point forces sharing a station are merged, so avg and
-    jump are the distributional weights of <p> and [p] there, and a
-    station whose face loads both sum to zero is dropped.  table is the
-    distributed load's columns (x, avg, jump), or None.
+    jump are the distributional weights of <p> and [p] there, and an
+    abscissa whose face loads both sum to zero is dropped: it is no load
+    support.  table is the distributed load's columns (x, avg, jump), or None.
     """
     merged: dict[float, list[float]] = {}
     for f in loading.forces:
@@ -200,19 +172,28 @@ def decompose(loading: Loading) -> tuple:
 
 
 def check_balance(loading: Loading, tip_clearance: float = DEFAULT_TIP_CLEARANCE) -> Loading:
-    """Validate self-balance and tip clearance; return the loading unchanged.
+    """Validate self-balance and tip clearance on loading.split; return the loading unchanged.
 
-    Raises UnbalancedLoading when the principal force vector exceeds
-    1e-12 times the summed load magnitudes, and LoadTooCloseToTip when
-    any support point lies within tip_clearance of the tip.
+    Raises UnbalancedLoading when the total skew part [p] exceeds 1e-12
+    times the total |p+| + |p-|, and LoadTooCloseToTip when the load
+    support lies within tip_clearance of the tip.
     """
     support = loading.support_max()
     if support is not None and support > -tip_clearance:
         raise LoadTooCloseToTip(
             f"load support reaches x1 = {support:g}, closer than clearance {tip_clearance:g}"
         )
-    scale = loading.abs_scale()
-    residual = loading.balance_residual()
+    stations, table = loading.split
+    x, avg, jump = table or ((), (), ())
+    # |p+| + |p-| at each station, then at each table knot
+    faces = [abs(a + 0.5 * j) + abs(a - 0.5 * j) for _, a, j in (*stations, *zip(x, avg, jump))]
+    n = len(stations)
+    try:
+        residual = math.fsum(j for _, _, j in stations) + _trapezoid(jump, x)
+        scale = math.fsum(faces[:n]) + _trapezoid(faces[n:], x)
+    except (OverflowError, ValueError):
+        # an fsum over loads beyond the float range: the scale is infinite, and no residual exceeds it
+        return loading
     if abs(residual) > 1e-12 * scale:
         raise UnbalancedLoading(residual, scale)
     return loading

@@ -15,7 +15,7 @@ import math
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import InvalidDefect
 from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, _check_face, _gradients
+from .tipfields import SQRT_2_OVER_PI, _check_face, _finite, _gradients
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
@@ -45,12 +45,12 @@ def _harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
-    """Closed-form SIF perturbation of one defect."""
+    """Closed-form SIF perturbation of one defect; NumericalError unless finite."""
     points, table = loading.split
     _check_face(points, table, defect.d, defect.phi)
     (a, b, c), = _harmonics(points, table, bimaterial, defect.d, [defect.phi], *_dipole_parts(defect))
     c2, s2 = _double_angle(defect.alpha)
-    return a + b * c2 + c * s2
+    return _finite("dK", a + b * c2 + c * s2)
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

@@ -34,7 +34,8 @@ class CrackState(Record):
     Defect polar coordinates and load stations are measured from the
     frame origin, where the tip conventionally starts; the propagation
     engine shifts them into tip coordinates at each tip_x.  This is the
-    one check that the tip is a finite position ahead of the load.
+    one check that the tip is a finite position ahead of the load and
+    farther than l_a from each defect.
     """
 
     tip_x: float
@@ -51,6 +52,7 @@ class CrackState(Record):
             raise TipReachesLoad(
                 f"loading support reaches x = {support:g}, not behind tip at {self.tip_x:g}"
             )
+        _check_path(self.tip_x, self.tip_x, _on_path(self.defects))
 
 
 class PropagationTrace(Record):
@@ -101,8 +103,8 @@ class _Engine:
     """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
 
     It keeps what does not move with the tip: the point stations, the
-    table columns and each defect's position, _dipole_parts, _double_angle,
-    size and kind.  At a tip it shifts the stations and the table into tip
+    table columns and each defect's position, _dipole_parts and
+    _double_angle.  At a tip it shifts the stations and the table into tip
     coordinates and evaluates them with tipfields._coefficients and
     perturbation._harmonics, the functions behind sif_k0, coeff_a0 and
     delta_k_defect, so every value equals theirs on the tip-relative
@@ -112,8 +114,7 @@ class _Engine:
     def __init__(self, state: CrackState):
         self.bimaterial = state.bimaterial
         self.stations, self.table = state.loading.split  # x from the frame origin
-        self.defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha), df.l_a, df.kind)
-                        for df in state.defects]
+        self.defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha)) for df in state.defects]
         dists = [math.hypot(x - state.tip_x, y) for x, y, *_ in self.defects]
         self.d_ref = min(dists) if dists else 1.0
         self.on_path = _on_path(state.defects)
@@ -128,14 +129,9 @@ class _Engine:
         k0, a3 = _coefficients(points, table, bm.contrast)
         k0, a3 = _finite("K0", k0), _finite("A0", a3)
         per = []
-        for xd, yd, iso, dev, c2, s2, la, kind in self.defects:
+        for xd, yd, iso, dev, c2, s2 in self.defects:
             dx = xd - tip
-            dj = math.hypot(dx, yd)
-            if dj <= la:
-                raise TipReachesDefect(
-                    f"tip at {tip:g} is within {la:g} of the {kind} centered at ({xd:g}, {yd:g})"
-                )
-            (a, b, c), = _harmonics(points, table, bm, dj, [math.atan2(yd, dx)], iso, dev)
+            (a, b, c), = _harmonics(points, table, bm, math.hypot(dx, yd), [math.atan2(yd, dx)], iso, dev)
             per.append(a + b * c2 + c * s2)
         return k0, a3, tuple(per), math.fsum(per)
 

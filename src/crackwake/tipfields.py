@@ -255,8 +255,10 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     Uses the upper-material branch for phi >= 0 and the lower one for
     phi < 0; on the interface (phi = 0) du/dx2 carries the upper-side
     limit, which differs from the lower one by mu_minus/mu_plus.
+    NumericalError where a component is not finite.
     """
     points, table = loading.split
     _check_face(points, table, point.d, point.phi)
-    return _gradients(points, table, bimaterial, point.d, [point.phi])[0]
+    (g1, g2), = _gradients(points, table, bimaterial, point.d, [point.phi])
+    return _finite("du/dx1", g1), _finite("du/dx2", g2)
 

@@ -196,7 +196,7 @@ def test_criterion_3_field_consistency():
                 phi = sign * math.pi * (1 - 1e-12)
                 mu = bm.mu_plus if sign > 0 else bm.mu_minus
                 g2 = grad_u0(loading, bm, FieldPoint(d, phi))[1]
-                worst_face = max(worst_face, abs(mu * g2) / loading.abs_scale())
+                worst_face = max(worst_face, abs(mu * g2) / 2.0)  # both loads: |p+| + |p-| summed is 2
     ok &= worst_iface < 1e-8 and worst_face < 1e-8
     detail.append(f"interface {worst_iface:.2e}, face {worst_face:.2e}")
 

@@ -203,16 +203,53 @@ def test_empty_loading_is_balanced():
 
 def test_check_balance_with_table():
     """A tabulated jump is balanced by a lower-face force equal to its
-    trapezoid resultant; a wrong force is caught."""
+    trapezoid resultant; a wrong force is caught.  The residual and the
+    scale |p+| + |p-| come from the split, exact on these values."""
     table = DistributedLoad((-3.0, -2.0, -1.0), (0.5, -1.0, 0.5), (0.0, 2.0, 0.0))
-    assert table.jump_resultant() == 2.0
-    assert table.abs_scale() == 3.0
     balanced = Loading((PointForce(-4.0, "-", 2.0),), table)
     assert check_balance(balanced) is balanced
-    assert balanced.balance_residual() == 0.0
-    assert balanced.abs_scale() == 5.0
-    with pytest.raises(UnbalancedLoading):
-        check_balance(Loading((PointForce(-4.0, "-", 1.0),), table))
+    for forces, residual, scale in (((), 2.0, 3.0), ((PointForce(-4.0, "-", 1.0),), 1.0, 4.0)):
+        with pytest.raises(UnbalancedLoading) as caught:
+            check_balance(Loading(forces, table))
+        assert (caught.value.residual, caught.value.scale) == (residual, scale)
+
+
+@pytest.mark.parametrize(
+    "forces",
+    [(PointForce(-1e-9, "+", 0.0),), (PointForce(-1e-9, "+", 1.0), PointForce(-1e-9, "+", -1.0))],
+    ids=["zero-force", "same-face-cancelling"],
+)
+def test_an_abscissa_whose_loads_sum_to_zero_is_no_load_support(forces):
+    """decompose drops the abscissa, so the loads within the tip clearance
+    pass the balance check and leave the split as it was."""
+    preset = three_point_preset(1.0, 3.0, 1.0)
+    loading = Loading(preset.forces + forces)
+    assert check_balance(loading) is loading
+    assert loading.split == preset.split and loading.support_max() == -2.0
+
+
+def test_an_abscissa_whose_loads_sum_to_zero_adds_no_scale():
+    cancelling = (PointForce(-2.0, "+", 5.0), PointForce(-2.0, "+", -5.0))
+    with pytest.raises(UnbalancedLoading) as caught:
+        check_balance(Loading((PointForce(-1.0, "+", 1.0), *cancelling)))
+    assert (caught.value.residual, caught.value.scale) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "loading",
+    [
+        three_point_preset(1e308, 3.0, 1.0),
+        Loading((PointForce(-1.0, "+", 1e308), PointForce(-1.0, "+", 1e308),
+                 PointForce(-2.0, "-", 1e308), PointForce(-2.0, "-", 1e308))),
+        Loading((), DistributedLoad((-3.0, -2.0, -1.0), (0.0, 0.0, 0.0), (1e308, 1e308, -1e308))),
+    ],
+    ids=["preset-scale-overflows", "merged-force-overflows", "table-panels-overflow"],
+)
+def test_loads_beyond_the_float_range_pass_the_balance_check(loading):
+    """An fsum of the residual or the scale that leaves the float range
+    means an infinite scale, which no residual exceeds: the check passes,
+    as with a plain running sum, and raises no OverflowError or ValueError."""
+    assert check_balance(loading) is loading
 
 
 @pytest.mark.parametrize(

@@ -245,31 +245,39 @@ NUMPY_IMPORTS_ALLOWED = {
 }
 
 
-def import_scopes(node, scope, module):
-    """Dotted scope of every import of module (or a submodule) under
-    node; a module-scope import (class bodies included) gives a scope
+def node_scopes(node, scope, matches):
+    """Dotted scope of every node under node for which matches(node)
+    holds; a node at module scope (class bodies included) gives a scope
     with no function."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""] if child.level == 0 else []
-        else:
-            names = []
-        if any(name == module or name.startswith(module + ".") for name in names):
+        if matches(child):
             yield scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from import_scopes(child, f"{scope}.{child.name}", module)
+            yield from node_scopes(child, f"{scope}.{child.name}", matches)
         else:
-            yield from import_scopes(child, scope, module)
+            yield from node_scopes(child, scope, matches)
 
 
-def package_import_scopes(module: str) -> set:
+def package_scopes(matches) -> set:
     return {
         scope
         for path in Path(crackwake.__file__).parent.glob("*.py")
-        for scope in import_scopes(ast.parse(path.read_text()), path.stem, module)
+        for scope in node_scopes(ast.parse(path.read_text()), path.stem, matches)
     }
+
+
+def package_import_scopes(module: str) -> set:
+    """Scopes of every import of module (or a submodule) in the package."""
+    def imports_module(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            return False
+        return any(name == module or name.startswith(module + ".") for name in names)
+
+    return package_scopes(imports_module)
 
 
 def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
@@ -299,6 +307,22 @@ def test_each_kernel_step_is_named_only_by_its_owners():
                 if name in named:
                     named[name].add(path.stem)
     assert {name: modules - KERNEL_OWNERS[name] for name, modules in named.items()} == {n: set() for n in named}
+
+
+# The scopes that may read a Loading's face form (.forces, .distributed):
+# decompose, the one computation from it, and the code that builds or
+# dumps a loading.  Everything else reads Loading.split.
+FACE_FORM_READERS = {"loading.decompose", "loading.Loading.__post_init__", "config._build_loading",
+                     "config.dump_scenario"}
+
+
+def test_only_decompose_computes_from_the_face_form():
+    """Balance, scale, support and every kernel read the <p>/[p] split."""
+    def reads_face_form(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in ("forces", "distributed"))
+
+    assert package_scopes(reads_face_form) == FACE_FORM_READERS
 
 
 def test_no_module_imports_dataclasses():

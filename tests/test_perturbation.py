@@ -13,6 +13,7 @@ from crackwake import (
     FieldPoint,
     InvalidDefect,
     Loading,
+    NumericalError,
     delta_k_defect,
     delta_k_defect_quadrature,
     delta_k_remote,
@@ -135,6 +136,16 @@ def test_delta_k_oracle_equivalence_random(bm_equal, bm_pos):
         closed = delta_k_defect(defect, loading, bm)
         quad = delta_k_defect_quadrature(defect, loading, bm)
         assert rel_err(closed, quad) < 1e-6
+
+
+def test_overflowing_dk_raises_numerical_error():
+    """Where the gradient overflows, delta_k_defect raises NumericalError
+    instead of returning NaN, as sif_k0 does on a non-finite K0."""
+    bm = Bimaterial(1e-150, 1e-150)  # the smallest equal pair whose product is a normal float
+    loading = three_point_preset(1e300, 3.0, 1.0)
+    assert math.isfinite(sif_k0(loading, bm))
+    with pytest.raises(NumericalError, match="dK is not finite"):
+        delta_k_defect(Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1), loading, bm)
 
 
 def test_delta_k_superposition_and_linearity(bm_pos):

@@ -10,6 +10,7 @@ from crackwake import (
     CrackState,
     Defect,
     DegenerateA0,
+    DilutenessWarning,
     Loading,
     NumericalError,
     PointForce,
@@ -107,6 +108,24 @@ def test_tip_cannot_jump_through_a_defect_on_its_path(bm_equal):
     crossing = Defect.from_cartesian("microcrack", 1.0, -0.09, alpha=0.0, l_a=0.1)
     with pytest.raises(TipReachesDefect):
         step(CrackState(0.0, (crossing,), sym_pair_at(3.0), bm_equal), 1.5)
+
+
+@pytest.mark.filterwarnings("ignore", category=DilutenessWarning)
+def test_state_rejects_a_tip_within_l_a_of_a_defect(bm_equal):
+    """CrackState owns the tip's clearance from the defects: a start tip
+    within l_a of one is refused at construction, not first in propagate,
+    and so is a tip moved there by replace."""
+    close = Defect("microcrack", d=0.05, phi=0.3, alpha=0.0, l_a=0.1)
+    with pytest.raises(TipReachesDefect, match=r"tip path \[0, 0\] comes within 0.1 of the microcrack"):
+        CrackState(0.0, (close,), three_point_preset(1.0, 3.0, 1.0), bm_equal)
+    state = CrackState(0.0, (Defect("microcrack", d=1.0, phi=0.0, alpha=0.0, l_a=0.1),), sym_pair_at(3.0), bm_equal)
+    with pytest.raises(TipReachesDefect, match=r"tip path \[0.95, 0.95\]"):
+        state.replace(tip_x=0.95)
+
+
+def test_a_zero_force_ahead_of_the_tip_is_no_load_support(bm_equal):
+    loading = Loading((*sym_pair_at(3.0).forces, PointForce(-1.0, "+", 0.0)))
+    assert CrackState(-2.0, (), loading, bm_equal).loading.support_max() == -3.0
 
 
 def test_state_rejects_load_ahead_of_tip(bm_equal):

@@ -13,6 +13,7 @@ from crackwake import (
     DistributedLoad,
     FieldPoint,
     Loading,
+    NumericalError,
     OnCrackFaceUnderLoad,
     PointForce,
     ValidationError,
@@ -91,12 +92,22 @@ def test_grad_parity_for_symmetric_load_equal_materials(bm_equal, sym_pair):
         assert g2m == g2p
 
 
+def test_overflowing_gradient_raises_numerical_error():
+    """Moduli so small that the gradient overflows while K0 stays finite:
+    grad_u0 raises NumericalError instead of returning NaN."""
+    bm = Bimaterial(1e-150, 1e-150)  # the smallest equal pair whose product is a normal float
+    loading = three_point_preset(1e300, 3.0, 1.0)
+    assert math.isfinite(sif_k0(loading, bm))
+    with pytest.raises(NumericalError, match="du/dx1 is not finite"):
+        grad_u0(loading, bm, FieldPoint(1.0, 0.4))
+
+
 def test_grad_face_traction_free(bm_pos):
     loading = three_point_preset(1.0, 3.0, 2.0)
     for d, phi in ((1.7, math.pi * (1 - 1e-12)), (0.6, -math.pi * (1 - 1e-12))):
         mu = bm_pos.mu_plus if phi > 0 else bm_pos.mu_minus
         g2 = grad_u0(loading, bm_pos, FieldPoint(d, phi))[1]
-        assert abs(mu * g2) < 1e-8 * loading.abs_scale()
+        assert abs(mu * g2) < 1e-8 * 2.0  # 2P, the preset's |p+| + |p-| summed
 
 
 def test_grad_interface_continuity(bm_pos):
