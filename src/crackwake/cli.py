@@ -68,6 +68,17 @@ def _parse_args(argv) -> dict:
     return args
 
 
+def _write(writer, result, path: str | None, out) -> None:
+    """writer(result, out), or into the file at path when one is given:
+    opened only now that result exists, so a command that fails leaves an
+    existing file as it was, and rows still stream to disk."""
+    if path is None:
+        writer(result, out)
+    else:
+        with open(path, "w") as fh:
+            writer(result, fh)
+
+
 def _first_microcrack(scenario: Scenario):
     if not scenario.defects:
         raise ValidationError("scenario has no defect blocks")
@@ -118,7 +129,7 @@ def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
 
     state = CrackState(0.0, scenario.defects, scenario.loading, scenario.bimaterial)
     trace = propagate(state, max_iter=params.max_iter, arrest_tol=params.arrest_tol)
-    write_trace_csv(trace, out)
+    _write(write_trace_csv, trace, params.out, out)
 
 
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
@@ -132,7 +143,7 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
     region_map = scan_map(arrangement, scenario.loading, scenario.bimaterial, grid=params.grid, delta=params.delta)
-    write_map_csv(region_map, out)
+    _write(write_map_csv, region_map, params.out, out)
     if params.pgm:
         with open(Path(params.out).with_suffix(".pgm"), "w") as fh:
             write_map_pgm(region_map, fh)
@@ -148,25 +159,6 @@ def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
         companion = neutral_pair_b(defect, scenario.bimaterial)
     out.write(f"defect {{ kind = {companion.kind}, d = {_fmt(companion.d)}, phi = {_fmt(companion.phi)}, "
               f"alpha = {_fmt(companion.alpha)}, la = {_fmt(companion.l_a)} }}\n")
-
-
-class _OpenOnFirstWrite:
-    """A text file opened for writing by its first write.  The handlers
-    write only once their result exists, so a command that fails before
-    that leaves an existing file as it was; rows still stream to disk."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.fh = None
-
-    def write(self, text: str) -> int:
-        self.fh = open(self.path, "w")
-        self.write = self.fh.write  # later writes go straight to the file
-        return self.write(text)
-
-    def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
 
 
 COMMANDS = {"dipole": _cmd_dipole, "sif": _cmd_sif, "perturb": _cmd_perturb, "propagate": _cmd_propagate,
@@ -194,15 +186,7 @@ def main(argv=None) -> int:
         if "dump_config" in args:
             sys.stdout.write(dump_scenario(scenario.replace(params=params)))
             return 0
-        handler = COMMANDS[args["command"]]
-        if params.out is not None and args["command"] in ("propagate", "map"):
-            out = _OpenOnFirstWrite(params.out)
-            try:
-                handler(scenario, params, out)
-            finally:
-                out.close()
-        else:
-            handler(scenario, params, sys.stdout)
+        COMMANDS[args["command"]](scenario, params, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

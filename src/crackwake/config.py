@@ -5,6 +5,10 @@ with `name {` and closes with a `}` on a line of its own, or sits whole
 on its line as `name { item, item, ... }`, the one place where commas
 separate items.  `#` outside quotes starts a comment.  Angles are
 radians; a `deg` suffix on a number converts from degrees.
+
+_parse_tree reads each line in one pass over its tokens (a quoted
+string, `#`, a brace, a comma, or text) into a tree of blocks; the
+builders then check each block's keys and values and build the Scenario.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from .defects import _KIND_FIELDS, Defect
 from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError, _check_param, _is_number
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
-_BLOCK_OPEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\{\s*(.*)$")
 _ENTRY = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _DEG_VALUE = re.compile(r"^([-+0-9.eE]+)\s*deg$")
 _GRID_VALUE = re.compile(r"^\d+x\d+$")
 _NAME_VALUE = re.compile(r"^[A-Za-z_+\-][A-Za-z0-9_+\-./]*$")
-_UNCOMMENTED = re.compile(r'(?:"[^"]*"?|[^"#])*')  # a line up to a "#" outside quotes
-_MARK = re.compile(r'"[^"]*"|[{},"]')  # a quoted string, or a brace, comma or unclosed quote
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(r'"[^"]*"?|[#{},]|[^"#{},]+')  # a quoted string or unclosed quote, a mark, or text
 
 
 class ScenarioParams(Record):
@@ -93,66 +96,63 @@ def _parse_value(raw: str, line: int | None):
     raise ConfigSyntaxError(f"cannot parse value {raw!r}", line)
 
 
-def _split(text: str, line: int) -> list[str]:
-    """text cut at each comma outside quotes and braces."""
-    parts, start, depth = [], 0, 0
-    for m in _MARK.finditer(text):
-        mark = m[0]
-        if mark == "{":
-            depth += 1
-        elif mark == "}":
-            depth -= 1
-            if depth < 0:
-                raise ConfigSyntaxError("unmatched closing brace", line)
-        elif mark == '"':
-            break
-        elif mark == "," and depth == 0:
-            parts.append(text[start:m.start()])
-            start = m.end()
-    else:
-        if depth == 0:
-            return [*parts, text[start:]]
-    raise ConfigSyntaxError("unbalanced braces or quotes", line)
-
-
-def _add_item(block: _Block, item: str, line: int, stack: list | None = None) -> None:
-    """Add to block one item of a line: `key = value`, or a block closed
-    on the same line.  An item on a line of its own (stack given) may also
-    be `name {`, a block that the next lines fill: it goes onto stack."""
-    m = "{" in item and _BLOCK_OPEN.match(item)
-    if m and (stack is not None or m[2].endswith("}")):
-        child = _Block(m[1], line)
-        block.children.append(child)
-        if m[2].endswith("}"):
-            for part in _split(m[2][:-1], line):
-                if part := part.strip():
-                    _add_item(child, part, line)
-        elif m[2]:
-            raise ConfigSyntaxError("inline block must close on the same line", line)
-        else:
-            stack.append(child)
-        return
-    m = _ENTRY.match(item)
-    if m is None:
-        raise ConfigSyntaxError(f"cannot parse line {item!r}" if stack else f"expected key = value, got {item!r}",
-                                line)
-    if stack and block is stack[0]:
-        raise ConfigSyntaxError("key outside any block", line)
-    block.entries.append((m[1], _parse_value(m[2], line), line))
+def _add_entry(stack: list, item: str, line: int) -> None:
+    """Add item, `key = value` or blank, to the innermost open block."""
+    if item := item.strip():
+        m = _ENTRY.match(item)
+        if m is None:
+            raise ConfigSyntaxError(f"expected key = value or a block, got {item!r}", line)
+        if len(stack) == 1:
+            raise ConfigSyntaxError("key outside any block", line)
+        stack[-1].entries.append((m[1], _parse_value(m[2], line), line))
 
 
 def _parse_tree(text: str) -> _Block:
+    """The block tree of text, each line read in one pass over its tokens.
+    A block opened on a line closes on it, unless `name {` is the whole
+    line.  item gathers an entry up to a comma or brace of its block
+    (depth counts the braces open in its value), or the whole line where
+    no block is open; it is None after a block closed on the line."""
     stack = [_Block("<root>", 0)]
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = _UNCOMMENTED.match(line)[0]
-        line = line.strip()
-        if line == "}":
+        top, item, depth, last = len(stack), "", 0, None
+        for tok in _TOKEN.findall(line):
+            if tok == "#":
+                break
+            if item is None:
+                if tok.isspace():
+                    continue
+                if len(stack) == top or tok not in (",", "}"):
+                    raise ConfigSyntaxError(f"unexpected {tok.strip()!r} after a block", lineno)
+                item = ""
+            if not tok.isspace():
+                last = tok
+            if tok == "{" and not depth and _NAME.fullmatch(item.strip()):
+                last = _Block(item.strip(), lineno)
+                stack[-1].children.append(last)
+                stack.append(last)
+                item = ""
+            elif len(stack) == top or tok not in ("{", "}", ","):
+                if len(stack) > top and tok.count('"') == 1:
+                    raise ConfigSyntaxError("unclosed quote", lineno)
+                item += tok
+            elif tok == "{" or depth:  # a brace, or a comma inside braces, of a value
+                depth += 1 if tok == "{" else -1 if tok == "}" else 0
+                item += tok
+            else:
+                _add_entry(stack, item, lineno)
+                item = ""
+                if tok == "}":
+                    stack.pop()
+                    item = None
+        if len(stack) > top + (last is stack[-1]):
+            raise ConfigSyntaxError("inline block must close on the line that opens it", lineno)
+        if len(stack) == top and item and item.strip() == "}":
             if len(stack) == 1:
                 raise ConfigSyntaxError("unmatched closing brace", lineno)
             stack.pop()
-        elif line:
-            _add_item(stack[-1], line, lineno, stack)
+        elif len(stack) == top and item:
+            _add_entry(stack, item, lineno)
     if len(stack) != 1:
         raise ConfigSyntaxError(f"block {stack[-1].name!r} never closed", stack[-1].line)
     return stack[0]

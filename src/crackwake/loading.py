@@ -156,7 +156,9 @@ def decompose(loading: Loading) -> tuple:
     sorted by x1: point forces sharing a station are merged, so avg and
     jump are the distributional weights of <p> and [p] there, and an
     abscissa whose face loads both sum to zero is dropped: it is no load
-    support.  table is the distributed load's columns (x, avg, jump), or None.
+    support.  table is the distributed load's columns (x, avg, jump) less
+    the end panels whose two knots carry zero avg and jump, or None when
+    no panel is left.
     """
     merged: dict[float, list[float]] = {}
     for f in loading.forces:
@@ -168,7 +170,11 @@ def decompose(loading: Loading) -> tuple:
         if p_up != 0.0 or p_lo != 0.0
     )
     t = loading.distributed
-    return stations, None if t is None else (t.x, t.avg, t.jump)
+    loaded = [] if t is None else [i for i, (a, j) in enumerate(zip(t.avg, t.jump)) if a != 0.0 or j != 0.0]
+    if not loaded:
+        return stations, None
+    lo, hi = max(loaded[0] - 1, 0), loaded[-1] + 2
+    return stations, (t.x[lo:hi], t.avg[lo:hi], t.jump[lo:hi])
 
 
 def check_balance(loading: Loading, tip_clearance: float = DEFAULT_TIP_CLEARANCE) -> Loading:

@@ -210,11 +210,12 @@ def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float)
 
 def _check_face(points, table, d: float, phi: float) -> None:
     """Raise OnCrackFaceUnderLoad for a point on a loaded part of the
-    faces: on a loaded station, or anywhere in a table's closed support."""
+    faces: on a station (decompose keeps only loaded ones), or anywhere
+    in a table's closed support."""
     if abs(phi) < math.pi - 1e-9:
         return
-    for x1, avg, jump in points:
-        if abs(-d - x1) <= 1e-12 * d and (avg != 0.0 or jump != 0.0):
+    for x1, _, _ in points:
+        if abs(-d - x1) <= 1e-12 * d:
             raise OnCrackFaceUnderLoad(
                 f"point (d={d:g}, phi={phi:g}) sits on the loaded station x1={x1:g}"
             )

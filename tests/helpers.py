@@ -1,6 +1,6 @@
 """Shared test utilities: canonical loads, mollified tables, random draws,
-the one-line compositions of the library that only the tests use, and
-the child interpreter that refuses numpy."""
+the one-line compositions of the library that only the tests use, the
+child interpreter that refuses numpy, and the reference scenario reader."""
 
 import argparse
 import contextlib
@@ -8,13 +8,18 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 
-from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, delta_k_defect
+from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, ValidationError, config, delta_k_defect
+from crackwake.config import _Block, _parse_value
 from crackwake.defects import _entries
+from crackwake.errors import ConfigSyntaxError
 from crackwake.mapgen import _labels
 from crackwake.propagation import _check_path, _on_path
 from crackwake.tipfields import SQRT_2_OVER_PI
@@ -238,3 +243,92 @@ def run_refusing_numpy(code: str):
     if proc.returncode:
         raise AssertionError(f"child interpreter exited {proc.returncode}:\n{proc.stderr}")
     return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+# The scenario reader that the one-pass config._parse_tree replaced, kept
+# as the reference of the differential reader test: one line's items
+# found by a comment regex, a block regex and a comma split in turn.
+_REF_BLOCK_OPEN = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\{\s*(.*)$")
+_REF_ENTRY = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+_REF_UNCOMMENTED = re.compile(r'(?:"[^"]*"?|[^"#])*')  # a line up to a "#" outside quotes
+_REF_MARK = re.compile(r'"[^"]*"|[{},"]')  # a quoted string, or a brace, comma or unclosed quote
+
+
+def _reference_split(text, line):
+    """text cut at each comma outside quotes and braces."""
+    parts, start, depth = [], 0, 0
+    for m in _REF_MARK.finditer(text):
+        mark = m[0]
+        if mark == "{":
+            depth += 1
+        elif mark == "}":
+            depth -= 1
+            if depth < 0:
+                raise ConfigSyntaxError("unmatched closing brace", line)
+        elif mark == '"':
+            break
+        elif mark == "," and depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
+    else:
+        if depth == 0:
+            return [*parts, text[start:]]
+    raise ConfigSyntaxError("unbalanced braces or quotes", line)
+
+
+def _reference_add_item(block, item, line, stack=None):
+    """Add to block one item of a line: `key = value`, or a block closed
+    on the same line.  An item on a line of its own (stack given) may also
+    be `name {`, a block that the next lines fill: it goes onto stack."""
+    m = "{" in item and _REF_BLOCK_OPEN.match(item)
+    if m and (stack is not None or m[2].endswith("}")):
+        child = _Block(m[1], line)
+        block.children.append(child)
+        if m[2].endswith("}"):
+            for part in _reference_split(m[2][:-1], line):
+                if part := part.strip():
+                    _reference_add_item(child, part, line)
+        elif m[2]:
+            raise ConfigSyntaxError("inline block must close on the same line", line)
+        else:
+            stack.append(child)
+        return
+    m = _REF_ENTRY.match(item)
+    if m is None:
+        raise ConfigSyntaxError(f"cannot parse line {item!r}" if stack else f"expected key = value, got {item!r}",
+                                line)
+    if stack and block is stack[0]:
+        raise ConfigSyntaxError("key outside any block", line)
+    block.entries.append((m[1], _parse_value(m[2], line), line))
+
+
+def reference_parse_tree(text):
+    stack = [_Block("<root>", 0)]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = _REF_UNCOMMENTED.match(line)[0]
+        line = line.strip()
+        if line == "}":
+            if len(stack) == 1:
+                raise ConfigSyntaxError("unmatched closing brace", lineno)
+            stack.pop()
+        elif line:
+            _reference_add_item(stack[-1], line, lineno, stack)
+    if len(stack) != 1:
+        raise ConfigSyntaxError(f"block {stack[-1].name!r} never closed", stack[-1].line)
+    return stack[0]
+
+
+def read_outcome(text, reference=False):
+    """parse_scenario(text), with the reference reader when reference is
+    true, as one comparable value: the repr of the scenario and the
+    messages of its warnings, or the class of the error and its line (the
+    message of an error without one)."""
+    reader = mock.patch.object(config, "_parse_tree", reference_parse_tree) if reference else contextlib.nullcontext()
+    with warnings.catch_warnings(record=True) as caught, reader:
+        warnings.simplefilter("always")
+        try:
+            scenario = config.parse_scenario(text)
+        except ValidationError as exc:
+            return type(exc), getattr(exc, "line", str(exc))
+    return repr(scenario), [str(w.message) for w in caught]

@@ -527,3 +527,10 @@ def test_out_of_memory_is_one_error_line(cfg, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error: out of memory: {message}"]
+
+
+def test_map_without_defects_exits_1(cfg, capsys):
+    text = SYM_PAIR_CFG.replace("defect { kind = microcrack, d = 1, phi = 22.5 deg, alpha = 0, la = 0.1 }\n", "")
+    assert main(["map", "--config", cfg(text), "--grid", "4x4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: scenario has no defect blocks"]

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from crackwake import (
     Bimaterial,
     Defect,
     DilutenessWarning,
+    DistributedLoad,
     Loading,
     LoadTooCloseToTip,
     PointForce,
@@ -22,6 +24,8 @@ from crackwake import (
 )
 from crackwake.defects import _KIND_FIELDS
 from crackwake.errors import ConfigError, ConfigSyntaxError, InvalidDefect, InvalidPreset, MissingBlock, UnknownKey
+
+from helpers import read_outcome
 
 MINIMAL = """
 # weak interface, symmetric pair, one microcrack ahead
@@ -414,3 +418,80 @@ def scenarios(draw):
 @given(scenarios())
 def test_dump_parse_round_trip_property(scenario):
     assert parse_scenario(dump_scenario(scenario)) == scenario
+
+
+README_SCENARIO = (Path(__file__).parent / "golden" / "readme.cfg").read_text()
+# pieces of the grammar and of its errors, inserted at random places
+SNIPPETS = ["{", "}", ",", '"', "#", "=", " ", "\n", "\t", "x", "1", "a = 1", "b {", "b { a = 1 }", "}}", "{}",
+            "{,}", '""', '"x"', '"{,}"', ", ,", "= {", "\xa0", "deg", "out = ", 'out = "a", "b"', '"{', '}"']
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The README scenario or EVERY_BLOCK_MULTILINE after one to four
+    edits: a snippet inserted, a span deleted or repeated, or two lines
+    swapped or joined."""
+    text = draw(st.sampled_from([README_SCENARIO, EVERY_BLOCK_MULTILINE]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(0, 12)))
+        edit = draw(st.sampled_from(["insert", "delete", "repeat", "swap", "join"]))
+        if edit == "insert":
+            text = text[:i] + draw(st.sampled_from(SNIPPETS)) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "repeat":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 2))
+            if edit == "swap":
+                lines[k], lines[k + 1] = lines[k + 1], lines[k]
+            else:
+                lines[k:k + 2] = [lines[k] + draw(st.sampled_from([" ", ", "])) + lines[k + 1]]
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_scenarios())
+def test_one_pass_reader_agrees_with_the_reference_reader(text):
+    """The one-pass reader and the parent's three-pass reader (kept in
+    helpers) accept the same texts and build the same scenario from them,
+    and refuse the others with one exception class at one line."""
+    assert read_outcome(text) == read_outcome(text, reference=True)
+
+
+@pytest.mark.parametrize("text", [
+    'bimaterial {\n  mu_plus = 1, mu_minus = 1\n}',  # a line of its own holds one entry
+    'params {\n  out = "a", "b"\n}',  # a value that starts and ends with a quote, taken whole
+    'params { out = "x" {,} "y" }',  # so is one with braces inside
+    "bimaterial { mu_plus = 1 } x", "bimaterial { a { } } }", "bimaterial { a { } b = 1 }", "bimaterial { ,",
+    'bimaterial { out = "x }', 'bimaterial {\n  out = "x\n}', "a = 1", "}", "bimaterial {} {}", "bimaterial { a = {",
+])
+def test_one_pass_reader_agrees_on_edge_cases(text):
+    assert read_outcome(MINIMAL + text) == read_outcome(MINIMAL + text, reference=True)
+
+
+@pytest.mark.parametrize("old, new, error, message", [
+    ("phi = 22.5 deg", "phi = 1.2.3 deg", ConfigSyntaxError, "line 7: bad degree value '1.2.3 deg'"),
+    ("mu_minus = 1", "mu_minus = 1, mu_plus = 2", ConfigSyntaxError,
+     "line 3: duplicate key 'mu_plus' in block 'bimaterial'"),
+    ("d = 1, phi = 22.5 deg", "d = 1, phi = 0.4, x = 1, y = 0.5", ConfigSyntaxError,
+     r"line 7: defect position must be \(d, phi\) or \(x, y\), not both"),
+    ("d = 1, phi = 22.5 deg,", "", MissingBlock, r"line 7: defect needs a position: \(d, phi\) or \(x, y\)"),
+])
+def test_a_bad_value_or_position_is_refused_at_its_line(old, new, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
+def test_scenario_params_refuses_an_out_that_is_no_path():
+    with pytest.raises(ValidationError, match="^out expects a path, got 3$"):
+        ScenarioParams(out=3)
+
+
+def test_dump_refuses_a_tabulated_load():
+    loading = Loading(distributed=DistributedLoad((-3.0, -2.0), (1.0, 1.0), (0.0, 0.0)))
+    with pytest.raises(ValidationError, match="^tabulated distributed loads have no config form$"):
+        dump_scenario(Scenario(Bimaterial(1.0, 1.0), loading))

@@ -306,3 +306,35 @@ def test_table_columns_become_float_tuples():
     table = DistributedLoad(np.array([-3, -2, -1]), [np.float32(0.5), 1, True], (0.0, 2.0, 0.0))
     assert table.x == (-3.0, -2.0, -1.0) and table.avg == (0.5, 1.0, 1.0)
     assert all(type(v) is float for v in table.x + table.avg + table.jump)
+
+
+PAIR_AT_4 = (PointForce(-4.0, "+", 1.0), PointForce(-4.0, "-", 1.0))
+
+
+@pytest.mark.parametrize("x, avg, jump, kept", [
+    ((-5.0, -4.0, -3.0, -2.0, -1.0), (0.0, 0.0, 1.0, 0.0, -0.0), (0.0, -0.0, 0.0, 0.0, 0.0), slice(1, 4)),
+    ((-5.0, -4.0, -3.0, -2.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 2.0), slice(2, 4)),
+    ((-5.0, -4.0, -3.0), (3.0, 0.0, 0.0), (0.0, 0.0, 0.0), slice(0, 2)),
+    ((-5.0, -4.0), (1.0, 0.0), (0.0, 1.0), slice(0, 2)),
+])
+def test_decompose_drops_the_zero_end_panels_of_a_table(x, avg, jump, kept):
+    """An end panel whose two knots carry no load is no load support."""
+    _, table = decompose(Loading((), DistributedLoad(x, avg, jump)))
+    assert table == (x[kept], avg[kept], jump[kept])
+
+
+def test_a_table_with_no_load_is_no_table():
+    loading = Loading(PAIR_AT_4, DistributedLoad((-3.0, -2.0, -1e-9), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    assert loading.split == (Loading(PAIR_AT_4).split[0], None)
+    assert check_balance(loading) is loading
+
+
+@pytest.mark.parametrize("x, avg, jump, message", [
+    ((-1.0,), (1.0,), (0.0,), "distributed load needs at least two stations"),
+    ((-1.0, -2.0), (1.0, 1.0), (0.0, 0.0), "distributed-load stations must be strictly increasing"),
+    ((-1.0, 0.0), (1.0, 1.0), (0.0, 0.0), "distributed-load support must lie on x1 < 0"),
+    ((-2.0, -1.0), (1.0,), (0.0, 0.0), "avg/jump tables must match the station grid"),
+])
+def test_distributed_load_rejects_a_bad_table(x, avg, jump, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DistributedLoad(x, avg, jump)

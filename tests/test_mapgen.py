@@ -350,3 +350,18 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     buf = io.StringIO()
     write_map_csv(m, buf)
     assert buf.getvalue().count(",X") == 4
+
+
+@pytest.mark.parametrize("l1, d1", [(0.0, 1.0), (0.1, 0.0), (-0.1, 1.0), (0.1, -2.0)])
+def test_arrangement_rejects_non_positive_l1_or_d1(l1, d1):
+    with pytest.raises(ValidationError, match="^arrangement needs positive l1 and d1$"):
+        PairArrangement("a", l1=l1, d1=d1)
+
+
+@pytest.mark.parametrize("p", [1.0, -1.0])
+def test_map_refuses_a_loading_with_zero_k0(bm_equal, p):
+    """p at x1 = -1 and -2p at -4, on both faces: their K0 terms cancel exactly."""
+    loading = Loading(sym_pair_at(1.0, p).forces + sym_pair_at(4.0, -2.0 * p).forces)
+    assert sif_k0(loading, bm_equal) == 0.0
+    with pytest.raises(ValidationError, match="^map needs a loading with non-zero K0$"):
+        scan_map(PairArrangement("a", l1=0.1, d1=1.0), loading, bm_equal, grid=(4, 4))

@@ -11,8 +11,10 @@ from crackwake import (
     Defect,
     DegenerateA0,
     DilutenessWarning,
+    DistributedLoad,
     Loading,
     NumericalError,
+    OnCrackFaceUnderLoad,
     PointForce,
     TipReachesDefect,
     TipReachesLoad,
@@ -302,3 +304,18 @@ def test_propagate_rejects_parameters_of_the_wrong_type(bm_equal, key, value):
     state = CrackState(0.0, (mc,), three_point_preset(1.0, 3.0, 1.0), bm_equal)
     with pytest.raises(ValidationError, match=key):
         propagate(state, **{key: value})
+
+
+def test_a_table_without_load_ahead_of_the_tip_is_no_load_support(bm_equal):
+    forces = (PointForce(-4.0, "+", 1.0), PointForce(-4.0, "-", 1.0))
+    loading = Loading(forces, DistributedLoad((-3.0, -0.2), (0.0, 0.0), (0.0, 0.0)))
+    assert CrackState(-0.5, (), loading, bm_equal).loading.support_max() == -4.0
+
+
+def test_propagate_refuses_a_defect_on_a_loaded_face_station(bm_equal):
+    """The defect sits within one ulp of the lower face, over the station
+    at x1 = -2, where the station kernel's denominator is exactly 0."""
+    defect = Defect("microcrack", d=2.0, phi=math.nextafter(math.pi, 0.0), alpha=0.0, l_a=0.1)
+    loading = Loading(sym_pair_at(2.0).forces + sym_pair_at(4.0, 1.0).forces)
+    with pytest.raises(OnCrackFaceUnderLoad, match="^point at d=2 sits on a load station at the face$"):
+        propagate(CrackState(0.0, (defect,), loading, bm_equal), max_iter=3)

@@ -80,3 +80,8 @@ def test_pole_inside_the_interval_raises():
 def test_nan_integrand_raises():
     with pytest.raises(QuadratureFailure):
         adaptive_quad(lambda x: np.where(np.asarray(x) > 0.7, np.nan, x), 0.0, 1.0, rtol=1e-10)
+
+
+def test_an_overflowing_sum_is_a_quadrature_failure():
+    with pytest.raises(QuadratureFailure, match=r"^quadrature on \[0, 10\] overflowed$"):
+        adaptive_quad(lambda xs: [1e308] * len(xs), 0.0, 10.0, rtol=1e-9)
