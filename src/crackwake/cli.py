@@ -143,10 +143,9 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
     region_map = scan_map(arrangement, scenario.loading, scenario.bimaterial, grid=params.grid, delta=params.delta)
+    if params.pgm:  # first, so an image that cannot be written leaves --out as it was
+        _write(write_map_pgm, region_map, str(Path(params.out).with_suffix(".pgm")), out)
     _write(write_map_csv, region_map, params.out, out)
-    if params.pgm:
-        with open(Path(params.out).with_suffix(".pgm"), "w") as fh:
-            write_map_pgm(region_map, fh)
 
 
 def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:

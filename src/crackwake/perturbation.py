@@ -11,17 +11,25 @@ results are plain sums (dilute defects).
 from __future__ import annotations
 
 import math
+import sys
 
 from .defects import Defect, _dipole_parts, _double_angle
-from .errors import InvalidDefect
+from .errors import InvalidDefect, NumericalError
 from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, _check_face, _finite, _gradients
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
     """Weight vector of the tip: magnitude 1/(2 d^(3/2)), direction
-    (-sin(3 phi/2), cos(3 phi/2))."""
-    f = 0.5 / d**1.5
+    (-sin(3 phi/2), cos(3 phi/2)); NumericalError unless d^(3/2) is a
+    normal float."""
+    try:
+        d15 = d**1.5
+    except OverflowError:
+        d15 = math.inf
+    if not sys.float_info.min <= d15 < math.inf:
+        raise NumericalError(f"d^(3/2) = {d15:g} at d = {d:g} leaves the float range")
+    f = 0.5 / d15
     return -f * math.sin(1.5 * phi), f * math.cos(1.5 * phi)
 
 
@@ -65,14 +73,22 @@ def delta_k_remote(defect: Defect, bimaterial: Bimaterial) -> float:
     ratio then depends on the defect geometry only.  It is the dipole
     contraction against the leading K-field gradient,
     -mu_op/(2 pi mu_sum d^2) (m_iso cos(phi) - m_dev cos(2 phi - 2 alpha)).
+    NumericalError unless 2 pi mu_sum d^2 is a normal float and the ratio
+    is finite.
     """
     iso, dev = _dipole_parts(defect)
     phi, alpha = defect.phi, defect.alpha
     # the cc/ss form keeps one bracket exactly zero for the line kinds
     ss = math.sin(1.5 * phi - alpha) * math.sin(0.5 * phi - alpha)
     cc = math.cos(1.5 * phi - alpha) * math.cos(0.5 * phi - alpha)
-    pref = -_opposite_mu(phi, bimaterial) / (2.0 * math.pi * bimaterial.mu_sum * defect.d**2)
-    return pref * ((iso - dev) * cc + (iso + dev) * ss)
+    try:
+        den = 2.0 * math.pi * bimaterial.mu_sum * defect.d**2
+    except OverflowError:
+        den = math.inf
+    if not sys.float_info.min <= den < math.inf:
+        raise NumericalError(f"2 pi mu_sum d^2 = {den:g} at d = {defect.d:g} leaves the float range")
+    pref = -_opposite_mu(phi, bimaterial) / den
+    return _finite("dK/K0", pref * ((iso - dev) * cc + (iso + dev) * ss))
 
 
 def neutral_pair_a(microcrack: Defect, d2: float | None = None) -> Defect:

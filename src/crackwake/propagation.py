@@ -33,7 +33,7 @@ class CrackState(Record):
 
     Defect polar coordinates and load stations are measured from the
     frame origin, where the tip conventionally starts; the propagation
-    engine shifts them into tip coordinates at each tip_x.  This is the
+    evaluator shifts them into tip coordinates at each tip_x.  This is the
     one check that the tip is a finite position ahead of the load and
     farther than l_a from each defect.
     """
@@ -99,8 +99,10 @@ def _check_path(lo: float, hi: float, on_path) -> None:
             )
 
 
-class _Engine:
-    """Per-run evaluator of (K0, A0, dK_j) as a function of tip position.
+def _evaluator(state: CrackState):
+    """Return (evaluate, d_ref): evaluate(tip) gives (phi, dK total, K0, A0)
+    at tip, phi = -2 * dK total / A0 the quasi-static advance there, and
+    d_ref is the smallest initial defect distance (1 without defects).
 
     It keeps what does not move with the tip: the point stations, the
     table columns and each defect's position, _dipole_parts and
@@ -108,32 +110,35 @@ class _Engine:
     coordinates and evaluates them with tipfields._coefficients and
     perturbation._harmonics, the functions behind sif_k0, coeff_a0 and
     delta_k_defect, so every value equals theirs on the tip-relative
-    loading and defects.
+    loading and defects.  phi is 0 without a perturbation; DegenerateA0
+    when A0 is too small to balance a non-zero one.
     """
+    bm = state.bimaterial
+    stations, table = state.loading.split  # x from the frame origin
+    defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha)) for df in state.defects]
+    d_ref = min((math.hypot(x - state.tip_x, y) for x, y, *_ in defects), default=1.0)
 
-    def __init__(self, state: CrackState):
-        self.bimaterial = state.bimaterial
-        self.stations, self.table = state.loading.split  # x from the frame origin
-        self.defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha)) for df in state.defects]
-        dists = [math.hypot(x - state.tip_x, y) for x, y, *_ in self.defects]
-        self.d_ref = min(dists) if dists else 1.0
-        self.on_path = _on_path(state.defects)
-
-    def evaluate(self, tip: float):
-        """Return (k0, a3, per-defect dK tuple, dK total) at tip."""
-        bm = self.bimaterial
-        points = [(xs - tip, avg, jump) for xs, avg, jump in self.stations]
-        table = self.table
-        if table is not None:
-            table = (tuple(x - tip for x in table[0]), table[1], table[2])
-        k0, a3 = _coefficients(points, table, bm.contrast)
+    def evaluate(tip: float):
+        points = [(xs - tip, avg, jump) for xs, avg, jump in stations]
+        shifted = None if table is None else (tuple(x - tip for x in table[0]), table[1], table[2])
+        k0, a3 = _coefficients(points, shifted, bm.contrast)
         k0, a3 = _finite("K0", k0), _finite("A0", a3)
-        per = []
-        for xd, yd, iso, dev, c2, s2 in self.defects:
+        dk = []
+        for xd, yd, iso, dev, c2, s2 in defects:
             dx = xd - tip
-            (a, b, c), = _harmonics(points, table, bm, math.hypot(dx, yd), [math.atan2(yd, dx)], iso, dev)
-            per.append(a + b * c2 + c * s2)
-        return k0, a3, tuple(per), math.fsum(per)
+            (a, b, c), = _harmonics(points, shifted, bm, math.hypot(dx, yd), [math.atan2(yd, dx)], iso, dev)
+            dk.append(a + b * c2 + c * s2)
+        total = math.fsum(dk)
+        if total == 0.0:
+            return 0.0, total, k0, a3
+        if abs(a3) < 1e-14 * abs(k0) / d_ref:
+            raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0:.3e}")
+        phi = -2.0 * total / a3
+        if not math.isfinite(phi):
+            raise NumericalError(f"advance is not finite: dK = {total:g}, A0 = {a3:g}")
+        return phi, total, k0, a3
+
+    return evaluate, d_ref
 
 
 def advance_increment(state: CrackState) -> float:
@@ -142,20 +147,8 @@ def advance_increment(state: CrackState) -> float:
     Zero without defects; DegenerateA0 when the second-order
     coefficient is too small to balance a non-zero perturbation.
     """
-    engine = _Engine(state)
-    k0, a3, _, total = engine.evaluate(state.tip_x)
-    return _increment(total, a3, k0, engine.d_ref)
-
-
-def _increment(total: float, a3: float, k0: float, d_ref: float) -> float:
-    if total == 0.0:
-        return 0.0
-    if abs(a3) < 1e-14 * abs(k0) / d_ref:
-        raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0:.3e}")
-    phi = -2.0 * total / a3
-    if not math.isfinite(phi):
-        raise NumericalError(f"advance is not finite: dK = {total:g}, A0 = {a3:g}")
-    return phi
+    evaluate, _ = _evaluator(state)
+    return evaluate(state.tip_x)[0]
 
 
 def propagate(
@@ -172,10 +165,11 @@ def propagate(
     smallest initial defect distance.
     """
     _check_param("max_iter", max_iter)
-    engine = _Engine(state)
+    evaluate, d_ref = _evaluator(state)
     if arrest_tol is None:
-        arrest_tol = 1e-8 * engine.d_ref
+        arrest_tol = 1e-8 * d_ref
     _check_param("arrest_tol", arrest_tol)
+    on_path = _on_path(state.defects)
 
     tip = state.tip_x
     elong = 0.0
@@ -187,13 +181,12 @@ def propagate(
     verdict = "max_iterations"
 
     for _ in range(max_iter):
-        k0, a3, _, total = engine.evaluate(tip)
-        phi = _increment(total, a3, k0, engine.d_ref)
+        phi, total, k0, a3 = evaluate(tip)
         if phi < arrest_tol:
             rows += (phi, elong, total, k0, a3, ARREST_FLAG)
             verdict = "arrest"
             break
-        _check_path(tip, tip + phi, engine.on_path)
+        _check_path(tip, tip + phi, on_path)
         tip += phi
         elong += phi
         streak = streak + 1 if abs(phi - prev_phi) < STEADY_REL * phi else 0

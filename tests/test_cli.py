@@ -312,6 +312,19 @@ def test_failed_command_leaves_existing_out_file_alone(cfg, tmp_path, capsys, co
     assert keep.read_bytes() == before
 
 
+def test_map_pgm_that_cannot_be_written_leaves_out_alone(cfg, tmp_path, capsys):
+    """The image is written first: when it fails, --out keeps its old rows."""
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"phi1,alpha1,ratio,region\n0.1,0.2,0.3,N\n")
+    before = keep.read_bytes()
+    (tmp_path / "keep.pgm").mkdir()
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", str(keep), "--pgm"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write output:")
+    assert keep.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

@@ -69,6 +69,8 @@ def test_advance_increment_degenerate_a0(bm_equal):
     state = CrackState(0.0, (Defect("microcrack", d=1.0, phi=0.4, alpha=0.3, l_a=0.1),), loading, bm_equal)
     with pytest.raises(DegenerateA0):
         advance_increment(state)
+    with pytest.raises(DegenerateA0):
+        propagate(state)
 
 
 def test_step_geometry(bm_equal):
