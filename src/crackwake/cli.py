@@ -7,7 +7,6 @@ zero) among them.  All numbers print with 9 significant digits.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 
@@ -107,21 +106,17 @@ def _cmd_sif(scenario: Scenario, params: ScenarioParams, out) -> None:
 def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
     from .oracles import delta_k_defect_quadrature
     from .perturbation import delta_k_defect
-    from .propagation import CrackState, advance_increment
-    from .tipfields import coeff_a0, sif_k0
+    from .propagation import CrackState, _evaluator
 
     loading, bm = scenario.loading, scenario.bimaterial
-    closed_values = []
     for i, defect in enumerate(scenario.defects, start=1):
         closed = delta_k_defect(defect, loading, bm)
         quad = delta_k_defect_quadrature(defect, loading, bm)
-        closed_values.append(closed)
         out.write(f"defect {i}: {defect.kind}\n")
         out.write(f"  dK = {_fmt(closed)} (closed)\n  dK = {_fmt(quad)} (quadrature)\n")
-    phi = advance_increment(CrackState(0.0, scenario.defects, loading, bm))
-    out.write(f"dK_total = {_fmt(math.fsum(closed_values))}\n")
-    out.write(f"K0 = {_fmt(sif_k0(loading, bm))}\nA0 = {_fmt(coeff_a0(loading, bm))}\n")
-    out.write(f"phi = {_fmt(phi)}\n")
+    state = CrackState(0.0, scenario.defects, loading, bm)
+    phi, total, k0, a0 = _evaluator(state)[0](state.tip_x)  # one balance: row 0 of propagate
+    out.write(f"dK_total = {_fmt(total)}\nK0 = {_fmt(k0)}\nA0 = {_fmt(a0)}\nphi = {_fmt(phi)}\n")
 
 
 def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:

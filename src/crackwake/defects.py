@@ -9,6 +9,7 @@ angle, which is normalized to [0, pi).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .errors import DilutenessWarning, InvalidDefect, NumericalError, Record
@@ -98,7 +99,8 @@ class DipoleMatrix(Record):
 def _dipole_parts(defect: Defect) -> tuple[float, float]:
     """Isotropic and deviatoric parts (m_iso, m_dev) of the dipole matrix;
     NumericalError beyond the float range, or when the size prefactor
-    (l_a^2, l_a l_b, ...) underflows to 0."""
+    (l_a^2, l_a l_b, ...) underflows to 0 or a subnormal, unless the
+    kind's parameters make the matrix 0."""
     kind = defect.kind
     try:
         if kind == "elastic_ellipse":
@@ -136,7 +138,8 @@ def _dipole_parts(defect: Defect) -> tuple[float, float]:
         iso = dev = math.inf
     if not (math.isfinite(iso) and math.isfinite(dev)):
         raise NumericalError(f"dipole matrix of the {kind} with la = {defect.l_a:g} overflows")
-    if size == 0.0:  # the size, not the matrix, which mu_star = 1 or kappa = 0 make 0 at any size
+    zero = defect.mu_star == 1.0 if kind == "elastic_ellipse" else kind == "soft_line" and defect.kappa == 0.0
+    if size < sys.float_info.min and not zero:  # 0 or subnormal, but mu_star = 1 or kappa = 0 make 0 at any size
         raise NumericalError(f"dipole matrix of the {kind} with la = {defect.l_a:g} underflows")
     return iso, dev
 

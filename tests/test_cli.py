@@ -1,11 +1,13 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from crackwake import ScenarioParams, parse_scenario
+from crackwake import Defect, ScenarioParams, neutral_pair_b, parse_scenario
 from crackwake.cli import main
 
 SYM_PAIR_CFG = """
@@ -60,6 +62,53 @@ def test_perturb_shows_both_paths(cfg, capsys):
     assert out.count("(closed)") == 1
     assert out.count("(quadrature)") == 1
     assert "phi = " in out
+
+
+README_CFG = (Path(__file__).parent / "golden" / "readme.cfg").read_text()
+
+
+def pair_b_cfg(microcrack):
+    """The README bimaterial and loading with a microcrack and its
+    neutral_pair_b companion, every float written in full."""
+    lines = [line for line in README_CFG.splitlines() if not line.startswith(("defect", "params"))]
+    for df in (microcrack, neutral_pair_b(microcrack, parse_scenario(README_CFG).bimaterial)):
+        lines.append(f"defect {{ kind = {df.kind}, d = {df.d!r}, phi = {df.phi!r}, alpha = {df.alpha!r}, "
+                     f"la = {df.l_a!r} }}")
+    return "\n".join(lines) + "\n"
+
+
+def balance_lines(path, capsys):
+    """The last four lines of perturb, and the same four fields of row 0
+    of propagate, as printed."""
+    assert main(["perturb", "--config", path]) == 0
+    perturb = capsys.readouterr().out.splitlines()[-4:]
+    assert main(["propagate", "--config", path, "--max-iter", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    return perturb, [f"{key} = {fields[key]}" for key in ("dK_total", "K0", "A0", "phi")]
+
+
+PAIR_B_MICROCRACK = Defect("microcrack", d=0.6164567015443907, phi=2.1508107542920776, alpha=0.8688278589950288,
+                           l_a=0.05)
+
+
+def test_perturb_prints_the_balance_of_propagates_first_row(cfg, capsys):
+    """dK_total, K0, A0 and phi are one evaluation: on a neutral pair whose
+    per-defect dK sum to 5.4e-20, the total that phi = 0 balances is 0."""
+    perturb, row = balance_lines(cfg(README_CFG), capsys)
+    assert perturb == row
+    perturb, row = balance_lines(cfg(pair_b_cfg(PAIR_B_MICROCRACK)), capsys)
+    assert perturb == row
+    assert perturb[0] == "dK_total = 0" and perturb[3] == "phi = 0"
+
+
+def test_perturb_balance_over_seeded_neutral_pairs(cfg, capsys):
+    rng = random.Random(28)
+    for _ in range(200):
+        microcrack = Defect("microcrack", d=rng.uniform(0.5, 3.0), phi=rng.uniform(-3.0, 3.0),
+                            alpha=rng.uniform(0.0, math.pi), l_a=0.05)
+        perturb, row = balance_lines(cfg(pair_b_cfg(microcrack)), capsys)
+        assert perturb == row, microcrack
 
 
 def test_perturb_and_oracles_never_import_scipy(cfg):
@@ -247,6 +296,10 @@ NEAR_TIP_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack wi
 TINY_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la = 0.1",
                                        "d = 1e-150, phi = 0.3, alpha = 0.2, la = 1e-170")
 TINY_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e-170 underflows\n"
+# la**2 is subnormal: a matrix with few significant bits
+SUBNORMAL_DEFECT_CFG = SYM_PAIR_CFG.replace("d = 1, phi = 22.5 deg, alpha = 0, la = 0.1",
+                                            "d = 1e-159, phi = 0.3, alpha = 0.2, la = 1e-160")
+SUBNORMAL_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with la = 1e-160 underflows\n"
 
 
 @pytest.mark.parametrize(
@@ -263,10 +316,11 @@ TINY_DEFECT_MESSAGE = "numerical failure: dipole matrix of the microcrack with l
         ("propagate", NEAR_TIP_DEFECT_CFG, NEAR_TIP_DEFECT_MESSAGE),
         ("dipole", NEAR_TIP_DEFECT_CFG, NEAR_TIP_DEFECT_MESSAGE),
         ("dipole", TINY_DEFECT_CFG, TINY_DEFECT_MESSAGE),
+        ("dipole", SUBNORMAL_DEFECT_CFG, SUBNORMAL_DEFECT_MESSAGE),
     ],
     ids=["perturb-a0-cancels", "sif-a0-inf", "perturb-a0-inf", "propagate-a0-inf",
          "dipole-overflow", "perturb-overflow", "propagate-overflow", "perturb-near-tip", "propagate-near-tip",
-         "dipole-near-tip-underflow", "dipole-underflow"],
+         "dipole-near-tip-underflow", "dipole-underflow", "dipole-subnormal"],
 )
 def test_numerical_failure_exits_2(cfg, capsys, command, text, message):
     assert main([command, "--config", cfg(text)]) == 2

@@ -218,11 +218,13 @@ def test_overflowing_size_names_the_defect(kind):
 
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 def test_underflowing_size_names_the_defect(kind):
-    """A size prefactor (l_a^2, l_a l_b, ...) that underflows to 0 is an
-    error, not an all-zero matrix."""
-    defect = Defect(kind, d=1e-150, phi=0.4, alpha=0.3, l_a=1e-170, l_b=1e-170, kappa=1.0, mu_star=2.0)
-    with pytest.raises(NumericalError, match=f"dipole matrix of the {kind} with la = 1e-170 underflows"):
-        dipole_matrix(defect)
+    """A size prefactor (l_a^2, l_a l_b, ...) that underflows to 0 or to a
+    subnormal is an error, not an all-zero matrix or one with few
+    significant bits."""
+    for la in ("1e-170", "1e-160"):  # 0 and a subnormal
+        defect = Defect(kind, d=1e-150, phi=0.4, alpha=0.3, l_a=float(la), l_b=float(la), kappa=1.0, mu_star=2.0)
+        with pytest.raises(NumericalError, match=f"dipole matrix of the {kind} with la = {la} underflows"):
+            dipole_matrix(defect)
 
 
 def test_a_matrix_that_is_zero_by_its_parameters_is_no_underflow():

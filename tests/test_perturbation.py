@@ -354,14 +354,7 @@ def test_delta_k_defect_is_exact_under_length_scaling(k):
         assert math.frexp(dk)[0] == expected
 
 
-REMOTE_SCALING_WINDOW = pytest.mark.xfail(strict=True, reason="_dipole_parts lets a subnormal size prefactor "
-                                          "through: at k = -255 the ratios read 0.003397888153537156/"
-                                          "0.0008156616466213558 for 0.0033978881535371547/0.0008156616466213556, "
-                                          "with nothing raised")
-
-
-@pytest.mark.parametrize("k", [pytest.param(k, marks=REMOTE_SCALING_WINDOW) if k == -255 else k
-                               for k in range(-270, 271, 5)])
+@pytest.mark.parametrize("k", range(-270, 271, 5))
 def test_delta_k_remote_is_exact_under_length_scaling(k):
     """Every length of the README defects times 4**k leaves the
     dimensionless ratio as it is, so its mantissa stays; a NumericalError
