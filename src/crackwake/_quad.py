@@ -61,6 +61,8 @@ KRONROD_WEIGHTS = _WGK + _WGK[-2::-1]
 GAUSS_WEIGHTS = _WG + _WG[-2::-1]
 
 _EPS = sys.float_info.epsilon
+# the most subintervals adaptive_quad splits an integral into
+LIMIT = 256
 
 
 def _rule(func, intervals):
@@ -91,8 +93,8 @@ def _rule(func, intervals):
     return out
 
 
-def adaptive_quad(func, a, b, *, rtol, atol=0.0, points=None, limit=256) -> float:
-    """Integrate func over [a, b], raising QuadratureFailure when limit
+def adaptive_quad(func, a, b, *, rtol, atol=0.0, points=None) -> float:
+    """Integrate func over [a, b], raising QuadratureFailure when LIMIT
     subintervals cannot bring the error estimate within
     max(atol, rtol*|result|), or when func or the sum is not finite.
 
@@ -119,10 +121,10 @@ def adaptive_quad(func, a, b, *, rtol, atol=0.0, points=None, limit=256) -> floa
         tol = max(atol, rtol * abs(value))
         if total_err <= tol:
             return value
-        if len(heap) >= limit:
+        if len(heap) >= LIMIT:
             raise QuadratureFailure(
                 f"quadrature on [{a:g}, {b:g}] reached error {total_err:.2e} "
-                f"against tolerance {tol:.2e} with {limit} subintervals"
+                f"against tolerance {tol:.2e} with {LIMIT} subintervals"
             )
         _, lo, hi, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -206,7 +206,6 @@ def _apply_params(params: ScenarioParams, items) -> ScenarioParams:
     where is a params entry's line, its value parsed already, or a flag,
     its value the text given (--out's taken verbatim as a path) or None
     when the flag is not given.  An error names its where."""
-    changes = {}
     for key, value, where in items:
         if value is None:
             continue
@@ -217,14 +216,13 @@ def _apply_params(params: ScenarioParams, items) -> ScenarioParams:
                 value = tuple(int(n) for n in value.split("x"))
             elif key in ("max_iter", "threads") and isinstance(value, float) and value.is_integer():
                 value = int(value)
-            _check_param(key, value)
+            params = params.replace(**{key: value})
         except ValidationError as exc:
             if isinstance(where, int):
                 raise ConfigSyntaxError(str(exc), where) from None
             exc.args = (f"{where}: {exc}",)
             raise
-        changes[key] = value
-    return params.replace(**changes)
+    return params
 
 
 def _build_loading(block: _Block) -> Loading:

@@ -182,8 +182,11 @@ def check_balance(loading: Loading, tip_clearance: float = DEFAULT_TIP_CLEARANCE
 
     Raises UnbalancedLoading when the total skew part [p] exceeds 1e-12
     times the total |p+| + |p-|, and LoadTooCloseToTip when the load
-    support lies within tip_clearance of the tip.
+    support lies within tip_clearance of the tip; ValidationError unless
+    0 <= tip_clearance < inf.
     """
+    if not 0.0 <= tip_clearance < math.inf:
+        raise ValidationError(f"tip clearance must be non-negative and finite, got {tip_clearance}")
     support = loading.support_max()
     if support is not None and support > -tip_clearance:
         raise LoadTooCloseToTip(

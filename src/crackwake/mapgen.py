@@ -53,6 +53,10 @@ class PairArrangement(Record):
             raise ValidationError(f'arrangement pair must be "a" or "b", got {self.pair!r}')
         if not (self.l1 > 0.0 and self.d1 > 0.0):
             raise ValidationError("arrangement needs positive l1 and d1")
+        if not (self.l1 < math.inf and self.d1 < math.inf):
+            raise ValidationError(f"arrangement needs finite l1 and d1, got l1 = {self.l1}, d1 = {self.d1}")
+        if not (self.d2 is None or 0.0 < self.d2 < math.inf):
+            raise ValidationError(f"arrangement needs a positive, finite d2 or none, got d2 = {self.d2}")
 
     def defects(self, phi1: float, alpha1: float, bimaterial: Bimaterial) -> tuple[Defect, Defect]:
         mc = Defect("microcrack", d=self.d1, phi=phi1, alpha=alpha1, l_a=self.l1)
@@ -69,7 +73,6 @@ class RegionMap(Record):
     alpha1: tuple[float, ...]
     ratios: tuple[float, ...]
     labels: tuple[str, ...]
-    delta: float
 
     @cached_property
     def ratio(self):
@@ -84,9 +87,6 @@ class RegionMap(Record):
         import numpy as np
 
         return np.array(self.labels, dtype=object).reshape(len(self.phi1), len(self.alpha1))
-
-    def count(self, region: str) -> int:
-        return self.labels.count(region)
 
 
 def _finite_or_nan(rows) -> tuple:
@@ -154,7 +154,7 @@ def scan_map(
             rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
 
     ratios = _finite_or_nan(rows)
-    return RegionMap(phis, alphas, ratios, tuple(_labels(ratios, delta)), delta)
+    return RegionMap(phis, alphas, ratios, tuple(_labels(ratios, delta)))
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:

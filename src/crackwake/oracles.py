@@ -98,8 +98,8 @@ def displacement_u0(
     result by less than rtol relative.  Intended as a test oracle for
     grad_u0, not as part of the perturbation pipeline.
     """
-    if not r > 0.0:
-        raise ValidationError(f"radius must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValidationError(f"radius must be positive and finite, got {r}")
     if not abs(theta) < math.pi:
         raise ValidationError(f"displacement needs |theta| < pi, got {theta}")
     import numpy as np

@@ -14,15 +14,17 @@ import math
 import sys
 
 from .defects import Defect, _dipole_parts, _double_angle
-from .errors import InvalidDefect, NumericalError
+from .errors import InvalidDefect, NumericalError, ValidationError
 from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, _check_face, _finite, _gradients
 
 
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
     """Weight vector of the tip: magnitude 1/(2 d^(3/2)), direction
-    (-sin(3 phi/2), cos(3 phi/2)); NumericalError unless d^(3/2) is a
-    normal float."""
+    (-sin(3 phi/2), cos(3 phi/2)); ValidationError unless 0 < d < inf and
+    phi is finite, NumericalError unless d^(3/2) is a normal float."""
+    if not (0.0 < d < math.inf and math.isfinite(phi)):
+        raise ValidationError(f"tip weight vector needs finite d > 0 and finite phi, got d = {d}, phi = {phi}")
     try:
         d15 = d**1.5
     except OverflowError:

@@ -73,11 +73,6 @@ class PropagationTrace(Record):
     flags: tuple[int, ...]
 
     @property
-    def increments(self) -> tuple[float, ...]:
-        """The applied advances: phi without an arrest's last row."""
-        return self.phi[:-1] if self.verdict == "arrest" else self.phi
-
-    @property
     def elongation(self) -> float:
         """Total applied advance, the prefix sum that the x column records."""
         return self.x[-1]

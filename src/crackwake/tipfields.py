@@ -35,14 +35,6 @@ class FieldPoint(Record):
         if not abs(self.phi) <= math.pi:
             raise ValidationError(f"field point needs |phi| <= pi, got {self.phi}")
 
-    @property
-    def x(self) -> float:
-        return self.d * math.cos(self.phi)
-
-    @property
-    def y(self) -> float:
-        return self.d * math.sin(self.phi)
-
 
 def _table_moments(x, avg, jump, eta: float) -> tuple[float, float]:
     """Integrals of {<p> + (eta/2)[p]}(x1) (-x1)^power over a table of
@@ -67,10 +59,11 @@ def _table_moments(x, avg, jump, eta: float) -> tuple[float, float]:
     return half, three_half
 
 
-def _moments(points, table, eta: float) -> tuple[float, float]:
-    """The same integrals by both powers over point stations (x1, avg, jump),
-    by sifting, plus a table (x, avg, jump) or None.  A station so near the
-    tip that (-x1)^(-3/2) overflows leaves the second one NaN."""
+def _coefficients(points, table, eta: float) -> tuple[float, float]:
+    """(K0, A0) of point stations (x1, avg, jump), by sifting, plus a table
+    (x, avg, jump) or None, through the integrals of _table_moments by both
+    powers; not checked for being finite.  A station so near the tip that
+    (-x1)^(-3/2) overflows leaves A0 NaN."""
     half = three_half = 0.0
     for x1, avg, jump in points:
         w = avg + 0.5 * eta * jump
@@ -83,13 +76,6 @@ def _moments(points, table, eta: float) -> tuple[float, float]:
         table_half, table_three_half = _table_moments(*table, eta)
         half += table_half
         three_half += table_three_half
-    return half, three_half
-
-
-def _coefficients(points, table, eta: float) -> tuple[float, float]:
-    """(K0, A0) of point stations and a table or None, as _moments takes
-    them; not checked for being finite."""
-    half, three_half = _moments(points, table, eta)
     return -SQRT_2_OVER_PI * half, SQRT_2_OVER_PI * three_half
 
 

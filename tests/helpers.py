@@ -148,6 +148,11 @@ def step(state, phi):
     return moved
 
 
+def increments(trace):
+    """A PropagationTrace's applied advances: phi without an arrest's last row."""
+    return trace.phi[:-1] if trace.verdict == "arrest" else trace.phi
+
+
 def classify(ratio, delta):
     """A map's region label for one ratio dK/K0 at accuracy delta."""
     return _labels((ratio,), delta)[0]

@@ -197,6 +197,18 @@ def test_check_balance_detects_tip_proximity():
         check_balance(loading)
 
 
+@pytest.mark.parametrize("clearance", [math.nan, -1.0, -1e-300, math.inf])
+def test_check_balance_refuses_a_clearance_that_is_not_a_distance(clearance):
+    """nan or a negative clearance would switch the tip check off, inf
+    would refuse every loading."""
+    loading = Loading((PointForce(-1e-9, "+", 1.0), PointForce(-1e-9, "-", 1.0)))
+    with pytest.raises(LoadTooCloseToTip):
+        check_balance(loading)
+    assert check_balance(loading, tip_clearance=0.0) is loading
+    with pytest.raises(ValidationError, match="^tip clearance must be non-negative and finite"):
+        check_balance(loading, tip_clearance=clearance)
+
+
 def test_empty_loading_is_balanced():
     check_balance(Loading(()))
 

@@ -74,8 +74,8 @@ def test_region_map_views_follow_the_row_major_tuples(bm_equal):
     assert [str(r) for r in m.region.ravel()] == list(m.labels)
     assert m.ratio[4, 1] == m.ratios[4 * 3 + 1]
     for region in ("shielding", "amplification", "neutral", "invalid"):
-        assert m.count(region) == int(np.sum(m.region == region))
-    assert sum(m.count(r) for r in ("shielding", "amplification", "neutral")) == 18
+        assert m.labels.count(region) == int(np.sum(m.region == region))
+    assert sum(m.labels.count(r) for r in ("shielding", "amplification", "neutral")) == 18
 
 
 def test_scan_map_combined_reflection_symmetry(bm_equal):
@@ -118,12 +118,12 @@ def test_scan_map_cells_across_the_interface_match_direct_evaluation(pair):
 def test_scan_map_neutral_region_grows_with_distance(bm_equal):
     near = small_map(bm_equal, three_point_preset(1.0, 3.0, 0.0), grid=(32, 16))
     far = small_map(bm_equal, three_point_preset(1.0, 100.0, 0.0), grid=(32, 16))
-    assert far.count("neutral") > near.count("neutral")
+    assert far.labels.count("neutral") > near.labels.count("neutral")
 
 
 def test_scan_map_pair_b_symmetric_load_all_neutral(bm_equal):
     m = small_map(bm_equal, sym_pair_at(3.0), pair="b", grid=(16, 8))
-    assert m.count("neutral") == 16 * 8
+    assert m.labels.count("neutral") == 16 * 8
 
 
 def test_scan_map_deterministic_across_threads(bm_equal):
@@ -204,7 +204,7 @@ def test_scan_map_non_finite_ratio_is_invalid():
     every ratio is inf or nan, and every cell is X rather than S/A/N."""
     bm = Bimaterial(1e-150, 1e-150)  # the smallest equal pair whose product is a normal float
     m = small_map(bm, three_point_preset(1e300, 3.0, 1.0), grid=(4, 2))
-    assert m.count("invalid") == 8
+    assert m.labels.count("invalid") == 8
     assert np.all(np.isnan(m.ratio))
     buf = io.StringIO()
     write_map_csv(m, buf)
@@ -258,7 +258,7 @@ def test_map_writers_match_a_naive_reference(grid):
     ratios[-1] = -0.0
     ratios = tuple(ratios)
     labels = tuple(classify(r, 1e-6) for r in ratios)
-    m = RegionMap(phis, alphas, ratios, labels, 1e-6)
+    m = RegionMap(phis, alphas, ratios, labels)
     if n_phi > 2:
         assert {"invalid", "neutral", "shielding", "amplification"} <= set(labels)
 
@@ -331,7 +331,7 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     )
     arrangement = PairArrangement("a", l1=0.1, d1=1.0, d2=2.0)
     probe = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
-    assert probe.count("invalid") == 0
+    assert probe.labels.count("invalid") == 0
     real = tipfields._table_sums
     sin_half = math.sin(0.5 * float(probe.phi1[2]))
 
@@ -341,7 +341,7 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
 
     monkeypatch.setattr(tipfields, "_table_sums", poisoned)
     m = scan_map(arrangement, loading, bm_equal, grid=(4, 4))
-    assert m.count("invalid") == 4
+    assert m.labels.count("invalid") == 4
     assert all(str(r) == "invalid" for r in m.region[2, :])
     assert np.all(np.isnan(m.ratio[2, :]))
     keep = [0, 1, 3]
@@ -356,6 +356,14 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
 def test_arrangement_rejects_non_positive_l1_or_d1(l1, d1):
     with pytest.raises(ValidationError, match="^arrangement needs positive l1 and d1$"):
         PairArrangement("a", l1=l1, d1=d1)
+
+
+@pytest.mark.parametrize("l1, d1, d2", [(math.inf, 1.0, None), (0.1, math.inf, None), (0.1, 1.0, math.nan),
+                                        (0.1, 1.0, -2.0), (0.1, 1.0, 0.0), (0.1, 1.0, math.inf)])
+def test_arrangement_rejects_non_finite_lengths_and_a_bad_d2(l1, d1, d2):
+    """Refused when built, not later by a Defect that scan_map makes."""
+    with pytest.raises(ValidationError, match="^arrangement needs"):
+        PairArrangement("b", l1=l1, d1=d1, d2=d2)
 
 
 @pytest.mark.parametrize("p", [1.0, -1.0])

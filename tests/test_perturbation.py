@@ -17,6 +17,7 @@ from crackwake import (
     InvalidDefect,
     Loading,
     NumericalError,
+    ValidationError,
     delta_k_defect,
     delta_k_defect_quadrature,
     delta_k_remote,
@@ -44,6 +45,16 @@ def test_tip_weight_vector_norm():
     for d, phi in ((0.3, 0.1), (2.0, -2.9), (7.0, 1.2)):
         c1, c2 = tip_weight_vector(d, phi)
         assert math.hypot(c1, c2) == approx(0.5 / d**1.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, phi", [(-1.0, 0.3), (0.0, 0.3), (math.nan, 0.3), (math.inf, 0.3), (-math.inf, 0.3),
+                                    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+def test_tip_weight_vector_refuses_a_bad_distance_or_angle(d, phi):
+    """A d that is not positive and finite, or a phi that is not finite, is
+    refused before the power: not a TypeError from a complex d**1.5, a
+    math domain error or a NaN vector."""
+    with pytest.raises(ValidationError, match="^tip weight vector needs finite d > 0 and finite phi"):
+        tip_weight_vector(d, phi)
 
 
 # gradient and weight components over 60 decades, so no product underflows

@@ -155,7 +155,7 @@ def test_displacement_gradient_consistency(bm_name, sym_pair, request):
     bm = request.getfixturevalue(bm_name)
     pt = FieldPoint(2.0, math.pi / 3)
     g = grad_u0(sym_pair, bm, pt)
-    x0, y0 = pt.x, pt.y
+    x0, y0 = pt.d * math.cos(pt.phi), pt.d * math.sin(pt.phi)
 
     def u_at(x, y):
         return displacement_u0(sym_pair, bm, math.hypot(x, y), math.atan2(y, x))
@@ -186,6 +186,12 @@ def test_displacement_validates_inputs(sym_pair, bm_equal):
         displacement_u0(sym_pair, bm_equal, 1.0, math.pi)
 
 
+def test_displacement_needs_a_finite_radius(sym_pair, bm_equal):
+    """r = inf read 0.0 from the oracle."""
+    with pytest.raises(ValidationError, match="^radius must be positive and finite, got inf$"):
+        displacement_u0(sym_pair, bm_equal, math.inf, 0.3)
+
+
 def test_displacement_contour_truncation_failure(bm_equal, sym_pair):
     # point on the face at the load station: the transform cannot settle
     with pytest.raises(ContourTruncationFailure):
@@ -213,8 +219,8 @@ def test_distributed_gradient_matches_point_limit(bm_pos):
 
 
 def test_adaptive_quad_failure_is_reported():
-    with pytest.raises(QuadratureFailure):
-        adaptive_quad(lambda x: np.sin(1.0 / np.asarray(x)), 1e-12, 1.0, rtol=1e-12, limit=3)
+    with pytest.raises(QuadratureFailure, match="with 256 subintervals"):
+        adaptive_quad(lambda x: np.sin(1.0 / np.asarray(x)), 1e-12, 1.0, rtol=1e-12)
 
 
 def test_field_point_validation():
@@ -257,7 +263,7 @@ def test_distributed_gradient_matches_displacement_oracle(bm_pos, loading, d, ph
     including a point 1e-3 rad from the face with -d inside the support."""
     pt = FieldPoint(d, phi)
     g = grad_u0(loading, bm_pos, pt)
-    x0, y0 = pt.x, pt.y
+    x0, y0 = d * math.cos(phi), d * math.sin(phi)
 
     def u_at(x, y):
         return displacement_u0(loading, bm_pos, math.hypot(x, y), math.atan2(y, x))
