@@ -128,29 +128,28 @@ def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
-    if params.pgm and params.out is None:
-        raise ValidationError("--pgm needs --out to derive the image path")
-    if params.pgm and Path(params.out).suffix == ".pgm":
-        raise ValidationError(f"--pgm would overwrite the --out file {params.out!r}: give --out another suffix")
+    image = None  # the --pgm path, derived before the scan so a bad --out costs no map
+    if params.pgm:
+        if params.out is None or not Path(params.out).name:
+            raise ValidationError(f"--pgm needs --out with a file name to derive the image path, got {params.out!r}")
+        image = Path(params.out).with_suffix(".pgm")
+        if image == Path(params.out):
+            raise ValidationError(f"--pgm would overwrite the --out file {params.out!r}: give --out another suffix")
     defect = _first_microcrack(scenario)
     from .mapgen import PairArrangement, scan_map, write_map_csv, write_map_pgm
 
     d2 = scenario.defects[1].d if len(scenario.defects) > 1 else None
     arrangement = PairArrangement(params.pair, l1=defect.l_a, d1=defect.d, d2=d2)
     region_map = scan_map(arrangement, scenario.loading, scenario.bimaterial, grid=params.grid, delta=params.delta)
-    if params.pgm:  # first, so an image that cannot be written leaves --out as it was
-        _write(write_map_pgm, region_map, str(Path(params.out).with_suffix(".pgm")), out)
+    if image is not None:  # first, so an image that cannot be written leaves --out as it was
+        _write(write_map_pgm, region_map, str(image), out)
     _write(write_map_csv, region_map, params.out, out)
 
 
 def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
-    from .perturbation import neutral_pair_a, neutral_pair_b
+    from .perturbation import _companion
 
-    defect = _first_microcrack(scenario)
-    if params.pair == "a":
-        companion = neutral_pair_a(defect)
-    else:
-        companion = neutral_pair_b(defect, scenario.bimaterial)
+    companion = _companion(params.pair, _first_microcrack(scenario), scenario.bimaterial)
     out.write(f"defect {{ kind = {companion.kind}, d = {_fmt(companion.d)}, phi = {_fmt(companion.phi)}, "
               f"alpha = {_fmt(companion.alpha)}, la = {_fmt(companion.l_a)} }}\n")
 

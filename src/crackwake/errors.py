@@ -158,6 +158,8 @@ def _check_param(key: str, value) -> None:
             raise ValidationError(f"{key} expects a positive integer, got {value!r}")
     elif key == "out" and not (value is None or isinstance(value, str)):
         raise ValidationError(f"out expects a path, got {value!r}")
+    elif key == "out" and value is not None and "\0" in value:
+        raise ValidationError(f"out path {value!r} holds a NUL byte")
     elif key == "pgm" and type(value) is not bool:
         raise ValidationError(f"pgm expects true/false, got {value!r}")
     elif key == "pair" and value not in ("a", "b"):

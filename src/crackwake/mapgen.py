@@ -17,7 +17,7 @@ from itertools import chain
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import Record, ValidationError, _check_param
 from .loading import Bimaterial, Loading
-from .perturbation import _harmonics, neutral_pair_a, neutral_pair_b
+from .perturbation import _companion, _harmonics
 from .tipfields import sif_k0
 
 SHIELDING = "shielding"
@@ -60,9 +60,7 @@ class PairArrangement(Record):
 
     def defects(self, phi1: float, alpha1: float, bimaterial: Bimaterial) -> tuple[Defect, Defect]:
         mc = Defect("microcrack", d=self.d1, phi=phi1, alpha=alpha1, l_a=self.l1)
-        if self.pair == "a":
-            return mc, neutral_pair_a(mc, self.d2)
-        return mc, neutral_pair_b(mc, bimaterial, self.d2)
+        return mc, _companion(self.pair, mc, bimaterial, self.d2)
 
 
 class RegionMap(Record):

@@ -19,19 +19,24 @@ from .loading import Bimaterial, Loading
 from .tipfields import SQRT_2_OVER_PI, _check_face, _finite, _gradients
 
 
+def _scaled_power(name: str, factor: float, d: float, power: float) -> float:
+    """factor * d**power; NumericalError, which calls it name, unless it is a normal float."""
+    try:
+        value = factor * d**power
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise NumericalError(f"{name} = {value:g} at d = {d:g} leaves the float range")
+    return value
+
+
 def tip_weight_vector(d: float, phi: float) -> tuple[float, float]:
     """Weight vector of the tip: magnitude 1/(2 d^(3/2)), direction
     (-sin(3 phi/2), cos(3 phi/2)); ValidationError unless 0 < d < inf and
     phi is finite, NumericalError unless d^(3/2) is a normal float."""
     if not (0.0 < d < math.inf and math.isfinite(phi)):
         raise ValidationError(f"tip weight vector needs finite d > 0 and finite phi, got d = {d}, phi = {phi}")
-    try:
-        d15 = d**1.5
-    except OverflowError:
-        d15 = math.inf
-    if not sys.float_info.min <= d15 < math.inf:
-        raise NumericalError(f"d^(3/2) = {d15:g} at d = {d:g} leaves the float range")
-    f = 0.5 / d15
+    f = 0.5 / _scaled_power("d^(3/2)", 1.0, d, 1.5)
     return -f * math.sin(1.5 * phi), f * math.cos(1.5 * phi)
 
 
@@ -83,12 +88,7 @@ def delta_k_remote(defect: Defect, bimaterial: Bimaterial) -> float:
     # the cc/ss form keeps one bracket exactly zero for the line kinds
     ss = math.sin(1.5 * phi - alpha) * math.sin(0.5 * phi - alpha)
     cc = math.cos(1.5 * phi - alpha) * math.cos(0.5 * phi - alpha)
-    try:
-        den = 2.0 * math.pi * bimaterial.mu_sum * defect.d**2
-    except OverflowError:
-        den = math.inf
-    if not sys.float_info.min <= den < math.inf:
-        raise NumericalError(f"2 pi mu_sum d^2 = {den:g} at d = {defect.d:g} leaves the float range")
+    den = _scaled_power("2 pi mu_sum d^2", 2.0 * math.pi * bimaterial.mu_sum, defect.d, 2)
     pref = -_opposite_mu(phi, bimaterial) / den
     return _finite("dK/K0", pref * ((iso - dev) * cc + (iso + dev) * ss))
 
@@ -131,3 +131,9 @@ def neutral_pair_b(microcrack: Defect, bimaterial: Bimaterial, d2: float | None 
         alpha=0.5 * math.pi - microcrack.alpha,
         l_a=l2,
     )
+
+
+def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial, d2: float | None = None) -> Defect:
+    """The microcrack's companion by the arrangement rule pair: "a" is
+    neutral_pair_a, "b" neutral_pair_b."""
+    return neutral_pair_a(microcrack, d2) if pair == "a" else neutral_pair_b(microcrack, bimaterial, d2)

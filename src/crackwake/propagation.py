@@ -23,9 +23,7 @@ from .tipfields import _coefficients, _finite
 STEADY_REL = 1e-6
 STEADY_WINDOW = 50
 
-ARREST_FLAG = 1
-STEADY_FLAG = 2
-MAX_ITER_FLAG = 3
+_VERDICT_FLAG = {"arrest": 1, "steady_state": 2, "max_iterations": 3}
 
 
 class CrackState(Record):
@@ -70,7 +68,11 @@ class PropagationTrace(Record):
     dk_total: tuple[float, ...]
     k0: tuple[float, ...]
     a0: tuple[float, ...]
-    flags: tuple[int, ...]
+
+    @property
+    def flags(self) -> tuple[int, ...]:
+        """The verdict_flag column: 0 on each row but the last, which has the verdict's flag."""
+        return (0,) * (len(self.phi) - 1) + (_VERDICT_FLAG[self.verdict],)
 
     @property
     def elongation(self) -> float:
@@ -168,7 +170,7 @@ def propagate(
 
     tip = state.tip_x
     elong = 0.0
-    # the rows (phi, x, dK_total, K0, A0, flag) end to end: a tuple per row
+    # the rows (phi, x, dK_total, K0, A0) end to end: a tuple per row
     # would keep one more object per iteration and set off the garbage collector
     rows = []
     prev_phi = math.inf  # no streak before the first applied advance
@@ -178,7 +180,7 @@ def propagate(
     for _ in range(max_iter):
         phi, total, k0, a3 = evaluate(tip)
         if phi < arrest_tol:
-            rows += (phi, elong, total, k0, a3, ARREST_FLAG)
+            rows += (phi, elong, total, k0, a3)
             verdict = "arrest"
             break
         _check_path(tip, tip + phi, on_path)
@@ -186,14 +188,12 @@ def propagate(
         elong += phi
         streak = streak + 1 if abs(phi - prev_phi) < STEADY_REL * phi else 0
         prev_phi = phi
-        rows += (phi, elong, total, k0, a3, STEADY_FLAG if streak >= STEADY_WINDOW else 0)
+        rows += (phi, elong, total, k0, a3)
         if streak >= STEADY_WINDOW:
             verdict = "steady_state"
             break
-    else:
-        rows[-1] = MAX_ITER_FLAG
 
-    return PropagationTrace(verdict, *(tuple(rows[i::6]) for i in range(6)))
+    return PropagationTrace(verdict, *(tuple(rows[i::5]) for i in range(5)))
 
 
 def write_trace_csv(trace: PropagationTrace, fh) -> None:

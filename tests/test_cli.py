@@ -172,6 +172,37 @@ def test_map_pgm_refuses_to_overwrite_out(cfg, tmp_path, capsys, monkeypatch):
     assert err.splitlines() == [f"error: --pgm would overwrite the --out file {str(out)!r}: give --out another suffix"]
 
 
+@pytest.mark.parametrize("out", ["/", ".", ""])
+def test_map_pgm_refuses_an_out_with_no_file_name(cfg, capsys, monkeypatch, out):
+    """No image path derives from it: one error line before the scan, from
+    the flag and from the params block alike."""
+    import crackwake.mapgen
+
+    def never(*args, **kwargs):
+        raise AssertionError("scan_map ran")
+
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, "--pgm"]) == 1
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG + f'params {{ out = "{out}", pgm = true }}\n')]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == [f"error: --pgm needs --out with a file name to derive the image path, got {out!r}"] * 2
+
+
+@pytest.mark.parametrize("command", ["propagate", "map"])
+def test_an_out_path_holding_a_nul_byte_exits_1(cfg, capsys, command):
+    """Refused before the run, at its params line or its flag, never a traceback from open()."""
+    params = 'params { out = "a\0b", grid = 4x4, max_iter = 20 }'
+    text = SYM_PAIR_CFG + params + "\n"
+    assert main([command, "--config", cfg(text)]) == 1
+    assert main([command, "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--max-iter", "20", "--out", "a\0b"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    line = text.splitlines().index(params) + 1
+    assert err.splitlines() == [f"error: line {line}: out path 'a\\x00b' holds a NUL byte",
+                                "error: --out: out path 'a\\x00b' holds a NUL byte"]
+
+
 def test_map_to_stdout(cfg, capsys):
     assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4"]) == 0
     lines = capsys.readouterr().out.splitlines()

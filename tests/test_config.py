@@ -491,6 +491,14 @@ def test_scenario_params_refuses_an_out_that_is_no_path():
         ScenarioParams(out=3)
 
 
+def test_an_out_path_holding_a_nul_byte_is_refused_at_its_line():
+    """open() could not take it: refused with the other params, before any work."""
+    with pytest.raises(ConfigSyntaxError, match=r"^line 9: out path 'a\\x00b' holds a NUL byte$"):
+        parse_scenario(MINIMAL + 'params {\n  out = "a\0b"\n}\n')
+    with pytest.raises(ValidationError, match=r"^out path 'a\\x00b' holds a NUL byte$"):
+        ScenarioParams(out="a\0b")
+
+
 def test_dump_refuses_a_tabulated_load():
     loading = Loading(distributed=DistributedLoad((-3.0, -2.0), (1.0, 1.0), (0.0, 0.0)))
     with pytest.raises(ValidationError, match="^tabulated distributed loads have no config form$"):

@@ -296,20 +296,41 @@ KERNEL_OWNERS = {
 }
 
 
-def test_each_kernel_step_is_named_only_by_its_owners():
-    """tipfields alone builds the gradient, from the angle factors to the
-    table and station sums, and perturbation alone turns it into the
-    harmonics; mapgen and propagation go through _harmonics.  Each listed
-    kernel is named by an owner, so a renamed or folded one fails until
-    the list follows."""
-    named = {name: set() for name in KERNEL_OWNERS}
+# The rules written once, and the one module that names each: the two
+# companion rules (mapgen and cli choose through perturbation._companion)
+# and the range guard on a power of d in perturbation, the verdict-flag
+# table in propagation.
+RULE_OWNERS = {
+    "neutral_pair_a": {"perturbation"}, "neutral_pair_b": {"perturbation"}, "_scaled_power": {"perturbation"},
+    "_VERDICT_FLAG": {"propagation"},
+}
+
+
+def assert_named_only_by_owners(owners: dict) -> None:
+    """Each name of owners is named (an identifier, an attribute, a def or
+    an import) by one of its owner modules and by no other module, so a
+    renamed or folded one fails until the table follows."""
+    named = {name: set() for name in owners}
     for path in Path(crackwake.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             for name in (getattr(node, attr, None) for attr in ("id", "attr", "name")):  # "name": defs, imports
                 if name in named:
                     named[name].add(path.stem)
-    assert {name: modules - KERNEL_OWNERS[name] for name, modules in named.items()} == {n: set() for n in named}
+    assert {name: modules - owners[name] for name, modules in named.items()} == {n: set() for n in named}
     assert [name for name, modules in named.items() if not modules] == []
+
+
+def test_each_kernel_step_is_named_only_by_its_owners():
+    """tipfields alone builds the gradient, from the angle factors to the
+    table and station sums, and perturbation alone turns it into the
+    harmonics; mapgen and propagation go through _harmonics."""
+    assert_named_only_by_owners(KERNEL_OWNERS)
+
+
+def test_each_rule_is_named_only_by_its_owner():
+    """One copy of the companion choice, the range guard and the verdict
+    flags: a second copy elsewhere names a rule outside its owner."""
+    assert_named_only_by_owners(RULE_OWNERS)
 
 
 # The scopes that may read a Loading's face form (.forces, .distributed):

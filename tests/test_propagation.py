@@ -187,6 +187,23 @@ def test_propagate_max_iterations_verdict(bm_equal):
     assert trace.flags[-1] == 3
 
 
+@pytest.mark.parametrize("phi1, alpha1, max_iter, verdict, flag", [
+    (math.pi / 8, math.pi / 4, 1000, "arrest", 1),
+    (7 * math.pi / 8, 3 * math.pi / 8, 100_000, "steady_state", 2),  # criterion 7's steady group
+    (math.pi / 8, math.pi / 4, 5, "max_iterations", 3),
+], ids=["arrest", "steady_state", "max_iterations"])
+def test_verdict_flag_column(bm_equal, phi1, alpha1, max_iter, verdict, flag):
+    """0 on every row but the last, which has the verdict's flag, in the
+    trace and in the CSV's verdict_flag column."""
+    trace = propagate(pair_a_state(phi1, alpha1, bm_equal), max_iter=max_iter)
+    assert trace.verdict == verdict and len(trace.phi) > 1
+    expected = (0,) * (len(trace.phi) - 1) + (flag,)
+    assert tuple(trace.flags) == expected
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    assert tuple(int(line.rsplit(",", 1)[1]) for line in buf.getvalue().splitlines()[1:]) == expected
+
+
 def test_propagate_deterministic(bm_equal):
     state = pair_a_state(math.pi / 8, 3 * math.pi / 8, bm_equal)
     t1 = propagate(state, max_iter=2000)
