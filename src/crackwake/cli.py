@@ -132,6 +132,8 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     if params.pgm:
         if params.out is None or not Path(params.out).name:
             raise ValidationError(f"--pgm needs --out with a file name to derive the image path, got {params.out!r}")
+        if Path(params.out).is_dir():
+            raise ValidationError(f"--pgm needs --out to name a file, got the directory {params.out!r}")
         image = Path(params.out).with_suffix(".pgm")
         if image == Path(params.out):
             raise ValidationError(f"--pgm would overwrite the --out file {params.out!r}: give --out another suffix")

@@ -49,8 +49,7 @@ class PairArrangement(Record):
     d2: float | None = None
 
     def __post_init__(self):
-        if self.pair not in ("a", "b"):
-            raise ValidationError(f'arrangement pair must be "a" or "b", got {self.pair!r}')
+        _check_param("pair", self.pair)
         if not (self.l1 > 0.0 and self.d1 > 0.0):
             raise ValidationError("arrangement needs positive l1 and d1")
         if not (self.l1 < math.inf and self.d1 < math.inf):

@@ -189,6 +189,23 @@ def test_map_pgm_refuses_an_out_with_no_file_name(cfg, capsys, monkeypatch, out)
     assert err.splitlines() == [f"error: --pgm needs --out with a file name to derive the image path, got {out!r}"] * 2
 
 
+@pytest.mark.parametrize("out", ["sub", ".."])
+def test_map_pgm_refuses_an_out_that_is_a_directory(cfg, tmp_path, capsys, monkeypatch, out):
+    """A directory took the .pgm suffix (sub.pgm, ...pgm) and the scan ran
+    before the CSV open failed: one error line before the scan, no image."""
+    import crackwake.mapgen
+
+    scans, scan_map = [], crackwake.mapgen.scan_map
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", lambda *args, **kw: scans.append(args) or scan_map(*args, **kw))
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, "--pgm"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and scans == [] and list(tmp_path.rglob("*.pgm")) == []
+    assert err.splitlines() == [f"error: --pgm needs --out to name a file, got the directory {out!r}"]
+
+
 @pytest.mark.parametrize("command", ["propagate", "map"])
 def test_an_out_path_holding_a_nul_byte_exits_1(cfg, capsys, command):
     """Refused before the run, at its params line or its flag, never a traceback from open()."""

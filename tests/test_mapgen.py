@@ -352,6 +352,11 @@ def test_scan_map_marks_rows_missing_the_lowering_check_invalid(bm_equal, monkey
     assert buf.getvalue().count(",X") == 4
 
 
+def test_arrangement_refuses_an_unknown_pair_as_the_params_check_does():
+    with pytest.raises(ValidationError, match="^pair expects \"a\" or \"b\", got 'c'$"):
+        PairArrangement("c", 0.1, 1.0)
+
+
 @pytest.mark.parametrize("l1, d1", [(0.0, 1.0), (0.1, 0.0), (-0.1, 1.0), (0.1, -2.0)])
 def test_arrangement_rejects_non_positive_l1_or_d1(l1, d1):
     with pytest.raises(ValidationError, match="^arrangement needs positive l1 and d1$"):

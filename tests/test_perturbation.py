@@ -2,7 +2,6 @@ import math
 import warnings
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +36,7 @@ from crackwake.perturbation import _dk_harmonics
 
 from helpers import (BIMATERIALS, delta_k_advance, delta_k_entrywise, delta_k_total, hat_load,
                      random_balanced_loading, random_defect, rel_err, scaled, sym_pair_at)
+from reference import contraction_mp, converged
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -63,16 +63,6 @@ components = st.just(0.0) | st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
 orientations = st.sampled_from([-1e-300, 0.5 * math.pi, math.nextafter(math.pi, 0.0)]) | st.floats(-10.0, 10.0)
 
 
-def _mp_contraction(grad, weights, iso, dev, alpha, mu_series):
-    """-sqrt(2/pi) mu_series g . (m_iso I + m_dev R(2 alpha)) . w in 40-digit
-    mpmath, from the same floats."""
-    with mpmath.workdps(40):
-        g1, g2, w1, w2, iso, dev, alpha, mu = map(mpmath.mpf, (*grad, *weights, iso, dev, alpha, mu_series))
-        c, s = mpmath.cos(2 * alpha), mpmath.sin(2 * alpha)
-        m11, m12, m22 = iso + dev * c, dev * s, iso - dev * c
-        return -mpmath.sqrt(2 / mpmath.pi) * mu * (g1 * (m11 * w1 + m12 * w2) + g2 * (m12 * w1 + m22 * w2))
-
-
 @pytest.mark.parametrize("kind", DEFECT_KINDS)
 @settings(max_examples=60, deadline=None)
 @given(
@@ -97,7 +87,7 @@ def test_harmonic_kernel_matches_a_40_digit_contraction(kind, grad, weights, alp
     mu_series = Bimaterial(*mu).mu_series
     a, b, c = _dk_harmonics(grad, weights, iso, dev, mu_series)
     c2, s2 = _double_angle(alpha)
-    want = _mp_contraction(grad, weights, iso, dev, alpha, mu_series)
+    want = converged(contraction_mp, grad, weights, iso, dev, alpha, mu_series)
     bound = 8.0 * 2.0**-52 * SQ2PI * mu_series * (abs(iso) + abs(dev)) * math.hypot(*grad) * math.hypot(*weights)
     assert abs(a + b * c2 + c * s2 - want) <= bound
     assert abs(delta_k_entrywise(grad, weights, iso, dev, alpha, mu_series) - want) <= bound

@@ -32,6 +32,8 @@ from crackwake.perturbation import _dk_harmonics, _harmonics, tip_weight_vector
 from crackwake.tipfields import _coefficients, _gradients, _phi_trig
 
 from helpers import hat_load, rel_err, scaled, sym_pair_at
+from reference import (converged, gradient_error, moments_mp, quad_table_gradient_mp, station_gradient_mp,
+                       table_gradient_mp)
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -279,22 +281,6 @@ def test_distributed_gradient_matches_displacement_oracle(bm_pos, loading, d, ph
     assert math.hypot(fd[0] - g[0], fd[1] - g[1]) < 1e-6 * math.hypot(*g)
 
 
-def _mp_moments(dist, eta, power):
-    """Reference integral of {<p> + (eta/2)[p]}(x1) (-x1)^power over the
-    table, panel by panel with mpmath at 40 digits."""
-    import mpmath
-
-    with mpmath.workdps(40):
-        x = [mpmath.mpf(v) for v in dist.x]
-        w = [mpmath.mpf(a) + mpmath.mpf(0.5) * mpmath.mpf(eta) * mpmath.mpf(j)
-             for a, j in zip(dist.avg, dist.jump)]
-        total = mpmath.mpf(0)
-        for xa, xb, wa, wb in zip(x[:-1], x[1:], w[:-1], w[1:]):
-            total += mpmath.quad(lambda t: (wa + (wb - wa) * (t - xa) / (xb - xa)) * (-t) ** power,
-                                 [xa, xb])
-        return -mpmath.sqrt(2 / mpmath.pi) * total if power == -0.5 else mpmath.sqrt(2 / mpmath.pi) * total
-
-
 @pytest.mark.parametrize(
     "table",
     [
@@ -309,113 +295,8 @@ def test_table_tip_coefficients_match_mpmath(bm_pos, table):
     weight is steep (the table ending at x1 = -1e-6)."""
     loading = Loading((), table)
     eta = bm_pos.contrast
-    assert rel_err(sif_k0(loading, bm_pos), float(_mp_moments(table, eta, -0.5))) < 1e-12
-    assert rel_err(coeff_a0(loading, bm_pos), float(_mp_moments(table, eta, -1.5))) < 1e-12
-
-
-def _mp_table_grad(dist, bm, d, phi, dps=40, panel_scale=False):
-    """Reference gradient of a table at (d, phi), in mpmath at dps digits;
-    with panel_scale, also the sum of its panels' gradient norms.
-
-    On each panel, in r = sqrt(-x1/d), the station kernel times dx1/dr is a
-    polynomial in r over Q(r) = r^4 + 2 cos(phi) r^2 + 1.  It integrates
-    by polynomial division plus residues at the simple roots of Q,
-    +-sin(phi/2) +- i cos(phi/2), which merge pairwise at phi = 0.
-    """
-    import mpmath
-
-    with mpmath.workdps(dps):
-        mpf = mpmath.mpf
-        d, phi = mpf(d), mpf(phi)
-        mu_b = mpf(bm.mu_plus if phi >= 0 else bm.mu_minus)
-        mu_sum = mpf(bm.mu_plus) + mpf(bm.mu_minus)
-        eta = (mpf(bm.mu_minus) - mpf(bm.mu_plus)) / mu_sum
-        c, s = mpmath.cos(phi), mpmath.sin(phi)
-        sh, ch = mpmath.sin(phi / 2), mpmath.cos(phi / 2)
-        s3, c3 = mpmath.sin(3 * phi / 2), mpmath.cos(3 * phi / 2)
-        q = [mpf(1), 0, 2 * c, 0, mpf(1)]  # coefficients by ascending power of r
-        roots = [sg * sh + 1j * sc * ch for sg in (1, -1) for sc in (1, -1)]
-
-        def mul(a, b):
-            out = [mpf(0)] * (len(a) + len(b) - 1)
-            for i, u in enumerate(a):
-                for j, v in enumerate(b):
-                    out[i + j] += u * v
-            return out
-
-        def integral(p, rn, rf):
-            rem = list(p)
-            quo = [mpf(0)] * (len(rem) - 4)
-            for k in range(len(rem) - 1, 3, -1):  # divide by the monic Q
-                quo[k - 4] = t = rem[k]
-                for j in range(5):
-                    rem[k - 4 + j] -= t * q[j]
-            total = sum(a * (rf ** (k + 1) - rn ** (k + 1)) / (k + 1) for k, a in enumerate(quo))
-            for rho in roots:
-                residue = sum(a * rho**k for k, a in enumerate(rem[:4])) / (4 * rho**3 + 4 * c * rho)
-                total += residue * mpmath.log((rf - rho) / (rn - rho))
-            return mpmath.re(total)
-
-        x, avg, jump = ([mpf(v) for v in col] for col in (dist.x, dist.avg, dist.jump))
-        g1 = g2 = scale = mpf(0)
-        for xa, xb, aa, ab, ja, jb in zip(x, x[1:], avg, avg[1:], jump, jump[1:]):
-
-            def profile(pa, pb):  # linear in x1 = -d r^2
-                slope = (pb - pa) / (xb - xa)
-                return [pa - slope * xa, 0, -slope * d]
-
-            jr = profile(ja, jb)
-            cr = [(2 * u + eta * v) / (2 * mu_b) for u, v in zip(profile(aa, ab), jr)]
-            n1 = [u / mu_sum + v for u, v in zip(mul(jr, [0, c / 2, 0, s * s, 0, -c / 2]),
-                                                 mul(cr, [0, 0, s3, 0, sh]) + [0])]
-            n2 = [u / mu_sum + v for u, v in zip(mul(jr, [0, -s / 2, 0, s * c, 0, s / 2]),
-                                                 mul(cr, [0, 0, c3, 0, ch]) + [0])]
-            rn, rf = mpmath.sqrt(-xb / d), mpmath.sqrt(-xa / d)
-            p1, p2 = integral(n1, rn, rf), integral(n2, rn, rf)
-            g1 += p1
-            g2 -= p2
-            scale += mpmath.hypot(p1, p2)
-        grad = float(2 * g1 / mpmath.pi), float(2 * g2 / mpmath.pi)
-        return (*grad, float(2 * scale / mpmath.pi)) if panel_scale else grad
-
-
-def _mp_quad_table_grad(dist, bm, d, phi, dps=40):
-    """The same reference by mpmath.quad of the station kernel over x1,
-    with breakpoints at -d and -d (1 +- (pi - |phi|))."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        mpf = mpmath.mpf
-        d, phi = mpf(d), mpf(phi)
-        mu_b = mpf(bm.mu_plus if phi >= 0 else bm.mu_minus)
-        mu_sum = mpf(bm.mu_plus) + mpf(bm.mu_minus)
-        eta = (mpf(bm.mu_minus) - mpf(bm.mu_plus)) / mu_sum
-        c, s = mpmath.cos(phi), mpmath.sin(phi)
-        sh, ch = mpmath.sin(phi / 2), mpmath.cos(phi / 2)
-        s3, c3 = mpmath.sin(3 * phi / 2), mpmath.cos(3 * phi / 2)
-        gap = mpmath.pi - abs(phi)
-        x, avg, jump = ([mpf(v) for v in col] for col in (dist.x, dist.avg, dist.jump))
-        g1 = g2 = mpf(0)
-        for xa, xb, aa, ab, ja, jb in zip(x, x[1:], avg, avg[1:], jump, jump[1:]):
-
-            def terms(x1, xa=xa, xb=xb, aa=aa, ab=ab, ja=ja, jb=jb):
-                t = (x1 - xa) / (xb - xa)
-                a, j = aa + (ab - aa) * t, ja + (jb - ja) * t
-                qq = -x1 / d
-                sq = mpmath.sqrt(qq)
-                coef = (2 * a + eta * j) / (2 * mu_b)
-                den = 2 * c + qq + 1 / qq
-                return ((j * (s * s - c * (qq - 1 / qq) / 2) / mu_sum + coef * (sq * sh + s3 / sq)) / den,
-                        (j * s * (c + (qq - 1 / qq) / 2) / mu_sum + coef * (sq * ch + c3 / sq)) / den)
-
-            pts = sorted({xa, xb, *(b for b in (-d * (1 + gap), -d, -d * (1 - gap)) if xa < b < xb)})
-            g1 += mpmath.quad(lambda x1: terms(x1)[0], pts)
-            g2 -= mpmath.quad(lambda x1: terms(x1)[1], pts)
-        return float(g1 / (mpmath.pi * d)), float(g2 / (mpmath.pi * d))
-
-
-def _grad_err(got, ref):
-    return math.hypot(got[0] - ref[0], got[1] - ref[1]) / math.hypot(*ref)
+    assert rel_err(sif_k0(loading, bm_pos), float(converged(moments_mp, table, eta, -0.5))) < 1e-12
+    assert rel_err(coeff_a0(loading, bm_pos), float(converged(moments_mp, table, eta, -1.5))) < 1e-12
 
 
 def test_near_face_table_gradient_fails_cleanly(bm_pos):
@@ -424,7 +305,7 @@ def test_near_face_table_gradient_fails_cleanly(bm_pos):
     hat = hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25)
     pt = FieldPoint(2.05, math.pi - 1e-5)
     g = grad_u0(Loading((), hat), bm_pos, pt)
-    assert _grad_err(g, _mp_quad_table_grad(hat, bm_pos, pt.d, pt.phi)) <= 1e-12
+    assert gradient_error(g, quad_table_gradient_mp(hat, bm_pos, pt.d, pt.phi)) <= 1e-12
 
 
 @pytest.mark.parametrize("d, phi", [(1.95, math.pi - 1e-3), (2.4, -math.pi + 1e-5), (1.7, 0.7)])
@@ -432,8 +313,8 @@ def test_residue_reference_matches_mpmath_quad(bm_pos, d, phi):
     """The residue reference of the table tests agrees with a direct
     40-digit quadrature of the station kernel."""
     hat = hat_load(-2.0, 0.4, avg_coeff=-0.6, jump_coeff=0.25)
-    ref = _mp_quad_table_grad(hat, bm_pos, d, phi)
-    assert _grad_err(_mp_table_grad(hat, bm_pos, d, phi), ref) <= 1e-15
+    ref = quad_table_gradient_mp(hat, bm_pos, d, phi)
+    assert gradient_error(converged(table_gradient_mp, hat, bm_pos, d, phi), ref) <= 1e-15
 
 
 NEAR_FACE_GAPS = (0.5, 1e-2, 1e-3, 2e-4, 1e-5, 1e-7)
@@ -447,7 +328,7 @@ def test_table_gradient_matches_mpmath_near_both_faces(bm_pos, d):
     loading = Loading((), hat)
     for phi in (sign * (math.pi - gap) for sign in (1.0, -1.0) for gap in NEAR_FACE_GAPS):
         g = grad_u0(loading, bm_pos, FieldPoint(d, phi))
-        assert _grad_err(g, _mp_table_grad(hat, bm_pos, d, phi)) <= 1e-13, phi
+        assert gradient_error(g, converged(table_gradient_mp, hat, bm_pos, d, phi)) <= 1e-13, phi
 
 
 @pytest.mark.parametrize("d", [1.9, 1.999, 2.0, 2.0005, 2.3])
@@ -457,7 +338,7 @@ def test_narrow_table_gradient_matches_mpmath(bm_pos, d):
     loading = Loading((), hat)
     for phi in (sign * (math.pi - gap) for sign in (1.0, -1.0) for gap in (0.5, 1e-3, 1e-5)):
         g = grad_u0(loading, bm_pos, FieldPoint(d, phi))
-        assert _grad_err(g, _mp_table_grad(hat, bm_pos, d, phi, dps=30)) <= 2e-12, phi
+        assert gradient_error(g, converged(table_gradient_mp, hat, bm_pos, d, phi)) <= 2e-12, phi
 
 
 def test_table_gradient_on_the_interface(bm_pos):
@@ -468,11 +349,11 @@ def test_table_gradient_on_the_interface(bm_pos):
     loading = Loading((), hat)
     for d in (1.3, 2.0, 2.7):
         g = grad_u0(loading, bm_pos, FieldPoint(d, 0.0))
-        assert _grad_err(g, _mp_quad_table_grad(hat, bm_pos, d, 0.0, dps=25)) <= 1e-14
+        assert gradient_error(g, quad_table_gradient_mp(hat, bm_pos, d, 0.0)) <= 1e-14
         above = grad_u0(loading, bm_pos, FieldPoint(d, 1e-12))
         below = grad_u0(loading, bm_pos, FieldPoint(d, -1e-12))
         below = (below[0], below[1] * bm_pos.mu_minus / bm_pos.mu_plus)
-        assert _grad_err(above, g) <= 1e-11 and _grad_err(below, g) <= 1e-11
+        assert gradient_error(above, g) <= 1e-11 and gradient_error(below, g) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -575,7 +456,7 @@ def check_lowered_table_sum(table, mu, where, phis):
     if d <= 0.0:
         d = 0.5 * near
     loading = Loading((), table)
-    refs = [_mp_table_grad(table, bm, d, phi, dps=30, panel_scale=True) for phi in phis]
+    refs = [tuple(map(float, converged(table_gradient_mp, table, bm, d, phi))) for phi in phis]
     for phi, (*ref, scale) in zip(phis, refs):
         got = grad_u0(loading, bm, FieldPoint(d, phi))
         assert math.hypot(got[0] - ref[0], got[1] - ref[1]) <= 1e-12 * scale
@@ -620,7 +501,7 @@ def test_lowered_table_sum_bound_covers_the_rounding_of_the_harmonics_sum():
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="_table_sums loses digits when only a narrow near panel is loaded: grad_u0 misses the "
-    "30-digit reference by 2.438e-16 against the bound 2.428e-16",
+    "converged reference by 2.438e-16 against the bound 2.428e-16",
 )
 def test_table_sum_loses_digits_on_a_narrow_near_panel():
     """A draw of tables() on which the check above fails: 8 knots, every
@@ -651,45 +532,15 @@ def test_zero_end_panels_leave_the_kernels_bit_identical():
         assert repr(_coefficients((), full, bm.contrast)) == repr(_coefficients((), trimmed, bm.contrast))
 
 
-def station_gradient_mp(loading, bimaterial, d, phi):
-    """grad_u0 of a loading's point stations at (d, phi): the station
-    kernel of _station_terms in mpmath at 50 digits, from the same floats."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        mpf = mpmath.mpf
-        d, phi = mpf(d), mpf(phi)
-        mu_p, mu_m = mpf(bimaterial.mu_plus), mpf(bimaterial.mu_minus)
-        mu_b, mu_sum = (mu_p if phi >= 0 else mu_m), mu_p + mu_m
-        eta = (mu_m - mu_p) / mu_sum
-        c, s = mpmath.cos(phi), mpmath.sin(phi)
-        sh, ch, s3, c3 = mpmath.sin(phi / 2), mpmath.cos(phi / 2), mpmath.sin(3 * phi / 2), mpmath.cos(3 * phi / 2)
-        g1 = g2 = mpf(0)
-        for x1, avg, jump in loading.split[0]:
-            q = -mpf(x1) / d
-            sq, qm, den = mpmath.sqrt(q), q - 1 / q, 2 * c + q + 1 / q
-            coef = (2 * mpf(avg) + eta * mpf(jump)) / (2 * mu_b)
-            g1 += (mpf(jump) * (s * s - c * qm / 2) / mu_sum + coef * (sq * sh + s3 / sq)) / den
-            g2 -= (mpf(jump) * s * (c + qm / 2) / mu_sum + coef * (sq * ch + c3 / sq)) / den
-        return g1 / (mpmath.pi * d), g2 / (mpmath.pi * d)
-
-
-def gradient_error(grad, reference):
-    """|grad - reference| / |reference|, the norms in mpmath."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        return float(mpmath.hypot(grad[0] - reference[0], grad[1] - reference[1]) / mpmath.hypot(*reference))
-
-
 PRESET_3_05 = three_point_preset(1.0, 3.0, 0.5)
 
 
 FACE_DIGITS = pytest.mark.xfail(strict=True, reason="den = 2 cos(phi) + q + 1/q cancels at a loaded station's "
                                 "mirror: measured 9.7e-7/3.4e-6 (upper/lower face) at gap 1e-5, 8.1e-5/3.3e-4 at 1e-7")
 TIP_DIGITS = pytest.mark.xfail(strict=True, reason="each station's order-1 jump term cancels across the balanced "
-                               "stations and its rounding absorbs the 1/sqrt(q) K-field: measured 1.9e-2 at "
-                               "d = 1e-30, 1.2e33 at 1e-100, and (0.0, 0.0) at 1e-200 and 1e-300")
+                               "stations and its rounding absorbs the 1/sqrt(q) K-field: against the converged "
+                               "reference, 1.9e-2 off at d = 1e-30, 1.2e33 at 1e-100, and (0.0, 0.0) at 1e-200 "
+                               "and 1e-300")
 
 
 @pytest.mark.parametrize("gap", [0.1, pytest.param(1e-5, marks=FACE_DIGITS), pytest.param(1e-7, marks=FACE_DIGITS)])
@@ -697,20 +548,12 @@ TIP_DIGITS = pytest.mark.xfail(strict=True, reason="each station's order-1 jump 
 def test_station_gradient_near_a_face_keeps_its_digits(gap, face):
     bm, d, phi = Bimaterial(1.0, 3.0), 3.0 * (1.0 + 1e-6), face * (math.pi - gap)
     grad = grad_u0(PRESET_3_05, bm, FieldPoint(d, phi))
-    assert gradient_error(grad, station_gradient_mp(PRESET_3_05, bm, d, phi)) < 1e-12
+    assert gradient_error(grad, converged(station_gradient_mp, PRESET_3_05, bm, d, phi)) < 1e-12
 
 
 @pytest.mark.parametrize("d", [1e-8, *(pytest.param(d, marks=TIP_DIGITS) for d in (1e-30, 1e-100, 1e-200, 1e-300))])
 def test_station_gradient_near_the_tip_keeps_the_k_field(d):
-    """Below 1e-100 the reference is the one at 1e-30 times sqrt(1e-30/d):
-    the K-field alone, which 50 digits can no longer tell from the rest."""
-    import mpmath
-
+    """The converged reference keeps the K-field at every d."""
     bm = Bimaterial(1.0, 3.0)
-    if d >= 1e-100:
-        reference = station_gradient_mp(PRESET_3_05, bm, d, 0.3)
-    else:
-        with mpmath.workdps(50):
-            scale = mpmath.sqrt(mpmath.mpf(1e-30) / mpmath.mpf(d))
-            reference = tuple(scale * v for v in station_gradient_mp(PRESET_3_05, bm, 1e-30, 0.3))
+    reference = converged(station_gradient_mp, PRESET_3_05, bm, d, 0.3)
     assert gradient_error(grad_u0(PRESET_3_05, bm, FieldPoint(d, 0.3)), reference) < 1e-12
