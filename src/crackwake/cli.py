@@ -78,6 +78,12 @@ def _write(writer, result, path: str | None, out) -> None:
             writer(result, fh)
 
 
+def _check_out(params: ScenarioParams) -> None:
+    """Refuse, before any work, an --out for propagate or map that names a directory."""
+    if params.out is not None and (not Path(params.out).name or Path(params.out).is_dir()):
+        raise ValidationError(f"--out needs to name a file, not the directory {params.out!r}")
+
+
 def _first_microcrack(scenario: Scenario):
     if not scenario.defects:
         raise ValidationError("scenario has no defect blocks")
@@ -120,6 +126,7 @@ def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
+    _check_out(params)
     from .propagation import CrackState, propagate, write_trace_csv
 
     state = CrackState(0.0, scenario.defects, scenario.loading, scenario.bimaterial)
@@ -128,12 +135,11 @@ def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
 
 
 def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
+    _check_out(params)
     image = None  # the --pgm path, derived before the scan so a bad --out costs no map
     if params.pgm:
-        if params.out is None or not Path(params.out).name:
-            raise ValidationError(f"--pgm needs --out with a file name to derive the image path, got {params.out!r}")
-        if Path(params.out).is_dir():
-            raise ValidationError(f"--pgm needs --out to name a file, got the directory {params.out!r}")
+        if params.out is None:
+            raise ValidationError("--pgm needs --out to derive the image path")
         image = Path(params.out).with_suffix(".pgm")
         if image == Path(params.out):
             raise ValidationError(f"--pgm would overwrite the --out file {params.out!r}: give --out another suffix")

@@ -141,8 +141,6 @@ def scan_map(
     rows: list = [None] * n_phi
     for block in blocks.values():
         pair = arrangement.defects(phis[block[0]], alphas[0], bimaterial)
-        # No row needs the face check of delta_k_defect: a cell center is
-        # at least pi/n_phi from a face.
         first, second = (
             _harmonics(points, table, bimaterial, member.d, [member_phis[i] for i in block], *_dipole_parts(member))
             for member, member_phis in zip(pair, (phis, phis2))

@@ -16,7 +16,7 @@ import sys
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import InvalidDefect, NumericalError, ValidationError
 from .loading import Bimaterial, Loading
-from .tipfields import SQRT_2_OVER_PI, _check_face, _finite, _gradients
+from .tipfields import SQRT_2_OVER_PI, _finite, _gradients
 
 
 def _scaled_power(name: str, factor: float, d: float, power: float) -> float:
@@ -59,13 +59,18 @@ def _harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float
     return rows
 
 
+def _defect_dk(points, table, bimaterial: Bimaterial, d: float, phi: float, iso: float, dev: float,
+               c2: float, s2: float) -> float:
+    """dK of a defect at (d, phi) with dipole parts (iso, dev) and (c2, s2) = (cos, sin) of 2 alpha under
+    stations and a table, for delta_k_defect and each propagation row; NumericalError unless finite."""
+    (a, b, c), = _harmonics(points, table, bimaterial, d, [phi], iso, dev)
+    return _finite("dK", a + b * c2 + c * s2)
+
+
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect; NumericalError unless finite."""
-    points, table = loading.split
-    _check_face(points, table, defect.d, defect.phi)
-    (a, b, c), = _harmonics(points, table, bimaterial, defect.d, [defect.phi], *_dipole_parts(defect))
-    c2, s2 = _double_angle(defect.alpha)
-    return _finite("dK", a + b * c2 + c * s2)
+    return _defect_dk(*loading.split, bimaterial, defect.d, defect.phi, *_dipole_parts(defect),
+                      *_double_angle(defect.alpha))
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

@@ -17,7 +17,7 @@ from .defects import Defect, _dipole_parts, _double_angle
 from .errors import (DegenerateA0, NumericalError, Record, TipReachesDefect, TipReachesLoad, ValidationError,
                      _check_param)
 from .loading import Bimaterial, Loading
-from .perturbation import _harmonics
+from .perturbation import _defect_dk
 from .tipfields import _coefficients, _finite
 
 STEADY_REL = 1e-6
@@ -105,10 +105,10 @@ def _evaluator(state: CrackState):
     table columns and each defect's position, _dipole_parts and
     _double_angle.  At a tip it shifts the stations and the table into tip
     coordinates and evaluates them with tipfields._coefficients and
-    perturbation._harmonics, the functions behind sif_k0, coeff_a0 and
+    perturbation._defect_dk, the functions behind sif_k0, coeff_a0 and
     delta_k_defect, so every value equals theirs on the tip-relative
-    loading and defects.  phi is 0 without a perturbation; DegenerateA0
-    when A0 is too small to balance a non-zero one.
+    loading and defects, face rule included.  phi is 0 without a
+    perturbation; with one, DegenerateA0 when |A0| <= 1e-14 |K0| / d_ref.
     """
     bm = state.bimaterial
     stations, table = state.loading.split  # x from the frame origin
@@ -120,15 +120,11 @@ def _evaluator(state: CrackState):
         shifted = None if table is None else (tuple(x - tip for x in table[0]), table[1], table[2])
         k0, a3 = _coefficients(points, shifted, bm.contrast)
         k0, a3 = _finite("K0", k0), _finite("A0", a3)
-        dk = []
-        for xd, yd, iso, dev, c2, s2 in defects:
-            dx = xd - tip
-            (a, b, c), = _harmonics(points, shifted, bm, math.hypot(dx, yd), [math.atan2(yd, dx)], iso, dev)
-            dk.append(a + b * c2 + c * s2)
-        total = math.fsum(dk)
+        total = math.fsum([_defect_dk(points, shifted, bm, math.hypot(xd - tip, yd), math.atan2(yd, xd - tip), *parts)
+                           for xd, yd, *parts in defects])
         if total == 0.0:
             return 0.0, total, k0, a3
-        if abs(a3) < 1e-14 * abs(k0) / d_ref:
+        if abs(a3) <= 1e-14 * abs(k0) / d_ref:
             raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0:.3e}")
         phi = -2.0 * total / a3
         if not math.isfinite(phi):

@@ -186,7 +186,7 @@ def test_map_pgm_refuses_an_out_with_no_file_name(cfg, capsys, monkeypatch, out)
     assert main(["map", "--config", cfg(SYM_PAIR_CFG + f'params {{ out = "{out}", pgm = true }}\n')]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == ""
-    assert err.splitlines() == [f"error: --pgm needs --out with a file name to derive the image path, got {out!r}"] * 2
+    assert err.splitlines() == [f"error: --out needs to name a file, not the directory {out!r}"] * 2
 
 
 @pytest.mark.parametrize("out", ["sub", ".."])
@@ -203,7 +203,28 @@ def test_map_pgm_refuses_an_out_that_is_a_directory(cfg, tmp_path, capsys, monke
     assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, "--pgm"]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == "" and scans == [] and list(tmp_path.rglob("*.pgm")) == []
-    assert err.splitlines() == [f"error: --pgm needs --out to name a file, got the directory {out!r}"]
+    assert err.splitlines() == [f"error: --out needs to name a file, not the directory {out!r}"]
+
+
+@pytest.mark.parametrize("command", ["propagate", "map"])
+def test_an_out_that_is_a_directory_is_refused_before_the_run(cfg, tmp_path, capsys, monkeypatch, command):
+    """propagate, and map without --pgm, ran to the end before open()
+    failed on the directory: one error line, and neither runs."""
+    import crackwake.mapgen
+    import crackwake.propagation
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
+    monkeypatch.setattr(crackwake.propagation, "propagate", never)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", "sub"]) == 1
+    assert main([command, "--config", cfg(SYM_PAIR_CFG + 'params { out = "sub" }\n')]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.splitlines() == ["error: --out needs to name a file, not the directory 'sub'"] * 2
 
 
 @pytest.mark.parametrize("command", ["propagate", "map"])
@@ -218,6 +239,26 @@ def test_an_out_path_holding_a_nul_byte_exits_1(cfg, capsys, command):
     line = text.splitlines().index(params) + 1
     assert err.splitlines() == [f"error: line {line}: out path 'a\\x00b' holds a NUL byte",
                                 "error: --out: out path 'a\\x00b' holds a NUL byte"]
+
+
+DEGENERATE_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 1 }
+loading {
+  force { face = "+", x1 = -2, p = 1 }
+  force { face = "-", x1 = -2, p = -1 }
+  force { face = "+", x1 = -3, p = -1 }
+  force { face = "-", x1 = -3, p = 1 }
+}
+defect { kind = microcrack, d = 1, phi = 0.5, alpha = 0.2, la = 0.05 }
+"""
+
+
+@pytest.mark.parametrize("command", ["perturb", "propagate"])
+def test_a0_and_k0_both_zero_is_a_degenerate_a0_failure(cfg, capsys, command):
+    """Not "float division by zero": the balance names A0 and K0."""
+    assert main([command, "--config", cfg(DEGENERATE_CFG)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: |A0| = 0.000e+00 too small against K0 = ")
 
 
 def test_map_to_stdout(cfg, capsys):

@@ -289,10 +289,13 @@ def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
 
 
 # The closed form's private kernels and the modules that may name them:
-# one owner each, so no module re-derives a step of dK on its own.
+# one owner each, so no module re-derives a step of dK on its own.  The
+# face rule lives in the kernel, so every entry applies it; the one-angle
+# dK of delta_k_defect is the one propagation sums.
 KERNEL_OWNERS = {
     "_table_sums": {"tipfields"}, "_station_terms": {"tipfields"}, "_phi_trig": {"tipfields"},
-    "_gradients": {"tipfields", "perturbation"},
+    "_gradients": {"tipfields", "perturbation"}, "_check_face": {"tipfields"},
+    "_harmonics": {"perturbation", "mapgen"}, "_defect_dk": {"perturbation", "propagation"},
 }
 
 
@@ -321,9 +324,10 @@ def assert_named_only_by_owners(owners: dict) -> None:
 
 
 def test_each_kernel_step_is_named_only_by_its_owners():
-    """tipfields alone builds the gradient, from the angle factors to the
-    table and station sums, and perturbation alone turns it into the
-    harmonics; mapgen and propagation go through _harmonics."""
+    """tipfields alone builds the gradient, from the face rule and the
+    angle factors to the table and station sums, and perturbation alone
+    turns it into the harmonics; mapgen goes through _harmonics and
+    propagation through _defect_dk."""
     assert_named_only_by_owners(KERNEL_OWNERS)
 
 

@@ -21,6 +21,7 @@ from crackwake import (
     ValidationError,
     advance_increment,
     coeff_a0,
+    delta_k_defect,
     neutral_pair_a,
     propagate,
     sif_k0,
@@ -266,6 +267,18 @@ def test_non_finite_increment_raises():
         advance_increment(state)
 
 
+def test_an_advance_beyond_the_float_range_raises(bm_equal):
+    """Each dK and A0 finite, A0 not degenerate against K0, but their
+    ratio overflows: 1e300 jump pairs perturb the tip, and only a 1e-300
+    pair at x1 = -4 makes K0 and A0."""
+    forces = (PointForce(-2.0, "+", 1e300), PointForce(-2.0, "-", -1e300), PointForce(-3.0, "+", -1e300),
+              PointForce(-3.0, "-", 1e300), PointForce(-4.0, "+", 1e-300), PointForce(-4.0, "-", 1e-300))
+    state = CrackState(0.0, (Defect("microcrack", d=1.0, phi=0.5, alpha=0.2, l_a=0.05),), Loading(forces), bm_equal)
+    for run in (advance_increment, propagate):
+        with pytest.raises(NumericalError, match="^advance is not finite: dK = 3.28205e"):
+            run(state)
+
+
 def test_infinite_a0_raises():
     """A load 1e-6 behind the tip with K0 finite and A0 overflowing: A0
     and propagation end in NumericalError, never in an inf row."""
@@ -332,9 +345,38 @@ def test_a_table_without_load_ahead_of_the_tip_is_no_load_support(bm_equal):
 
 
 def test_propagate_refuses_a_defect_on_a_loaded_face_station(bm_equal):
-    """The defect sits within one ulp of the lower face, over the station
-    at x1 = -2, where the station kernel's denominator is exactly 0."""
+    """The defect sits within one ulp of the upper face, over the station
+    at x1 = -2: the face rule refuses it before the station kernel, whose
+    denominator is exactly 0 there."""
     defect = Defect("microcrack", d=2.0, phi=math.nextafter(math.pi, 0.0), alpha=0.0, l_a=0.1)
     loading = Loading(sym_pair_at(2.0).forces + sym_pair_at(4.0, 1.0).forces)
-    with pytest.raises(OnCrackFaceUnderLoad, match="^point at d=2 sits on a load station at the face$"):
+    with pytest.raises(OnCrackFaceUnderLoad, match=r"^point \(d=2, phi=3.14159\) sits on the loaded station x1=-2$"):
         propagate(CrackState(0.0, (defect,), loading, bm_equal), max_iter=3)
+
+
+def test_propagate_refuses_a_defect_on_a_loaded_table_face_as_delta_k_defect_does():
+    """1e-10 rad off the upper face, inside a table's support, where the
+    table kernel stays finite: every entry applies the one face rule, so
+    the balance does not advance the tip by 6.31e-5 on it."""
+    loading = Loading((), DistributedLoad((-4.0, -3.0, -2.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)))
+    bm = Bimaterial(1.0, 3.0)
+    defect = Defect("microcrack", d=3.0, phi=math.pi - 1e-10, alpha=0.3, l_a=0.01)
+    state = CrackState(0.0, (defect,), loading, bm)
+    message = r"^point \(d=3, phi=3.14159\) sits inside the loaded support$"
+    for run in (lambda: delta_k_defect(defect, loading, bm), lambda: advance_increment(state), lambda: propagate(state)):
+        with pytest.raises(OnCrackFaceUnderLoad, match=message):
+            run()
+
+
+def test_a0_and_k0_both_zero_is_degenerate_a0(bm_equal):
+    """Two antisymmetric pairs cancel K0 and A0 to exactly 0 under equal
+    moduli, and the microcrack still perturbs the tip: no balance exists."""
+    forces = (PointForce(-2.0, "+", 1.0), PointForce(-2.0, "-", -1.0),
+              PointForce(-3.0, "+", -1.0), PointForce(-3.0, "-", 1.0))
+    loading = Loading(forces)
+    state = CrackState(0.0, (Defect("microcrack", d=1.0, phi=0.5, alpha=0.2, l_a=0.05),), loading, bm_equal)
+    assert (sif_k0(loading, bm_equal), coeff_a0(loading, bm_equal)) == (0.0, 0.0)
+    assert delta_k_defect(state.defects[0], loading, bm_equal) != 0.0
+    for run in (advance_increment, propagate):
+        with pytest.raises(DegenerateA0, match=r"^\|A0\| = 0.000e\+00 too small"):
+            run(state)
