@@ -125,7 +125,7 @@ def _evaluator(state: CrackState):
         if total == 0.0:
             return 0.0, total, k0, a3
         if abs(a3) <= 1e-14 * abs(k0) / d_ref:
-            raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0:.3e}")
+            raise DegenerateA0(f"|A0| = {abs(a3):.3e} too small against K0 = {k0 + 0.0:.3e}")  # +0.0 folds -0.0
         phi = -2.0 * total / a3
         if not math.isfinite(phi):
             raise NumericalError(f"advance is not finite: dK = {total:g}, A0 = {a3:g}")

@@ -114,19 +114,6 @@ def _phi_trig(phi: float) -> tuple[float, float, float, float, float, float]:
     )
 
 
-def _station_terms(q, sq, avg, jump, trig, mu_b, mu_sum: float, eta: float):
-    """Summands (t1, t2) of the gradient (sum t1, -sum t2) / (pi d) at
-    (d, phi) from stations at x1 = -q d, sq = sqrt(q); trig is
-    _phi_trig(phi), mu_b the modulus of the point's half-plane."""
-    cphi, sphi, shalf, chalf, s3half, c3half = trig
-    den = 2.0 * cphi + q + 1.0 / q
-    qm = q - 1.0 / q
-    coef = (2.0 * avg + eta * jump) / (2.0 * mu_b)
-    t1 = (jump * (sphi * sphi - 0.5 * cphi * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
-    t2 = (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
-    return t1, t2
-
-
 def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float) -> list:
     """A table's (sum t1, sum t2) at distance d for each angle (its
     _phi_trig tuple in trigs, its half-plane modulus in mu_bs): the station
@@ -214,24 +201,34 @@ def _gradients(points, table, bimaterial: Bimaterial, d: float, phis) -> list:
     (x1, avg, jump), summed in order, plus a table (x, avg, jump) or None,
     whose panel sums come from one _table_sums call for all the angles.
     Each angle meets _check_face, the face rule of every entry; a station
-    on the kernel's pole, up to about 1.05e-8 rad off a face, is OnCrackFaceUnderLoad too."""
+    on the kernel's pole, up to about 1.05e-8 rad off a face, is OnCrackFaceUnderLoad too.
+    Each station's factors are formed once for all the angles; a station
+    whose q = -x1/d underflows to 0 is a NumericalError."""
     trigs, mu_bs = [], []
     for phi in phis:
         _check_face(points, table, d, phi)
         trigs.append(_phi_trig(phi))
         mu_bs.append(bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus)
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
+    stations = []  # q, 1/q, sqrt q, q - 1/q, [p], 2<p> + eta [p]
+    for x1, avg, jump in points:
+        q = -x1 / d
+        if q == 0.0:
+            raise NumericalError(f"station x1={x1:g} underflows against d={d:g}: -x1/d is 0")
+        iq = 1.0 / q
+        stations.append((q, iq, math.sqrt(q), q - iq, jump, 2.0 * avg + eta * jump))
     sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
     scale = 1.0 / (math.pi * d)
     out = []
     try:
-        for trig, mu_b, (s1, s2) in zip(trigs, mu_bs, sums):
+        for (cphi, sphi, shalf, chalf, s3half, c3half), mu_b, (s1, s2) in zip(trigs, mu_bs, sums):
+            two_c, half_c, ssq, two_mu = 2.0 * cphi, 0.5 * cphi, sphi * sphi, 2.0 * mu_b
             g1 = g2 = 0.0
-            for x1, avg, jump in points:
-                q = -x1 / d
-                t1, t2 = _station_terms(q, math.sqrt(q), avg, jump, trig, mu_b, mu_sum, eta)
-                g1 += t1
-                g2 -= t2
+            for q, iq, sq, qm, jump, w in stations:
+                den = two_c + q + iq
+                coef = w / two_mu
+                g1 += (jump * (ssq - half_c * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
+                g2 -= (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
             out.append(((g1 + s1) * scale, (g2 - s2) * scale))
     except ZeroDivisionError:
         raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None

@@ -172,44 +172,14 @@ def test_map_pgm_refuses_to_overwrite_out(cfg, tmp_path, capsys, monkeypatch):
     assert err.splitlines() == [f"error: --pgm would overwrite the --out file {str(out)!r}: give --out another suffix"]
 
 
-@pytest.mark.parametrize("out", ["/", ".", ""])
-def test_map_pgm_refuses_an_out_with_no_file_name(cfg, capsys, monkeypatch, out):
-    """No image path derives from it: one error line before the scan, from
-    the flag and from the params block alike."""
-    import crackwake.mapgen
-
-    def never(*args, **kwargs):
-        raise AssertionError("scan_map ran")
-
-    monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
-    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, "--pgm"]) == 1
-    assert main(["map", "--config", cfg(SYM_PAIR_CFG + f'params {{ out = "{out}", pgm = true }}\n')]) == 1
-    stdout, err = capsys.readouterr()
-    assert stdout == ""
-    assert err.splitlines() == [f"error: --out needs to name a file, not the directory {out!r}"] * 2
-
-
-@pytest.mark.parametrize("out", ["sub", ".."])
-def test_map_pgm_refuses_an_out_that_is_a_directory(cfg, tmp_path, capsys, monkeypatch, out):
-    """A directory took the .pgm suffix (sub.pgm, ...pgm) and the scan ran
-    before the CSV open failed: one error line before the scan, no image."""
-    import crackwake.mapgen
-
-    scans, scan_map = [], crackwake.mapgen.scan_map
-    monkeypatch.setattr(crackwake.mapgen, "scan_map", lambda *args, **kw: scans.append(args) or scan_map(*args, **kw))
-    work = tmp_path / "work"
-    (work / "sub").mkdir(parents=True)
-    monkeypatch.chdir(work)
-    assert main(["map", "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, "--pgm"]) == 1
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and scans == [] and list(tmp_path.rglob("*.pgm")) == []
-    assert err.splitlines() == [f"error: --out needs to name a file, not the directory {out!r}"]
-
-
-@pytest.mark.parametrize("command", ["propagate", "map"])
-def test_an_out_that_is_a_directory_is_refused_before_the_run(cfg, tmp_path, capsys, monkeypatch, command):
-    """propagate, and map without --pgm, ran to the end before open()
-    failed on the directory: one error line, and neither runs."""
+@pytest.mark.parametrize("out", ["/", ".", "", "sub", ".."])
+@pytest.mark.parametrize("command", [["propagate"], ["map"], ["map", "--pgm"]], ids=["propagate", "map", "map-pgm"])
+def test_an_out_that_names_no_file_is_refused_before_the_run(cfg, tmp_path, capsys, monkeypatch, command, out):
+    """An --out with no file name, or one that is a directory, is one error
+    line before any work, from the flag and from the params block alike:
+    no scan, no propagation and no image.  Without the check, map --pgm
+    derived an image path from it (sub.pgm, ...pgm), and the commands ran
+    to the end before open() failed on the directory."""
     import crackwake.mapgen
     import crackwake.propagation
 
@@ -218,13 +188,15 @@ def test_an_out_that_is_a_directory_is_refused_before_the_run(cfg, tmp_path, cap
 
     monkeypatch.setattr(crackwake.mapgen, "scan_map", never)
     monkeypatch.setattr(crackwake.propagation, "propagate", never)
-    (tmp_path / "sub").mkdir()
-    monkeypatch.chdir(tmp_path)
-    assert main([command, "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", "sub"]) == 1
-    assert main([command, "--config", cfg(SYM_PAIR_CFG + 'params { out = "sub" }\n')]) == 1
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    pgm = ", pgm = true" if "--pgm" in command else ""
+    assert main([command[0], "--config", cfg(SYM_PAIR_CFG), "--grid", "4x4", "--out", out, *command[1:]]) == 1
+    assert main([command[0], "--config", cfg(SYM_PAIR_CFG + f'params {{ out = "{out}"{pgm} }}\n')]) == 1
     stdout, err = capsys.readouterr()
-    assert stdout == ""
-    assert err.splitlines() == ["error: --out needs to name a file, not the directory 'sub'"] * 2
+    assert stdout == "" and list(tmp_path.rglob("*.pgm")) == []
+    assert err.splitlines() == [f"error: --out needs to name a file, not the directory {out!r}"] * 2
 
 
 @pytest.mark.parametrize("command", ["propagate", "map"])
@@ -255,10 +227,11 @@ defect { kind = microcrack, d = 1, phi = 0.5, alpha = 0.2, la = 0.05 }
 
 @pytest.mark.parametrize("command", ["perturb", "propagate"])
 def test_a0_and_k0_both_zero_is_a_degenerate_a0_failure(cfg, capsys, command):
-    """Not "float division by zero": the balance names A0 and K0."""
+    """Not "float division by zero": the balance names A0 and K0, with K0's
+    -0.0 folded into 0.0."""
     assert main([command, "--config", cfg(DEGENERATE_CFG)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical failure: |A0| = 0.000e+00 too small against K0 = ")
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: |A0| = 0.000e+00 too small against K0 = 0.000e+00"]
 
 
 def test_map_to_stdout(cfg, capsys):

@@ -290,10 +290,12 @@ def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
 
 # The closed form's private kernels and the modules that may name them:
 # one owner each, so no module re-derives a step of dK on its own.  The
-# face rule lives in the kernel, so every entry applies it; the one-angle
-# dK of delta_k_defect is the one propagation sums.
+# point stations' kernel is inline in _gradients, which forms each
+# station's factors once per distance.  The face rule lives in the kernel,
+# so every entry applies it; the one-angle dK of delta_k_defect is the one
+# propagation sums.
 KERNEL_OWNERS = {
-    "_table_sums": {"tipfields"}, "_station_terms": {"tipfields"}, "_phi_trig": {"tipfields"},
+    "_table_sums": {"tipfields"}, "_phi_trig": {"tipfields"},
     "_gradients": {"tipfields", "perturbation"}, "_check_face": {"tipfields"},
     "_harmonics": {"perturbation", "mapgen"}, "_defect_dk": {"perturbation", "propagation"},
 }
