@@ -7,6 +7,7 @@ zero) among them.  All numbers print with 9 significant digits.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -80,7 +81,7 @@ def _write(writer, result, path: str | None, out) -> None:
 
 def _check_out(params: ScenarioParams) -> None:
     """Refuse, before any work, an --out for propagate or map that names a directory."""
-    if params.out is not None and (not Path(params.out).name or Path(params.out).is_dir()):
+    if params.out is not None and (os.path.basename(params.out) in ("", ".", "..") or os.path.isdir(params.out)):
         raise ValidationError(f"--out needs to name a file, not the directory {params.out!r}")
 
 

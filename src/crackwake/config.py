@@ -18,7 +18,7 @@ import re
 import warnings
 
 from .defects import _KIND_FIELDS, Defect
-from .errors import ConfigSyntaxError, MissingBlock, Record, UnknownKey, ValidationError, _check_param, _is_number
+from .errors import ConfigError, Record, ValidationError, _check_param, _is_number
 from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
 _ENTRY = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
@@ -55,15 +55,15 @@ class Scenario(Record):
 
 # the Defect field each defect parameter key sets; _KIND_FIELDS says which a kind takes
 _KEY_FIELDS = {"lb": "l_b", "mu_star": "mu_star", "kappa": "kappa"}
-# Each block's keys: (required, optional).  Every key but kind, face and
-# the params keys takes a number.
+# Each block's (required keys, optional keys, child blocks).  Every key
+# but kind, face and the params keys takes a number.
 _KEYS = {
-    "bimaterial": (("mu_plus", "mu_minus"), ()),
-    "loading": ((), ()),
-    "force": (("face", "x1", "p"), ()),
-    "three_point": (("P", "a"), ("b",)),
-    "defect": (("kind", "la"), (*_KEY_FIELDS, "alpha", "d", "phi", "x", "y")),
-    "params": ((), ScenarioParams._fields),
+    "bimaterial": (("mu_plus", "mu_minus"), (), ()),
+    "loading": ((), (), ("force", "three_point")),
+    "force": (("face", "x1", "p"), (), ()),
+    "three_point": (("P", "a"), ("b",), ()),
+    "defect": (("kind", "la"), (*_KEY_FIELDS, "alpha", "d", "phi", "x", "y"), ()),
+    "params": ((), ScenarioParams._fields, ()),
 }
 _NAME_KEYS = ("kind", "face", *ScenarioParams._fields)
 
@@ -90,10 +90,10 @@ def _parse_value(raw: str, line: int | None):
         try:
             return math.radians(float(m.group(1)))
         except ValueError:
-            raise ConfigSyntaxError(f"bad degree value {raw!r}", line) from None
+            raise ConfigError(f"bad degree value {raw!r}", line) from None
     if _GRID_VALUE.match(raw) or _NAME_VALUE.match(raw):
         return raw
-    raise ConfigSyntaxError(f"cannot parse value {raw!r}", line)
+    raise ConfigError(f"cannot parse value {raw!r}", line)
 
 
 def _add_entry(stack: list, item: str, line: int) -> None:
@@ -101,9 +101,9 @@ def _add_entry(stack: list, item: str, line: int) -> None:
     if item := item.strip():
         m = _ENTRY.match(item)
         if m is None:
-            raise ConfigSyntaxError(f"expected key = value or a block, got {item!r}", line)
+            raise ConfigError(f"expected key = value or a block, got {item!r}", line)
         if len(stack) == 1:
-            raise ConfigSyntaxError("key outside any block", line)
+            raise ConfigError("key outside any block", line)
         stack[-1].entries.append((m[1], _parse_value(m[2], line), line))
 
 
@@ -123,7 +123,7 @@ def _parse_tree(text: str) -> _Block:
                 if tok.isspace():
                     continue
                 if len(stack) == top or tok not in (",", "}"):
-                    raise ConfigSyntaxError(f"unexpected {tok.strip()!r} after a block", lineno)
+                    raise ConfigError(f"unexpected {tok.strip()!r} after a block", lineno)
                 item = ""
             if not tok.isspace():
                 last = tok
@@ -134,7 +134,7 @@ def _parse_tree(text: str) -> _Block:
                 item = ""
             elif len(stack) == top or tok not in ("{", "}", ","):
                 if len(stack) > top and tok.count('"') == 1:
-                    raise ConfigSyntaxError("unclosed quote", lineno)
+                    raise ConfigError("unclosed quote", lineno)
                 item += tok
             elif tok == "{" or depth:  # a brace, or a comma inside braces, of a value
                 depth += 1 if tok == "{" else -1 if tok == "}" else 0
@@ -146,48 +146,48 @@ def _parse_tree(text: str) -> _Block:
                     stack.pop()
                     item = None
         if len(stack) > top + (last is stack[-1]):
-            raise ConfigSyntaxError("inline block must close on the line that opens it", lineno)
+            raise ConfigError("inline block must close on the line that opens it", lineno)
         if len(stack) == top and item and item.strip() == "}":
             if len(stack) == 1:
-                raise ConfigSyntaxError("unmatched closing brace", lineno)
+                raise ConfigError("unmatched closing brace", lineno)
             stack.pop()
         elif len(stack) == top and item:
             _add_entry(stack, item, lineno)
     if len(stack) != 1:
-        raise ConfigSyntaxError(f"block {stack[-1].name!r} never closed", stack[-1].line)
+        raise ConfigError(f"block {stack[-1].name!r} never closed", stack[-1].line)
     return stack[0]
 
 
 def _require(block: _Block, values: dict, keys) -> None:
     for key in keys:
         if key not in values:
-            raise MissingBlock(f"block {block.name!r} is missing key {key!r}", block.line)
+            raise ConfigError(f"block {block.name!r} is missing key {key!r}", block.line)
 
 
-def _read(block: _Block, children: bool = False) -> dict:
-    """block's entries as {key: value}, checked against its keys in _KEYS
-    and a defect's kind in _KIND_FIELDS: none unknown or given twice, a
-    number where the key takes one, and every required key given.  A
-    child block is refused unless children is true, for a caller that
-    reads them itself."""
-    required, optional = _KEYS[block.name]
+def _read(block: _Block) -> dict:
+    """block's entries as {key: value}, checked against its keys and child
+    blocks in _KEYS and a defect's kind in _KIND_FIELDS: none unknown or
+    given twice, a number where the key takes one, and every required key
+    given."""
+    required, optional, children = _KEYS[block.name]
     values = {}
     for key, value, line in block.entries:
         if key not in required and key not in optional:
-            raise UnknownKey(f"unknown key {key!r} in block {block.name!r}", line)
+            raise ConfigError(f"unknown key {key!r} in block {block.name!r}", line)
         if key in values:
-            raise ConfigSyntaxError(f"duplicate key {key!r} in block {block.name!r}", line)
+            raise ConfigError(f"duplicate key {key!r} in block {block.name!r}", line)
         values[key] = value
     # every field for a block with no known kind: an unknown kind fails in Defect
     takes = _KIND_FIELDS.get(values.get("kind"), _KEY_FIELDS.values())
     for key, value, line in block.entries:
         if key in _KEY_FIELDS and _KEY_FIELDS[key] not in takes:
-            raise UnknownKey(f"defect kind {values['kind']!r} takes no key {key!r}", line)
+            raise ConfigError(f"defect kind {values['kind']!r} takes no key {key!r}", line)
         if key not in _NAME_KEYS and not _is_number(value):
-            raise ConfigSyntaxError(f"key {key!r} expects a number, got {value!r}", line)
+            raise ConfigError(f"key {key!r} expects a number, got {value!r}", line)
     _require(block, values, required)
-    if block.children and not children:
-        raise UnknownKey(f"unknown block {block.children[0].name!r} inside {block.name!r}", block.children[0].line)
+    for child in block.children:
+        if child.name not in children:
+            raise ConfigError(f"unknown block {child.name!r} inside {block.name!r}", child.line)
     return values
 
 
@@ -219,18 +219,16 @@ def _apply_params(params: ScenarioParams, items) -> ScenarioParams:
             params = params.replace(**{key: value})
         except ValidationError as exc:
             if isinstance(where, int):
-                raise ConfigSyntaxError(str(exc), where) from None
+                raise ConfigError(str(exc), where) from None
             exc.args = (f"{where}: {exc}",)
             raise
     return params
 
 
 def _build_loading(block: _Block) -> Loading:
-    _read(block, children=True)
+    _read(block)
     forces: list[PointForce] = []
     for child in block.children:
-        if child.name not in ("force", "three_point"):
-            raise UnknownKey(f"unknown block {child.name!r} inside 'loading'", child.line)
         e = _read(child)
         if child.name == "three_point":
             forces.extend(_at_line(child.line, three_point_preset, e["P"], e["a"], e.get("b", 0.0)).forces)
@@ -245,9 +243,9 @@ def _build_defect(block: _Block) -> Defect:
     polar = "d" in e or "phi" in e
     cart = "x" in e or "y" in e
     if polar and cart:
-        raise ConfigSyntaxError("defect position must be (d, phi) or (x, y), not both", block.line)
+        raise ConfigError("defect position must be (d, phi) or (x, y), not both", block.line)
     if not (polar or cart):
-        raise MissingBlock("defect needs a position: (d, phi) or (x, y)", block.line)
+        raise ConfigError("defect needs a position: (d, phi) or (x, y)", block.line)
     _require(block, e, ("d", "phi") if polar else ("x", "y"))
     alpha = e.get("alpha", 0.0)
     extras = {field: e[key] for key, field in _KEY_FIELDS.items() if key in e}
@@ -284,14 +282,14 @@ def parse_scenario(text: str) -> Scenario:
         if block.name == "defect":
             defects.append(_build_defect(block))
         elif block.name not in _TOP_BLOCKS:
-            raise UnknownKey(f"unknown block {block.name!r}", block.line)
+            raise ConfigError(f"unknown block {block.name!r}", block.line)
         elif block.name in built:
-            raise MissingBlock(f"duplicate {block.name} block", block.line)
+            raise ConfigError(f"duplicate {block.name} block", block.line)
         else:
             built[block.name] = _TOP_BLOCKS[block.name](block)
     for name in ("bimaterial", "loading"):
         if name not in built:
-            raise MissingBlock(f"missing {name} block")
+            raise ConfigError(f"missing {name} block")
 
     clearance = 1e-6 * max(1.0, min((df.d for df in defects), default=1.0))
     check_balance(built["loading"], tip_clearance=clearance)

@@ -94,18 +94,6 @@ class ConfigError(ValidationError):
         super().__init__(message)
 
 
-class ConfigSyntaxError(ConfigError):
-    """Malformed line in a scenario file."""
-
-
-class UnknownKey(ConfigError):
-    """Key or block name not part of the scenario grammar."""
-
-
-class MissingBlock(ConfigError):
-    """Required block absent, or present more than once."""
-
-
 class NumericalError(CrackwakeError):
     """Numerical evaluation failed."""
 

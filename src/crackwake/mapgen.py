@@ -17,7 +17,7 @@ from itertools import chain
 from .defects import Defect, _dipole_parts, _double_angle
 from .errors import Record, ValidationError, _check_param
 from .loading import Bimaterial, Loading
-from .perturbation import _companion, _harmonics
+from .perturbation import _companion, _companion_angles, _harmonics
 from .tipfields import sif_k0
 
 SHIELDING = "shielding"
@@ -124,12 +124,10 @@ def scan_map(
         raise ValidationError("map needs a loading with non-zero K0")
 
     points, table = loading.split
-    # The companion's phi per row and alpha per column, as neutral_pair_a
-    # (same phi, alpha - pi/2) or neutral_pair_b (mirrored) set them.
-    if arrangement.pair == "a":
-        phis2, alphas2 = phis, [a - 0.5 * math.pi for a in alphas]
-    else:
-        phis2, alphas2 = [-p for p in phis], [0.5 * math.pi - a for a in alphas]
+    # The companion's phi per row and alpha per column, by the pair rule.
+    pair = arrangement.pair
+    phis2 = [_companion_angles(pair, p, 0.0)[0] for p in phis]
+    alphas2 = [_companion_angles(pair, 0.0, a)[1] for a in alphas]
     cols = [(*_double_angle(a1), *_double_angle(a2)) for a1, a2 in zip(alphas, alphas2)]
     # The members' sizes depend on phi1 only through the sides of the
     # interface they sit on (pair b sizes its companion by them), so the

@@ -106,11 +106,12 @@ def neutral_pair_a(microcrack: Defect, d2: float | None = None) -> Defect:
         raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
     if d2 is None:
         d2 = 2.0 * microcrack.d
+    phi2, alpha2 = _companion_angles("a", microcrack.phi, microcrack.alpha)
     return Defect(
         kind="rigid_line",
         d=d2,
-        phi=microcrack.phi,
-        alpha=microcrack.alpha - 0.5 * math.pi,
+        phi=phi2,
+        alpha=alpha2,
         l_a=microcrack.l_a * d2 / microcrack.d,
     )
 
@@ -126,16 +127,25 @@ def neutral_pair_b(microcrack: Defect, bimaterial: Bimaterial, d2: float | None 
         raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
     if d2 is None:
         d2 = microcrack.d
-    phi2 = -microcrack.phi
+    phi2, alpha2 = _companion_angles("b", microcrack.phi, microcrack.alpha)
     mu_ratio = _opposite_mu(microcrack.phi, bimaterial) / _opposite_mu(phi2, bimaterial)
     l2 = microcrack.l_a * (d2 / microcrack.d) * math.sqrt(mu_ratio)
     return Defect(
         kind="rigid_line",
         d=d2,
         phi=phi2,
-        alpha=0.5 * math.pi - microcrack.alpha,
+        alpha=alpha2,
         l_a=l2,
     )
+
+
+def _companion_angles(pair: str, phi: float, alpha: float) -> tuple[float, float]:
+    """(phi, alpha) of the companion of a microcrack at angle phi with
+    orientation alpha, by the arrangement rule pair: "a" keeps phi and
+    turns alpha by -pi/2, "b" mirrors phi and takes pi/2 - alpha."""
+    if pair == "a":
+        return phi, alpha - 0.5 * math.pi
+    return -phi, 0.5 * math.pi - alpha
 
 
 def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial, d2: float | None = None) -> Defect:

@@ -203,7 +203,7 @@ def _gradients(points, table, bimaterial: Bimaterial, d: float, phis) -> list:
     Each angle meets _check_face, the face rule of every entry; a station
     on the kernel's pole, up to about 1.05e-8 rad off a face, is OnCrackFaceUnderLoad too.
     Each station's factors are formed once for all the angles; a station
-    whose q = -x1/d underflows to 0 is a NumericalError."""
+    whose q = -x1/d underflows to 0 or overflows to inf is a NumericalError."""
     trigs, mu_bs = [], []
     for phi in phis:
         _check_face(points, table, d, phi)
@@ -213,8 +213,9 @@ def _gradients(points, table, bimaterial: Bimaterial, d: float, phis) -> list:
     stations = []  # q, 1/q, sqrt q, q - 1/q, [p], 2<p> + eta [p]
     for x1, avg, jump in points:
         q = -x1 / d
-        if q == 0.0:
-            raise NumericalError(f"station x1={x1:g} underflows against d={d:g}: -x1/d is 0")
+        if not 0.0 < q < math.inf:
+            fault = "overflows" if q else "underflows"
+            raise NumericalError(f"station x1={x1:g} {fault} against d={d:g}: -x1/d is {q:g}")
         iq = 1.0 / q
         stations.append((q, iq, math.sqrt(q), q - iq, jump, 2.0 * avg + eta * jump))
     sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)

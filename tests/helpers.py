@@ -19,7 +19,7 @@ import numpy as np
 from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, ValidationError, config, delta_k_defect
 from crackwake.config import _Block, _parse_value
 from crackwake.defects import _entries
-from crackwake.errors import ConfigSyntaxError
+from crackwake.errors import ConfigError
 from crackwake.mapgen import _labels
 from crackwake.propagation import _check_path, _on_path
 from crackwake.tipfields import SQRT_2_OVER_PI
@@ -269,7 +269,7 @@ def _reference_split(text, line):
         elif mark == "}":
             depth -= 1
             if depth < 0:
-                raise ConfigSyntaxError("unmatched closing brace", line)
+                raise ConfigError("unmatched closing brace", line)
         elif mark == '"':
             break
         elif mark == "," and depth == 0:
@@ -278,7 +278,7 @@ def _reference_split(text, line):
     else:
         if depth == 0:
             return [*parts, text[start:]]
-    raise ConfigSyntaxError("unbalanced braces or quotes", line)
+    raise ConfigError("unbalanced braces or quotes", line)
 
 
 def _reference_add_item(block, item, line, stack=None):
@@ -294,16 +294,16 @@ def _reference_add_item(block, item, line, stack=None):
                 if part := part.strip():
                     _reference_add_item(child, part, line)
         elif m[2]:
-            raise ConfigSyntaxError("inline block must close on the same line", line)
+            raise ConfigError("inline block must close on the same line", line)
         else:
             stack.append(child)
         return
     m = _REF_ENTRY.match(item)
     if m is None:
-        raise ConfigSyntaxError(f"cannot parse line {item!r}" if stack else f"expected key = value, got {item!r}",
+        raise ConfigError(f"cannot parse line {item!r}" if stack else f"expected key = value, got {item!r}",
                                 line)
     if stack and block is stack[0]:
-        raise ConfigSyntaxError("key outside any block", line)
+        raise ConfigError("key outside any block", line)
     block.entries.append((m[1], _parse_value(m[2], line), line))
 
 
@@ -315,12 +315,12 @@ def reference_parse_tree(text):
         line = line.strip()
         if line == "}":
             if len(stack) == 1:
-                raise ConfigSyntaxError("unmatched closing brace", lineno)
+                raise ConfigError("unmatched closing brace", lineno)
             stack.pop()
         elif line:
             _reference_add_item(stack[-1], line, lineno, stack)
     if len(stack) != 1:
-        raise ConfigSyntaxError(f"block {stack[-1].name!r} never closed", stack[-1].line)
+        raise ConfigError(f"block {stack[-1].name!r} never closed", stack[-1].line)
     return stack[0]
 
 

@@ -172,14 +172,14 @@ def test_map_pgm_refuses_to_overwrite_out(cfg, tmp_path, capsys, monkeypatch):
     assert err.splitlines() == [f"error: --pgm would overwrite the --out file {str(out)!r}: give --out another suffix"]
 
 
-@pytest.mark.parametrize("out", ["/", ".", "", "sub", ".."])
+@pytest.mark.parametrize("out", ["/", ".", "", "sub", "..", "newdir/", "newdir/."])
 @pytest.mark.parametrize("command", [["propagate"], ["map"], ["map", "--pgm"]], ids=["propagate", "map", "map-pgm"])
 def test_an_out_that_names_no_file_is_refused_before_the_run(cfg, tmp_path, capsys, monkeypatch, command, out):
     """An --out with no file name, or one that is a directory, is one error
     line before any work, from the flag and from the params block alike:
     no scan, no propagation and no image.  Without the check, map --pgm
-    derived an image path from it (sub.pgm, ...pgm), and the commands ran
-    to the end before open() failed on the directory."""
+    derived an image path from it (sub.pgm, ...pgm, newdir.pgm), and the
+    commands ran to the end before open() failed on the directory."""
     import crackwake.mapgen
     import crackwake.propagation
 

@@ -301,13 +301,14 @@ KERNEL_OWNERS = {
 }
 
 
-# The rules written once, and the one module that names each: the two
-# companion rules (mapgen and cli choose through perturbation._companion)
-# and the range guard on a power of d in perturbation, the verdict-flag
-# table in propagation.
+# The rules written once, and the modules that name each: the two
+# companion rules (mapgen and cli choose through perturbation._companion),
+# their angles (mapgen's companion axes take them from perturbation), the
+# range guard on a power of d in perturbation, the verdict-flag table in
+# propagation.
 RULE_OWNERS = {
     "neutral_pair_a": {"perturbation"}, "neutral_pair_b": {"perturbation"}, "_scaled_power": {"perturbation"},
-    "_VERDICT_FLAG": {"propagation"},
+    "_companion_angles": {"perturbation", "mapgen"}, "_VERDICT_FLAG": {"propagation"},
 }
 
 

@@ -154,13 +154,19 @@ def test_a_station_pole_past_the_face_rule_is_on_crack_face_under_load(sym_pair,
         grad_u0(sym_pair, bm_equal, FieldPoint(1.0, math.pi - gap))
 
 
-def test_a_station_whose_q_underflows_is_a_numerical_error_not_a_face_point():
-    """Far from a station near the tip, q = -x1/d underflows to 0: that is
-    a NumericalError naming the underflow, not OnCrackFaceUnderLoad, for
-    the point is nowhere near a face."""
-    loading = Loading((PointForce(-1e-130, "+", 1.0), PointForce(-1e-130, "-", 1.0)))
-    with pytest.raises(NumericalError, match="^station x1=-1e-130 underflows against d=1e\\+200: -x1/d is 0$") as info:
-        grad_u0(loading, Bimaterial(1.0, 3.0), FieldPoint(1e200, 0.3))
+@pytest.mark.parametrize("x1, d, message", [
+    (-1e-130, 1e200, "station x1=-1e-130 underflows against d=1e\\+200: -x1/d is 0"),
+    (-1e300, 1e-10, "station x1=-1e\\+300 overflows against d=1e-10: -x1/d is inf"),
+], ids=["underflow", "overflow"])
+def test_a_station_whose_q_underflows_is_a_numerical_error_not_a_face_point(x1, d, message):
+    """Far from a station near the tip, q = -x1/d underflows to 0, and near
+    a station far from it q overflows to inf: either is a NumericalError
+    naming it, not OnCrackFaceUnderLoad, for the point is nowhere near a
+    face.  Without the overflow check grad_u0 raised a nan and scan_map
+    returned an all-invalid map."""
+    loading = Loading((PointForce(x1, "+", 1.0), PointForce(x1, "-", 1.0)))
+    with pytest.raises(NumericalError, match=f"^{message}$") as info:
+        grad_u0(loading, Bimaterial(1.0, 3.0), FieldPoint(d, 0.3))
     assert not isinstance(info.value, OnCrackFaceUnderLoad)
 
 
