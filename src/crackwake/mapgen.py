@@ -30,16 +30,6 @@ REGION_LETTER = {SHIELDING: "S", AMPLIFICATION: "A", NEUTRAL: "N", INVALID: "X"}
 REGION_GREY = {SHIELDING: 170, AMPLIFICATION: 85, NEUTRAL: 40, INVALID: 0}
 
 
-def _labels(ratios, delta: float) -> list:
-    """Region label of each perturbation ratio dK/K0 at accuracy delta, by
-    comparisons alone.  Boundaries are inclusive to neutral: shielding
-    needs ratio < -delta, amplification ratio > delta.  A nan or infinite
-    ratio is invalid."""
-    low, inf = -delta, math.inf
-    return [SHIELDING if -inf < r < low else AMPLIFICATION if delta < r < inf else NEUTRAL if low <= r <= delta
-            else INVALID for r in ratios]
-
-
 class PairArrangement(Record):
     """Microcrack prototype plus the companion rule ("a" or "b")."""
 
@@ -86,15 +76,18 @@ class RegionMap(Record):
         return np.array(self.labels, dtype=object).reshape(len(self.phi1), len(self.alpha1))
 
 
-def _finite_or_nan(rows) -> tuple:
-    """The rows' ratios, row-major, with each one that is not finite made
-    nan.  One sum decides: a finite total means every ratio is finite, so
-    only a nan, an inf or an overflowing total takes the per-cell check."""
-    flat = tuple(chain.from_iterable(rows))
-    if math.isfinite(sum(flat)):
-        return flat
-    inf = math.inf
-    return tuple([r if -inf < r < inf else math.nan for r in flat])
+def _classify(rows, delta: float) -> tuple[tuple, tuple]:
+    """The rows' ratios dK/K0, row-major, and their region labels at
+    accuracy delta, inclusive to neutral.  One sum decides whether any
+    ratio is not finite; each that is becomes nan, which fails every
+    comparison and so is labelled invalid."""
+    ratios = tuple(chain.from_iterable(rows))
+    if not math.isfinite(sum(ratios)):
+        inf = math.inf
+        ratios = tuple([r if -inf < r < inf else math.nan for r in ratios])
+    low = -delta
+    return ratios, tuple([SHIELDING if r < low else AMPLIFICATION if delta < r else NEUTRAL if r == r else INVALID
+                          for r in ratios])
 
 
 def scan_map(
@@ -146,8 +139,7 @@ def scan_map(
         for i, (a1, b1, c1), (a2, b2, c2) in zip(block, first, second):
             rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
 
-    ratios = _finite_or_nan(rows)
-    return RegionMap(phis, alphas, ratios, tuple(_labels(ratios, delta)))
+    return RegionMap(phis, alphas, *_classify(rows, delta))
 
 
 def write_map_csv(region_map: RegionMap, fh) -> None:

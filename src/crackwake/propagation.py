@@ -196,5 +196,5 @@ def write_trace_csv(trace: PropagationTrace, fh) -> None:
     """Emit the trace with the fixed header, one row per iteration."""
     fh.write("iter,phi,x,dK_total,K0,A0,verdict_flag\n")
     rows = zip(trace.phi, trace.x, trace.dk_total, trace.k0, trace.a0, trace.flags)
-    for i, (phi, x, dk, k0, a0, flag) in enumerate(rows):
-        fh.write(f"{i},{phi:.9g},{x:.9g},{dk:.9g},{k0:.9g},{a0:.9g},{flag}\n")
+    for i, (phi, x, dk, k0, a0, flag) in enumerate(rows):  # + 0.0 prints -0.0 as 0, as cli._fmt does
+        fh.write(f"{i},{phi + 0.0:.9g},{x + 0.0:.9g},{dk + 0.0:.9g},{k0 + 0.0:.9g},{a0 + 0.0:.9g},{flag}\n")

@@ -20,7 +20,7 @@ from crackwake import Bimaterial, Defect, DistributedLoad, Loading, PointForce, 
 from crackwake.config import _Block, _parse_value
 from crackwake.defects import _entries
 from crackwake.errors import ConfigError
-from crackwake.mapgen import _labels
+from crackwake.mapgen import _classify
 from crackwake.propagation import _check_path, _on_path
 from crackwake.tipfields import SQRT_2_OVER_PI
 
@@ -155,7 +155,7 @@ def increments(trace):
 
 def classify(ratio, delta):
     """A map's region label for one ratio dK/K0 at accuracy delta."""
-    return _labels((ratio,), delta)[0]
+    return _classify([[ratio]], delta)[1][0]
 
 
 # The command line's argparse parser before the hand-written one replaced

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from crackwake import Defect, ScenarioParams, neutral_pair_b, parse_scenario
+from crackwake import Defect, ScenarioParams, neutral_pair_b, parse_scenario, sif_k0
 from crackwake.cli import main
 
 SYM_PAIR_CFG = """
@@ -109,6 +109,30 @@ def test_perturb_balance_over_seeded_neutral_pairs(cfg, capsys):
                             alpha=rng.uniform(0.0, math.pi), l_a=0.05)
         perturb, row = balance_lines(cfg(pair_b_cfg(microcrack)), capsys)
         assert perturb == row, microcrack
+
+
+# the sifted half-moments cancel to +0.0, so K0 = -sqrt(2/pi) * 0.0 is -0.0
+CANCELLING_K0_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 1 }
+loading {
+  force { face = "+", x1 = -1, p = 1 }
+  force { face = "-", x1 = -1, p = 1 }
+  force { face = "+", x1 = -4, p = -2 }
+  force { face = "-", x1 = -4, p = -2 }
+}
+defect { kind = microcrack, d = 0.5, phi = 0.3, alpha = 0.2, la = 0.05 }
+"""
+
+
+def test_propagate_prints_a_negative_zero_k0_as_sif_and_perturb_do(cfg, capsys):
+    scenario = parse_scenario(CANCELLING_K0_CFG)
+    assert math.copysign(1.0, sif_k0(scenario.loading, scenario.bimaterial)) == -1.0
+    path = cfg(CANCELLING_K0_CFG)
+    assert main(["sif", "--config", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "K0 = 0"
+    perturb, row = balance_lines(path, capsys)
+    assert perturb == row
+    assert perturb[1] == "K0 = 0"
 
 
 def test_perturb_and_oracles_never_import_scipy(cfg):

@@ -18,7 +18,7 @@ from crackwake import (
     sif_k0,
     three_point_preset,
 )
-from crackwake.mapgen import REGION_GREY, REGION_LETTER, _finite_or_nan, write_map_csv, write_map_pgm
+from crackwake.mapgen import REGION_GREY, REGION_LETTER, _classify, write_map_csv, write_map_pgm
 
 from helpers import classify, sym_pair_at
 
@@ -211,16 +211,62 @@ def test_scan_map_non_finite_ratio_is_invalid():
     assert buf.getvalue().count(",nan,X\n") == 8
 
 
-def test_finite_or_nan_keeps_finite_ratios_whose_sum_overflows():
+def test_classify_keeps_finite_ratios_whose_sum_overflows():
     rows = [[1e308, 1.5e308, -0.0], [1.7e308, -1e-300, 5e307]]
     assert math.isinf(sum(r for row in rows for r in row))
-    kept = _finite_or_nan(rows)
+    kept, labels = _classify(rows, 1e-6)
     assert kept == (1e308, 1.5e308, -0.0, 1.7e308, -1e-300, 5e307)
     assert math.copysign(1.0, kept[2]) == -1.0
+    assert labels == ("amplification",) * 2 + ("neutral", "amplification", "neutral", "amplification")
     for bad in (math.inf, -math.inf, math.nan):
-        out = _finite_or_nan([[1e308, 1.5e308], [bad, 2.0]])
+        out, labels = _classify([[1e308, 1.5e308], [bad, 2.0]], 1e-6)
         assert out[:2] == (1e308, 1.5e308) and out[3] == 2.0
         assert math.isnan(out[2])
+        assert labels == ("amplification", "amplification", "invalid", "amplification")
+
+
+def plain_classify(rows, delta):
+    """Cell by cell: a ratio that is not finite is nan and invalid, below
+    -delta shielding, above delta amplification, and neutral otherwise."""
+    ratios, labels = [], []
+    for r in (r for row in rows for r in row):
+        if not math.isfinite(r):
+            ratios.append(math.nan)
+            labels.append("invalid")
+            continue
+        ratios.append(r)
+        labels.append("shielding" if r < -delta else "amplification" if r > delta else "neutral")
+    return ratios, labels
+
+
+@st.composite
+def ratio_rows(draw):
+    """delta, and rows mixing nan, +-inf, +-delta and its neighbours, +-0.0,
+    subnormals, any float, and ratios near the largest float whose sum
+    overflows."""
+    delta = draw(st.floats(min_value=5e-324, max_value=1e300))
+    cell = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+        st.sampled_from([delta, -delta, math.nextafter(delta, 0.0), -math.nextafter(delta, math.inf)]),
+        st.builds(math.copysign, st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+                  st.sampled_from([1.0, -1.0])),
+        st.floats(),
+    )
+    n_alpha = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(cell, min_size=n_alpha, max_size=n_alpha), min_size=1, max_size=4))
+    return rows, delta
+
+
+@settings(max_examples=300)
+@given(ratio_rows())
+def test_classify_matches_the_plain_per_cell_rule(drawn):
+    """The one-sum shortcut and the chained labels agree with the cell by
+    cell rule: the same labels, nan in the same cells, -0.0 kept."""
+    rows, delta = drawn
+    ratios, labels = _classify(rows, delta)
+    expected_ratios, expected_labels = plain_classify(rows, delta)
+    assert labels == tuple(expected_labels)
+    assert [repr(r) for r in ratios] == [repr(r) for r in expected_ratios]  # nan positions and the sign of 0.0
 
 
 def test_scan_map_labels_finite_ratios_whose_sum_overflows(bm_equal, monkeypatch):

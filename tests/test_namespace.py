@@ -308,7 +308,7 @@ KERNEL_OWNERS = {
 # propagation.
 RULE_OWNERS = {
     "neutral_pair_a": {"perturbation"}, "neutral_pair_b": {"perturbation"}, "_scaled_power": {"perturbation"},
-    "_companion_angles": {"perturbation", "mapgen"}, "_VERDICT_FLAG": {"propagation"},
+    "_companion_angles": {"perturbation", "mapgen"}, "_VERDICT_FLAG": {"propagation"}, "_classify": {"mapgen"},
 }
 
 
@@ -335,8 +335,9 @@ def test_each_kernel_step_is_named_only_by_its_owners():
 
 
 def test_each_rule_is_named_only_by_its_owner():
-    """One copy of the companion choice, the range guard and the verdict
-    flags: a second copy elsewhere names a rule outside its owner."""
+    """One copy of the companion choice, the range guard, the verdict
+    flags and the map's classification: a second copy elsewhere names a
+    rule outside its owner."""
     assert_named_only_by_owners(RULE_OWNERS)
 
 
