@@ -1,0 +1,64 @@
+"""The schema of the trajectory files: a toy run of bench/trajectory.py,
+and every committed BENCH_<n>.json.
+
+    python3 -m pytest bench/tests
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[2]
+SCRIPT = ROOT / "bench" / "trajectory.py"
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+COLD_COMMANDS = {"sif", "perturb", "propagate", "map --pgm"}
+
+
+def check_schema(bench: dict) -> None:
+    """A machine block, the settings and one row per tree: each workload's
+    run.py result line, verbatim, and a positive cold start per command."""
+    assert set(bench) == {"machine", "settings", "rows"}
+    machine = bench["machine"]
+    assert set(machine) == {"nproc", "python", "numpy", "scipy", "commit", "python_c_pass_ms"}
+    assert machine["nproc"] >= 1 and machine["python_c_pass_ms"] > 0.0 and machine["commit"]
+    assert set(bench["settings"]) == {"seed", "seconds", "toy", "cold_start_runs", "PYTHONDONTWRITEBYTECODE"}
+    assert bench["settings"]["seed"] == 1 and bench["settings"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert bench["rows"] and len({row["tree"] for row in bench["rows"]}) == len(bench["rows"])
+    for row in bench["rows"]:
+        assert set(row) == {"tree", "workloads", "cold_start_ms"}
+        assert set(row["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+        for line in row["workloads"].values():
+            result = json.loads(line)
+            assert set(result) == {"correct", "attempted", "failed", "metrics"}
+            assert {m["name"] for m in SPEC["end_to_end"]} <= set(result["metrics"])
+        assert set(row["cold_start_ms"]) == COLD_COMMANDS
+        assert all(ms > 0.0 for ms in row["cold_start_ms"].values())
+
+
+def test_a_toy_run_writes_one_row_for_this_checkout(tmp_path):
+    out = tmp_path / "BENCH_toy.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--write", str(out), "--seconds", "1", "--toy"],
+                   check=True, capture_output=True, timeout=170)
+    bench = json.loads(out.read_text())
+    check_schema(bench)
+    assert bench["settings"]["toy"] is True and bench["settings"]["cold_start_runs"] == 3
+    assert [row["tree"] for row in bench["rows"]] == [bench["machine"]["commit"]]
+    for line in bench["rows"][0]["workloads"].values():
+        assert json.loads(line)["correct"] is True
+
+
+def test_a_tree_without_sources_is_refused(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--write", str(tmp_path / "x.json"), "--tree",
+                           f"empty={tmp_path}"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "expected LABEL=DIR" in proc.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_each_committed_trajectory_file_follows_the_schema(path):
+    bench = json.loads(path.read_text())
+    check_schema(bench)
+    assert bench["settings"]["toy"] is False and bench["settings"]["cold_start_runs"] >= 10

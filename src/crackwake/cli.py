@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import os
 import sys
+import warnings
 from pathlib import Path
 
 # every command parses a scenario; each handler imports what it runs
 from .config import Scenario, ScenarioParams, _apply_params, dump_scenario, parse_scenario
-from .errors import NumericalError, ValidationError
+from .defects import DILUTENESS_RATIO
+from .errors import DilutenessWarning, NumericalError, ValidationError
 
 PARAMS_FLAGS = ("grid", "delta", "max_iter", "arrest_tol", "pair", "out", "pgm")  # spelled as params keys
 FLAGS = ("--config", *("--" + key.replace("_", "-") for key in PARAMS_FLAGS), "--dump-config", "--help")
@@ -92,6 +94,19 @@ def _first_microcrack(scenario: Scenario):
     if defect.kind != "microcrack":
         raise ValidationError(f"pair arrangements start from a microcrack, first defect is {defect.kind!r}")
     return defect
+
+
+def _run(command, scenario: Scenario, params: ScenarioParams, out) -> None:
+    """command(scenario, params, out), holding back the DilutenessWarning of each defect it builds, as each
+    scenario defect warned at its line: a companion not dilute beside a dilute microcrack warns once."""
+    with warnings.catch_warnings(record=True) as caught:
+        command(scenario, params, out)
+    held = [w.message for w in caught if w.category is DilutenessWarning]
+    for w in caught:
+        if w.category is not DilutenessWarning:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if held and scenario.defects[0].l_a / scenario.defects[0].d <= DILUTENESS_RATIO:
+        warnings.warn_explicit(f"pair {params.pair} companion: {held[0]}", DilutenessWarning, "scenario", 0)
 
 
 def _cmd_dipole(scenario: Scenario, params: ScenarioParams, out) -> None:
@@ -188,7 +203,7 @@ def main(argv=None) -> int:
         if "dump_config" in args:
             sys.stdout.write(dump_scenario(scenario.replace(params=params)))
             return 0
-        COMMANDS[args["command"]](scenario, params, sys.stdout)
+        _run(COMMANDS[args["command"]], scenario, params, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -53,10 +53,8 @@ def _dk_harmonics(grad, weights, iso: float, dev: float, mu_series: float) -> tu
 def _harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float, dev: float) -> list:
     """_dk_harmonics (a, b, c) of a defect at distance d with dipole parts
     (iso, dev) under stations and a table, one triple per angle of phis."""
-    rows = []
-    for phi, grad in zip(phis, _gradients(points, table, bimaterial, d, phis)):
-        rows.append(_dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series))
-    return rows
+    return [_dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series)
+            for phi, grad in zip(phis, _gradients(points, table, bimaterial, d, phis))]
 
 
 def _defect_dk(points, table, bimaterial: Bimaterial, d: float, phi: float, iso: float, dev: float,
@@ -102,18 +100,7 @@ def neutral_pair_a(microcrack: Defect, d2: float | None = None) -> Defect:
     """Rigid-line companion in the same half-plane that cancels the
     microcrack's remote-limit perturbation: equal l/d, equal phi,
     orientation rotated by pi/2.  Defaults to twice the distance."""
-    if microcrack.kind != "microcrack":
-        raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
-    if d2 is None:
-        d2 = 2.0 * microcrack.d
-    phi2, alpha2 = _companion_angles("a", microcrack.phi, microcrack.alpha)
-    return Defect(
-        kind="rigid_line",
-        d=d2,
-        phi=phi2,
-        alpha=alpha2,
-        l_a=microcrack.l_a * d2 / microcrack.d,
-    )
+    return _companion("a", microcrack, None, d2)
 
 
 def neutral_pair_b(microcrack: Defect, bimaterial: Bimaterial, d2: float | None = None) -> Defect:
@@ -123,20 +110,7 @@ def neutral_pair_b(microcrack: Defect, bimaterial: Bimaterial, d2: float | None 
     With the default d2 = d1 the pair is neutral under any symmetric
     loading at any finite distance, not only in the remote limit.
     """
-    if microcrack.kind != "microcrack":
-        raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
-    if d2 is None:
-        d2 = microcrack.d
-    phi2, alpha2 = _companion_angles("b", microcrack.phi, microcrack.alpha)
-    mu_ratio = _opposite_mu(microcrack.phi, bimaterial) / _opposite_mu(phi2, bimaterial)
-    l2 = microcrack.l_a * (d2 / microcrack.d) * math.sqrt(mu_ratio)
-    return Defect(
-        kind="rigid_line",
-        d=d2,
-        phi=phi2,
-        alpha=alpha2,
-        l_a=l2,
-    )
+    return _companion("b", microcrack, bimaterial, d2)
 
 
 def _companion_angles(pair: str, phi: float, alpha: float) -> tuple[float, float]:
@@ -148,7 +122,18 @@ def _companion_angles(pair: str, phi: float, alpha: float) -> tuple[float, float
     return -phi, 0.5 * math.pi - alpha
 
 
-def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial, d2: float | None = None) -> Defect:
-    """The microcrack's companion by the arrangement rule pair: "a" is
-    neutral_pair_a, "b" neutral_pair_b."""
-    return neutral_pair_a(microcrack, d2) if pair == "a" else neutral_pair_b(microcrack, bimaterial, d2)
+def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial | None, d2: float | None = None) -> Defect:
+    """The microcrack's rigid-line companion at d2 by the arrangement rule
+    pair: "a" is neutral_pair_a (d2 = 2 d by default), "b" neutral_pair_b
+    (d2 = d by default, sized by the moduli opposite both members)."""
+    if microcrack.kind != "microcrack":
+        raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
+    d = microcrack.d
+    d2 = (2.0 * d if pair == "a" else d) if d2 is None else d2
+    phi2, alpha2 = _companion_angles(pair, microcrack.phi, microcrack.alpha)
+    if pair == "a":
+        l2 = microcrack.l_a * d2 / d
+    else:
+        mu_ratio = _opposite_mu(microcrack.phi, bimaterial) / _opposite_mu(phi2, bimaterial)
+        l2 = microcrack.l_a * (d2 / d) * math.sqrt(mu_ratio)
+    return Defect("rigid_line", d=d2, phi=phi2, alpha=alpha2, l_a=l2)

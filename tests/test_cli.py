@@ -286,6 +286,32 @@ def test_neutral_requires_microcrack(cfg, capsys):
     assert main(["neutral", "--config", cfg(text)]) == 1
 
 
+MAP_SEED1_CFG = (Path(__file__).parent / "golden" / "map_seed1.cfg").read_text()
+DILUTE_WARNING = "DilutenessWarning: {}defect size l/d = {} exceeds 0.3; the dipole approximation degrades\n"
+SCENARIO_WARNINGS = "".join(f"scenario:{n}: " + DILUTE_WARNING.format(f"line {n}: ", "0.8") for n in (7, 8))
+COMPANION_WARNING = "scenario:0: " + DILUTE_WARNING.format("pair b companion: ", "0.447")
+
+
+@pytest.mark.parametrize("command", ["map", "neutral"])
+@pytest.mark.parametrize("la1, la2, pair, stderr", [
+    ("0.2", "0.4", "a", SCENARIO_WARNINGS),
+    ("0.2", "0.4", "b", SCENARIO_WARNINGS),  # the companion (l/d = 1.79 where phi1 < 0) is not named again
+    ("0.05", "0.05", "a", ""),
+    ("0.05", "0.05", "b", COMPANION_WARNING),  # a dilute microcrack (l/d = 0.2) and its l/d = 0.447 companion
+], ids=["both-a", "both-b", "companion-a", "companion-b"])
+def test_each_non_dilute_defect_warns_once_at_its_scenario_line(cfg, tmp_path, command, la1, la2, pair, stderr):
+    """map_seed1.cfg with its defect sizes changed: each non-dilute scenario
+    defect warns once at its line, a non-dilute companion of a dilute
+    microcrack once as itself, and no warning points at a crackwake line."""
+    text = MAP_SEED1_CFG.replace("la = 0.025", f"la = {la1}").replace("la = 0.05 ", f"la = {la2} ")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = "import sys; from crackwake.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, command, "--config", cfg(text), "--grid", "4x2", "--pair", pair],
+                          env=env, cwd=tmp_path, timeout=120, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+
+
 def test_dump_config_round_trip(cfg, capsys):
     path = cfg(SYM_PAIR_CFG)
     assert main(["sif", "--config", path, "--dump-config"]) == 0
