@@ -15,20 +15,27 @@ ROOT = Path(__file__).resolve().parents[2]
 SCRIPT = ROOT / "bench" / "trajectory.py"
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 COLD_COMMANDS = {"sif", "perturb", "propagate", "map --pgm"}
+LAYERS = {"propagate_us_per_iter", "scan_map_us_per_cell"}
 
 
-def check_schema(bench: dict) -> None:
+def check_schema(bench: dict, layers: bool = True) -> None:
     """A machine block, the settings and one row per tree: each workload's
-    run.py result line, verbatim, and a positive cold start per command."""
+    run.py result line, verbatim, a positive cold start per command and,
+    with layers (every file from BENCH_37 on), the positive layer rows and
+    their repeat count."""
     assert set(bench) == {"machine", "settings", "rows"}
     machine = bench["machine"]
     assert set(machine) == {"nproc", "python", "numpy", "scipy", "commit", "python_c_pass_ms"}
     assert machine["nproc"] >= 1 and machine["python_c_pass_ms"] > 0.0 and machine["commit"]
-    assert set(bench["settings"]) == {"seed", "seconds", "toy", "cold_start_runs", "PYTHONDONTWRITEBYTECODE"}
+    settings = {"seed", "seconds", "toy", "cold_start_runs", "PYTHONDONTWRITEBYTECODE"}
+    assert set(bench["settings"]) == (settings | {"layer_reps"} if layers else settings)
     assert bench["settings"]["seed"] == 1 and bench["settings"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert bench["rows"] and len({row["tree"] for row in bench["rows"]}) == len(bench["rows"])
     for row in bench["rows"]:
-        assert set(row) == {"tree", "workloads", "cold_start_ms"}
+        keys = {"tree", "workloads", "cold_start_ms"}
+        assert set(row) == (keys | {"layers"} if layers else keys)
+        if layers:
+            assert set(row["layers"]) == LAYERS and all(value > 0.0 for value in row["layers"].values())
         assert set(row["workloads"]) == {w["name"] for w in SPEC["workloads"]}
         for line in row["workloads"].values():
             result = json.loads(line)
@@ -45,6 +52,7 @@ def test_a_toy_run_writes_one_row_for_this_checkout(tmp_path):
     bench = json.loads(out.read_text())
     check_schema(bench)
     assert bench["settings"]["toy"] is True and bench["settings"]["cold_start_runs"] == 3
+    assert bench["settings"]["layer_reps"] == 3
     assert [row["tree"] for row in bench["rows"]] == [bench["machine"]["commit"]]
     for line in bench["rows"][0]["workloads"].values():
         assert json.loads(line)["correct"] is True
@@ -60,5 +68,5 @@ def test_a_tree_without_sources_is_refused(tmp_path):
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
 def test_each_committed_trajectory_file_follows_the_schema(path):
     bench = json.loads(path.read_text())
-    check_schema(bench)
+    check_schema(bench, layers=int(path.stem.removeprefix("BENCH_")) >= 37)
     assert bench["settings"]["toy"] is False and bench["settings"]["cold_start_runs"] >= 10

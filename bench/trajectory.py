@@ -12,7 +12,10 @@ tree:
   own `perfbench/run.py --workload W --seed 1 --seconds S --trace 0`,
   copied verbatim;
 - the median cold start, in ms, of `sif`, `perturb` and `propagate` on
-  tests/golden/readme.cfg and of `map --pgm` on tests/golden/map_seed1.cfg.
+  tests/golden/readme.cfg and of `map --pgm` on tests/golden/map_seed1.cfg;
+- two in-process layer rows: `propagate` on readme.cfg in us per
+  iteration, and the `scan_map` of map_seed1.cfg (its grid and companion
+  d2, as `crackwake map` builds them) in us per cell.
 
 A cold start is one fresh interpreter running `python -m crackwake.cli`
 with PYTHONDONTWRITEBYTECODE=1 on a copy of the tree's src/ that holds no
@@ -23,6 +26,11 @@ and of `python -c pass` are interleaved, COLD_RUNS rounds of them (3 with
 trees read this checkout's scenario files.  --toy passes --toy to run.py.
 A --tree is a directory holding src/crackwake and perfbench/run.py, for
 instance an extracted `git archive`; the default is this checkout.
+
+A layer row is the median over the same number of interleaved rounds.
+Each round runs one fresh child interpreter per tree, with that tree's
+src/ on the path, which calls each layer once to warm up and then
+LAYER_REPS times (3 with --toy), and reports the median of those calls.
 """
 
 from __future__ import annotations
@@ -43,7 +51,39 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 COLD_RUNS, TOY_COLD_RUNS = 11, 3
+LAYER_REPS, TOY_LAYER_REPS = 25, 3
 SEED = 1
+# One round of the layer rows in a child interpreter: argv is readme.cfg, map_seed1.cfg and the repeat count.
+LAYER_CHILD = """
+import json, statistics, sys, time, warnings
+from crackwake import CrackState, PairArrangement, parse_scenario, propagate, scan_map
+
+warnings.simplefilter("ignore")
+readme, seed1 = (parse_scenario(open(path, encoding="utf-8").read()) for path in sys.argv[1:3])
+state = CrackState(0.0, readme.defects, readme.loading, readme.bimaterial)
+first, second = seed1.defects[:2]
+arrangement = PairArrangement(seed1.params.pair, l1=first.l_a, d1=first.d, d2=second.d)
+
+def propagate_us_per_iter():
+    t0 = time.perf_counter()
+    trace = propagate(state, max_iter=readme.params.max_iter, arrest_tol=readme.params.arrest_tol)
+    return 1e6 * (time.perf_counter() - t0) / len(trace.phi)
+
+def scan_map_us_per_cell():
+    t0 = time.perf_counter()
+    region_map = scan_map(arrangement, seed1.loading, seed1.bimaterial, grid=seed1.params.grid,
+                          delta=seed1.params.delta)
+    return 1e6 * (time.perf_counter() - t0) / len(region_map.ratios)
+
+layers = (propagate_us_per_iter, scan_map_us_per_cell)
+for layer in layers:  # warm up: the lazy imports and each Loading's split
+    layer()
+times = {layer.__name__: [] for layer in layers}
+for _ in range(int(sys.argv[3])):
+    for layer in layers:
+        times[layer.__name__].append(layer())
+print(json.dumps({name: statistics.median(values) for name, values in times.items()}))
+"""
 
 
 def cold_commands(out_csv: Path) -> dict:
@@ -103,6 +143,24 @@ def cold_starts(trees: dict, runs: int, work: Path) -> tuple[float, dict]:
                                      for label, row in times.items()}
 
 
+def layer_rows(trees: dict, rounds: int, reps: int) -> dict:
+    """Per tree, the median of each LAYER_CHILD figure over rounds
+    interleaved rounds, one fresh child interpreter per tree and round."""
+    base = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    argv = [sys.executable, "-c", LAYER_CHILD, str(GOLDEN / "readme.cfg"), str(GOLDEN / "map_seed1.cfg"), str(reps)]
+    figures = {label: [] for label in trees}
+    for _ in range(rounds):
+        for label, tree in trees.items():
+            env = {**base, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
+            proc = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                                  timeout=300)
+            if proc.returncode != 0:
+                raise RuntimeError(f"layer rows of {label} exited {proc.returncode}: {proc.stderr[-500:]}")
+            figures[label].append(json.loads(proc.stdout.splitlines()[-1]))
+    return {label: {name: statistics.median(row[name] for row in rows) for name in rows[0]}
+            for label, rows in figures.items()}
+
+
 def workload_line(tree: Path, workload: str, seconds: float, toy: bool) -> str:
     """The last stdout line of the tree's perfbench/run.py on workload."""
     argv = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(SEED),
@@ -145,15 +203,17 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     trees = dict(args.tree or [(commit(), ROOT)])
     runs = TOY_COLD_RUNS if args.toy else COLD_RUNS
+    reps = TOY_LAYER_REPS if args.toy else LAYER_REPS
     with tempfile.TemporaryDirectory(prefix="trajectory-") as work:
         pass_ms, cold = cold_starts(trees, runs, Path(work))
-    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label]} for label in trees]
+    layers = layer_rows(trees, runs, reps)
+    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label], "layers": layers[label]} for label in trees]
     for workload in (w["name"] for w in spec["workloads"]):  # the trees alternate within each workload
         for row, tree in zip(rows, trees.values()):
             row["workloads"][workload] = workload_line(tree, workload, seconds, args.toy)
     result = {"machine": machine(pass_ms),
               "settings": {"seed": SEED, "seconds": seconds, "toy": args.toy, "cold_start_runs": runs,
-                           "PYTHONDONTWRITEBYTECODE": "1"},
+                           "layer_reps": reps, "PYTHONDONTWRITEBYTECODE": "1"},
               "rows": rows}
     args.write.write_text(json.dumps(result, indent=1) + "\n")
     return 0

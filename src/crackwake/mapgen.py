@@ -124,20 +124,18 @@ def scan_map(
     cols = [(*_double_angle(a1), *_double_angle(a2)) for a1, a2 in zip(alphas, alphas2)]
     # The members' sizes depend on phi1 only through the sides of the
     # interface they sit on (pair b sizes its companion by them), so the
-    # rows of one block share one validated pair and its dipole parts.
-    blocks: dict[tuple, list[int]] = {}
-    for i, phi in enumerate(phis):
-        blocks.setdefault((phi >= 0.0, -phi >= 0.0), []).append(i)
-
-    rows: list = [None] * n_phi
-    for block in blocks.values():
-        pair = arrangement.defects(phis[block[0]], alphas[0], bimaterial)
-        first, second = (
-            _harmonics(points, table, bimaterial, member.d, [member_phis[i] for i in block], *_dipole_parts(member))
-            for member, member_phis in zip(pair, (phis, phis2))
-        )
-        for i, (a1, b1, c1), (a2, b2, c2) in zip(block, first, second):
-            rows[i] = [(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
+    # rows of one side share one validated pair: each member's (d, iso, dev).
+    sides: dict[tuple, list] = {}
+    for phi in phis:
+        side = (phi >= 0.0, -phi >= 0.0)
+        if side not in sides:
+            sides[side] = [(m.d, *_dipole_parts(m)) for m in arrangement.defects(phi, alphas[0], bimaterial)]
+    by_row = [sides[phi >= 0.0, -phi >= 0.0] for phi in phis]
+    members = [(d, phi, iso, dev) for member, member_phis in zip(zip(*by_row), (phis, phis2))
+               for (d, iso, dev), phi in zip(member, member_phis)]
+    harmonics = _harmonics(points, table, bimaterial, members)  # every member-1 row, then every member-2 row
+    rows = [[(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
+            for (a1, b1, c1), (a2, b2, c2) in zip(harmonics, harmonics[n_phi:])]
 
     return RegionMap(phis, alphas, *_classify(rows, delta))
 

@@ -50,25 +50,25 @@ def _dk_harmonics(grad, weights, iso: float, dev: float, mu_series: float) -> tu
     return s * iso * (g1 * w1 + g2 * w2), s * dev * (g1 * w1 - g2 * w2), s * dev * (g1 * w2 + g2 * w1)
 
 
-def _harmonics(points, table, bimaterial: Bimaterial, d: float, phis, iso: float, dev: float) -> list:
-    """_dk_harmonics (a, b, c) of a defect at distance d with dipole parts
-    (iso, dev) under stations and a table, one triple per angle of phis."""
+def _harmonics(points, table, bimaterial: Bimaterial, members) -> list:
+    """_dk_harmonics (a, b, c) of each member (d, phi, iso, dev), a defect at (d, phi) with dipole
+    parts (iso, dev), under stations and a table, from one _gradients call."""
+    grads = _gradients(points, table, bimaterial, [(d, phi) for d, phi, _, _ in members])
     return [_dk_harmonics(grad, tip_weight_vector(d, phi), iso, dev, bimaterial.mu_series)
-            for phi, grad in zip(phis, _gradients(points, table, bimaterial, d, phis))]
+            for (d, phi, iso, dev), grad in zip(members, grads)]
 
 
-def _defect_dk(points, table, bimaterial: Bimaterial, d: float, phi: float, iso: float, dev: float,
-               c2: float, s2: float) -> float:
-    """dK of a defect at (d, phi) with dipole parts (iso, dev) and (c2, s2) = (cos, sin) of 2 alpha under
-    stations and a table, for delta_k_defect and each propagation row; NumericalError unless finite."""
-    (a, b, c), = _harmonics(points, table, bimaterial, d, [phi], iso, dev)
-    return _finite("dK", a + b * c2 + c * s2)
+def _defect_dk(points, table, bimaterial: Bimaterial, rows) -> list:
+    """dK of each row (d, phi, iso, dev, c2, s2), _harmonics contracted with (c2, s2) = (cos, sin) of 2 alpha,
+    for delta_k_defect and each propagation step; NumericalError unless each is finite."""
+    harmonics = _harmonics(points, table, bimaterial, [row[:4] for row in rows])
+    return [_finite("dK", a + b * c2 + c * s2) for (a, b, c), (_, _, _, _, c2, s2) in zip(harmonics, rows)]
 
 
 def delta_k_defect(defect: Defect, loading: Loading, bimaterial: Bimaterial) -> float:
     """Closed-form SIF perturbation of one defect; NumericalError unless finite."""
-    return _defect_dk(*loading.split, bimaterial, defect.d, defect.phi, *_dipole_parts(defect),
-                      *_double_angle(defect.alpha))
+    return _defect_dk(*loading.split, bimaterial,
+                      [(defect.d, defect.phi, *_dipole_parts(defect), *_double_angle(defect.alpha))])[0]
 
 
 def _opposite_mu(phi: float, bimaterial: Bimaterial) -> float:

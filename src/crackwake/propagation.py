@@ -104,24 +104,24 @@ def _evaluator(state: CrackState):
     It keeps what does not move with the tip: the point stations, the
     table columns and each defect's position, _dipole_parts and
     _double_angle.  At a tip it shifts the stations and the table into tip
-    coordinates and evaluates them with tipfields._coefficients and
-    perturbation._defect_dk, the functions behind sif_k0, coeff_a0 and
-    delta_k_defect, so every value equals theirs on the tip-relative
+    coordinates and evaluates them with tipfields._coefficients and one
+    perturbation._defect_dk call for all the defects, as sif_k0, coeff_a0
+    and delta_k_defect do, so every value equals theirs on the tip-relative
     loading and defects, face rule included.  phi is 0 without a
     perturbation; with one, DegenerateA0 when |A0| <= 1e-14 |K0| / d_ref.
     """
     bm = state.bimaterial
     stations, table = state.loading.split  # x from the frame origin
-    defects = [(df.x, df.y, *_dipole_parts(df), *_double_angle(df.alpha)) for df in state.defects]
-    d_ref = min((math.hypot(x - state.tip_x, y) for x, y, *_ in defects), default=1.0)
+    defects = [(df.x, df.y, (*_dipole_parts(df), *_double_angle(df.alpha))) for df in state.defects]
+    d_ref = min((math.hypot(x - state.tip_x, y) for x, y, _ in defects), default=1.0)
 
     def evaluate(tip: float):
         points = [(xs - tip, avg, jump) for xs, avg, jump in stations]
         shifted = None if table is None else (tuple(x - tip for x in table[0]), table[1], table[2])
         k0, a3 = _coefficients(points, shifted, bm.contrast)
         k0, a3 = _finite("K0", k0), _finite("A0", a3)
-        total = math.fsum([_defect_dk(points, shifted, bm, math.hypot(xd - tip, yd), math.atan2(yd, xd - tip), *parts)
-                           for xd, yd, *parts in defects])
+        total = math.fsum(_defect_dk(points, shifted, bm, [(math.hypot(x - tip, y), math.atan2(y, x - tip)) + parts
+                                                           for x, y, parts in defects]))
         if total == 0.0:
             return 0.0, total, k0, a3
         if abs(a3) <= 1e-14 * abs(k0) / d_ref:

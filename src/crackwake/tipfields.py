@@ -13,6 +13,7 @@ itself, the gradient's oracle, is oracles.displacement_u0.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 from .errors import NumericalError, OnCrackFaceUnderLoad, Record, ValidationError
 from .loading import Bimaterial, Loading
@@ -196,43 +197,44 @@ def _check_face(points, table, d: float, phi: float) -> None:
         raise OnCrackFaceUnderLoad(f"point (d={d:g}, phi={phi:g}) sits inside the loaded support")
 
 
-def _gradients(points, table, bimaterial: Bimaterial, d: float, phis) -> list:
-    """Gradient at (d, phi) for each angle phi of phis, of point stations
-    (x1, avg, jump), summed in order, plus a table (x, avg, jump) or None,
-    whose panel sums come from one _table_sums call for all the angles.
-    Each angle meets _check_face, the face rule of every entry; a station
-    on the kernel's pole, up to about 1.05e-8 rad off a face, is OnCrackFaceUnderLoad too.
-    Each station's factors are formed once for all the angles; a station
-    whose q = -x1/d underflows to 0 or overflows to inf is a NumericalError."""
-    trigs, mu_bs = [], []
-    for phi in phis:
-        _check_face(points, table, d, phi)
-        trigs.append(_phi_trig(phi))
-        mu_bs.append(bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus)
+def _gradients(points, table, bimaterial: Bimaterial, pairs) -> list:
+    """Gradient at each (d, phi) of pairs of point stations (x1, avg, jump),
+    summed in order, plus a table (x, avg, jump) or None.  Each run of equal
+    d forms each station's factors once and makes one _table_sums call for
+    its angles; a station whose q = -x1/d underflows to 0 or overflows to
+    inf is a NumericalError.  Each angle meets _check_face, the face rule of
+    every entry; a station on the kernel's pole, up to about 1.05e-8 rad off
+    a face, is OnCrackFaceUnderLoad too."""
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
-    stations = []  # q, 1/q, sqrt q, q - 1/q, [p], 2<p> + eta [p]
-    for x1, avg, jump in points:
-        q = -x1 / d
-        if not 0.0 < q < math.inf:
-            fault = "overflows" if q else "underflows"
-            raise NumericalError(f"station x1={x1:g} {fault} against d={d:g}: -x1/d is {q:g}")
-        iq = 1.0 / q
-        stations.append((q, iq, math.sqrt(q), q - iq, jump, 2.0 * avg + eta * jump))
-    sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
-    scale = 1.0 / (math.pi * d)
     out = []
-    try:
-        for (cphi, sphi, shalf, chalf, s3half, c3half), mu_b, (s1, s2) in zip(trigs, mu_bs, sums):
-            two_c, half_c, ssq, two_mu = 2.0 * cphi, 0.5 * cphi, sphi * sphi, 2.0 * mu_b
-            g1 = g2 = 0.0
-            for q, iq, sq, qm, jump, w in stations:
-                den = two_c + q + iq
-                coef = w / two_mu
-                g1 += (jump * (ssq - half_c * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
-                g2 -= (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
-            out.append(((g1 + s1) * scale, (g2 - s2) * scale))
-    except ZeroDivisionError:
-        raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
+    for d, run in groupby(pairs, lambda pair: pair[0]):
+        trigs, mu_bs = [], []
+        for _, phi in run:
+            _check_face(points, table, d, phi)
+            trigs.append(_phi_trig(phi))
+            mu_bs.append(bimaterial.mu_plus if phi >= 0.0 else bimaterial.mu_minus)
+        stations = []  # q, 1/q, sqrt q, q - 1/q, [p], 2<p> + eta [p]
+        for x1, avg, jump in points:
+            q = -x1 / d
+            if not 0.0 < q < math.inf:
+                fault = "overflows" if q else "underflows"
+                raise NumericalError(f"station x1={x1:g} {fault} against d={d:g}: -x1/d is {q:g}")
+            iq = 1.0 / q
+            stations.append((q, iq, math.sqrt(q), q - iq, jump, 2.0 * avg + eta * jump))
+        sums = [(0.0, 0.0)] * len(trigs) if table is None else _table_sums(*table, d, trigs, mu_bs, mu_sum, eta)
+        scale = 1.0 / (math.pi * d)
+        try:
+            for (cphi, sphi, shalf, chalf, s3half, c3half), mu_b, (s1, s2) in zip(trigs, mu_bs, sums):
+                two_c, half_c, ssq, two_mu = 2.0 * cphi, 0.5 * cphi, sphi * sphi, 2.0 * mu_b
+                g1 = g2 = 0.0
+                for q, iq, sq, qm, jump, w in stations:
+                    den = two_c + q + iq
+                    coef = w / two_mu
+                    g1 += (jump * (ssq - half_c * qm) / mu_sum + coef * (sq * shalf + s3half / sq)) / den
+                    g2 -= (jump * sphi * (cphi + 0.5 * qm) / mu_sum + coef * (sq * chalf + c3half / sq)) / den
+                out.append(((g1 + s1) * scale, (g2 - s2) * scale))
+        except ZeroDivisionError:
+            raise OnCrackFaceUnderLoad(f"point at d={d:g} sits on a load station at the face") from None
     return out
 
 
@@ -244,6 +246,6 @@ def grad_u0(loading: Loading, bimaterial: Bimaterial, point: FieldPoint):
     limit, which differs from the lower one by mu_minus/mu_plus.
     NumericalError where a component is not finite.
     """
-    (g1, g2), = _gradients(*loading.split, bimaterial, point.d, [point.phi])
+    (g1, g2), = _gradients(*loading.split, bimaterial, [(point.d, point.phi)])
     return _finite("du/dx1", g1), _finite("du/dx2", g2)
 

@@ -64,7 +64,8 @@ def _constants(bm, phi):
 
 def _station_kernel(q, avg, jump, constants):
     """Summands (t1, t2) of one station at q = -x1/d, as in the station
-    loop of tipfields._gradients: the gradient is (sum t1, -sum t2) / (pi d)."""
+    loop that tipfields._gradients runs for each (d, phi) pair: the
+    gradient is (sum t1, -sum t2) / (pi d)."""
     mu_b, mu_sum, eta, c, s, sh, ch, s3, c3 = constants
     sq, qm, den = mpmath.sqrt(q), q - 1 / q, 2 * c + q + 1 / q
     coef = (2 * avg + eta * jump) / (2 * mu_b)

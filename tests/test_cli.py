@@ -456,6 +456,30 @@ def test_map_outputs_reproducible(cfg, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_map_reads_only_the_distance_of_the_second_defect_block(cfg, tmp_path):
+    """map builds the companion by the pair rule and takes only d2 from the
+    second defect block: its kind, phi, alpha and la change no byte of the
+    CSV, nor does giving its distance as x, y; another d moves it."""
+    text = (Path(__file__).parent / "golden" / "map_seed1.cfg").read_text()
+    second = "kind = rigid_line, d = 0.5, phi = -0.39269908169872414, alpha = 1.5707963267948966, la = 0.05"
+    assert second in text
+
+    def csv(block):
+        out = tmp_path / "map.csv"
+        assert main(["map", "--config", cfg(text.replace(second, block)), "--grid", "8x4", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    same = csv(second)
+    for block in ("kind = elliptic_void, lb = 0.05, d = 0.5, phi = -0.39269908169872414, alpha = 1.5707963267948966, "
+                  "la = 0.1",
+                  "kind = rigid_line, d = 0.5, phi = 2.5, alpha = 1.5707963267948966, la = 0.05",
+                  "kind = rigid_line, d = 0.5, phi = -0.39269908169872414, alpha = 0.3, la = 0.05",
+                  "kind = rigid_line, d = 0.5, phi = -0.39269908169872414, alpha = 1.5707963267948966, la = 0.1",
+                  "kind = microcrack, x = 0.3, y = 0.4, alpha = 0.3, la = 0.1"):
+        assert csv(block) == same, block
+    assert csv(second.replace("d = 0.5", "d = 0.6")) != same
+
+
 @pytest.mark.parametrize(
     "command, old, new, code",
     [

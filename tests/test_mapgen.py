@@ -279,8 +279,8 @@ def test_scan_map_labels_finite_ratios_whose_sum_overflows(bm_equal, monkeypatch
     grid = (4, 3)
     poisoned_phi = -math.pi + 2.5 * (2.0 * math.pi / grid[0])  # row 2
 
-    def huge(points, table, bimaterial, d, phis, iso, dev):
-        return [(math.inf if phi == poisoned_phi else 4e307 * k0, 0.0, 0.0) for phi in phis]
+    def huge(points, table, bimaterial, members):
+        return [(math.inf if phi == poisoned_phi else 4e307 * k0, 0.0, 0.0) for _, phi, _, _ in members]
 
     monkeypatch.setattr(mapgen, "_harmonics", huge)
     m = scan_map(PairArrangement("a", l1=0.1, d1=1.0, d2=2.0), loading, bm_equal, grid=grid)

@@ -290,13 +290,15 @@ def test_numpy_is_imported_only_inside_the_functions_that_need_arrays():
 
 # The closed form's private kernels and the modules that may name them:
 # one owner each, so no module re-derives a step of dK on its own.  The
-# point stations' kernel is inline in _gradients, which forms each
-# station's factors once per distance.  The face rule lives in the kernel,
-# so every entry applies it; the one-angle dK of delta_k_defect is the one
-# propagation sums.
+# point stations' kernel is inline in _gradients, which takes (d, phi)
+# pairs and forms each station's factors once per run of equal d.  The
+# face rule lives in the kernel, so every entry applies it.  The map's
+# members go through _harmonics in one call; delta_k_defect's one row and
+# a propagation step's rows go through _defect_dk in one call.
 KERNEL_OWNERS = {
     "_table_sums": {"tipfields"}, "_phi_trig": {"tipfields"},
     "_gradients": {"tipfields", "perturbation"}, "_check_face": {"tipfields"},
+    "_dk_harmonics": {"perturbation"},
     "_harmonics": {"perturbation", "mapgen"}, "_defect_dk": {"perturbation", "propagation"},
 }
 
@@ -332,6 +334,32 @@ def test_each_kernel_step_is_named_only_by_its_owners():
     turns it into the harmonics; mapgen goes through _harmonics and
     propagation through _defect_dk."""
     assert_named_only_by_owners(KERNEL_OWNERS)
+
+
+def test_each_evaluation_makes_one_gradient_kernel_call(monkeypatch):
+    """grad_u0, delta_k_defect, one propagation step and one scan_map each
+    ask tipfields._gradients once, for all of their (d, phi) pairs."""
+    from crackwake import perturbation, tipfields
+
+    real, calls = tipfields._gradients, []
+
+    def counted(points, table, bimaterial, pairs):
+        calls.append(len(pairs))
+        return real(points, table, bimaterial, pairs)
+
+    for module in (tipfields, perturbation):
+        monkeypatch.setattr(module, "_gradients", counted)
+    scenario = crackwake.parse_scenario(SCENARIO)
+    loading, bm, defects = scenario.loading, scenario.bimaterial, scenario.defects
+    for run, pairs in [
+        (lambda: crackwake.grad_u0(loading, bm, crackwake.FieldPoint(1.0, 0.3)), 1),
+        (lambda: crackwake.delta_k_defect(defects[0], loading, bm), 1),
+        (lambda: crackwake.propagate(crackwake.CrackState(0.0, defects, loading, bm), max_iter=1), 2),
+        (lambda: crackwake.scan_map(crackwake.PairArrangement("b", 0.1, 1.0), loading, bm, grid=(6, 3)), 12),
+    ]:
+        calls.clear()
+        run()
+        assert calls == [pairs]
 
 
 def test_each_rule_is_named_only_by_its_owner():

@@ -368,6 +368,22 @@ def test_propagate_refuses_a_defect_on_a_loaded_table_face_as_delta_k_defect_doe
             run()
 
 
+def test_a_step_with_two_faulty_defects_raises_the_gradient_error_first(bm_equal):
+    """A step evaluates the gradients of all its defects in one kernel call
+    before any tip weight: the first defect's d^(3/2) overflows, the second
+    sits on a loaded face station, and the step raises the second's face
+    error.  Each fault alone raises its own NumericalError."""
+    far = Defect("microcrack", d=1e210, phi=0.3, alpha=0.0, l_a=1.0)
+    on_face = Defect("microcrack", d=2.0, phi=math.nextafter(math.pi, 0.0), alpha=0.0, l_a=0.1)
+    loading = Loading(sym_pair_at(2.0).forces + sym_pair_at(4.0, 1.0).forces)
+    with pytest.raises(NumericalError, match=r"^d\^\(3/2\) = inf at d = 1e\+210 leaves the float range$"):
+        propagate(CrackState(0.0, (far,), loading, bm_equal), max_iter=3)
+    face = r"^point \(d=2, phi=3.14159\) sits on the loaded station x1=-2$"
+    for defects in ((on_face,), (far, on_face)):
+        with pytest.raises(OnCrackFaceUnderLoad, match=face):
+            propagate(CrackState(0.0, defects, loading, bm_equal), max_iter=3)
+
+
 def test_a0_and_k0_both_zero_is_degenerate_a0(bm_equal):
     """Two antisymmetric pairs cancel K0 and A0 to exactly 0 under equal
     moduli, and the microcrack still perturbs the tip: no balance exists."""
