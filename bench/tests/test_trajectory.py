@@ -5,6 +5,7 @@ and every committed BENCH_<n>.json.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,20 @@ COLD_COMMANDS = {"sif", "perturb", "propagate", "map --pgm"}
 LAYERS = {"propagate_us_per_iter", "scan_map_us_per_cell"}
 
 
-def check_schema(bench: dict, layers: bool = True) -> None:
+def check_quartiles(medians: dict, quartiles: dict) -> None:
+    """A [q1, q3] pair beside each median, with q1 <= median <= q3."""
+    assert set(quartiles) == set(medians)
+    for name, (q1, q3) in quartiles.items():
+        assert q1 <= medians[name] <= q3
+
+
+def check_schema(bench: dict, number: float = math.inf) -> None:
     """A machine block, the settings and one row per tree: each workload's
-    run.py result line, verbatim, a positive cold start per command and,
-    with layers (every file from BENCH_37 on), the positive layer rows and
-    their repeat count."""
+    run.py result line, verbatim, and a positive cold start per command;
+    in every file from BENCH_37 on, the positive layer rows and their
+    repeat count, and from BENCH_38 on the quartiles of each cold start
+    and layer row.  number is the file's; a fresh run has all of them."""
+    layers, quartiles = number >= 37, number >= 38
     assert set(bench) == {"machine", "settings", "rows"}
     machine = bench["machine"]
     assert set(machine) == {"nproc", "python", "numpy", "scipy", "commit", "python_c_pass_ms"}
@@ -32,10 +42,13 @@ def check_schema(bench: dict, layers: bool = True) -> None:
     assert bench["settings"]["seed"] == 1 and bench["settings"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert bench["rows"] and len({row["tree"] for row in bench["rows"]}) == len(bench["rows"])
     for row in bench["rows"]:
-        keys = {"tree", "workloads", "cold_start_ms"}
-        assert set(row) == (keys | {"layers"} if layers else keys)
+        keys = {"tree", "workloads", "cold_start_ms"} | ({"layers"} if layers else set())
+        assert set(row) == (keys | {"cold_start_iqr_ms", "layers_iqr"} if quartiles else keys)
         if layers:
             assert set(row["layers"]) == LAYERS and all(value > 0.0 for value in row["layers"].values())
+        if quartiles:
+            check_quartiles(row["cold_start_ms"], row["cold_start_iqr_ms"])
+            check_quartiles(row["layers"], row["layers_iqr"])
         assert set(row["workloads"]) == {w["name"] for w in SPEC["workloads"]}
         for line in row["workloads"].values():
             result = json.loads(line)
@@ -68,5 +81,5 @@ def test_a_tree_without_sources_is_refused(tmp_path):
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
 def test_each_committed_trajectory_file_follows_the_schema(path):
     bench = json.loads(path.read_text())
-    check_schema(bench, layers=int(path.stem.removeprefix("BENCH_")) >= 37)
+    check_schema(bench, int(path.stem.removeprefix("BENCH_")))
     assert bench["settings"]["toy"] is False and bench["settings"]["cold_start_runs"] >= 10

@@ -15,7 +15,10 @@ tree:
   tests/golden/readme.cfg and of `map --pgm` on tests/golden/map_seed1.cfg;
 - two in-process layer rows: `propagate` on readme.cfg in us per
   iteration, and the `scan_map` of map_seed1.cfg (its grid and companion
-  d2, as `crackwake map` builds them) in us per cell.
+  d2, as `crackwake map` builds them) in us per cell;
+- beside each median, the first and third quartiles over the same rounds,
+  as [q1, q3]: `cold_start_iqr_ms` per command and `layers_iqr` per layer,
+  so two rows can be told apart from the host's noise.
 
 A cold start is one fresh interpreter running `python -m crackwake.cli`
 with PYTHONDONTWRITEBYTECODE=1 on a copy of the tree's src/ that holds no
@@ -122,9 +125,16 @@ def _timed_ms(argv: list, env: dict) -> float:
     return ms
 
 
+def _medians_and_quartiles(samples: dict) -> tuple[dict, dict]:
+    """{name: median} and {name: [q1, q3]} of samples, {name: values}."""
+    quartiles = {name: statistics.quantiles(values, n=4, method="inclusive") for name, values in samples.items()}
+    return ({name: statistics.median(values) for name, values in samples.items()},
+            {name: [q[0], q[2]] for name, q in quartiles.items()})
+
+
 def cold_starts(trees: dict, runs: int, work: Path) -> tuple[float, dict]:
-    """Median ms of `python -c pass`, and per tree the median ms of each
-    cold command, over runs interleaved rounds."""
+    """Median ms of `python -c pass`, and per tree the medians and
+    quartiles, in ms, of each cold command, over runs interleaved rounds."""
     commands = cold_commands(work / "map.csv")
     base = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
     base["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -139,13 +149,13 @@ def cold_starts(trees: dict, runs: int, work: Path) -> tuple[float, dict]:
         for label, env in envs.items():
             for name, argv in commands.items():
                 times[label][name].append(_timed_ms(["-m", "crackwake.cli", *argv], env))
-    return statistics.median(bare), {label: {name: statistics.median(values) for name, values in row.items()}
-                                     for label, row in times.items()}
+    return statistics.median(bare), {label: _medians_and_quartiles(row) for label, row in times.items()}
 
 
 def layer_rows(trees: dict, rounds: int, reps: int) -> dict:
-    """Per tree, the median of each LAYER_CHILD figure over rounds
-    interleaved rounds, one fresh child interpreter per tree and round."""
+    """Per tree, the medians and quartiles of each LAYER_CHILD figure over
+    rounds interleaved rounds, one fresh child interpreter per tree and
+    round."""
     base = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
     argv = [sys.executable, "-c", LAYER_CHILD, str(GOLDEN / "readme.cfg"), str(GOLDEN / "map_seed1.cfg"), str(reps)]
     figures = {label: [] for label in trees}
@@ -157,7 +167,7 @@ def layer_rows(trees: dict, rounds: int, reps: int) -> dict:
             if proc.returncode != 0:
                 raise RuntimeError(f"layer rows of {label} exited {proc.returncode}: {proc.stderr[-500:]}")
             figures[label].append(json.loads(proc.stdout.splitlines()[-1]))
-    return {label: {name: statistics.median(row[name] for row in rows) for name in rows[0]}
+    return {label: _medians_and_quartiles({name: [row[name] for row in rows] for name in rows[0]})
             for label, rows in figures.items()}
 
 
@@ -207,7 +217,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="trajectory-") as work:
         pass_ms, cold = cold_starts(trees, runs, Path(work))
     layers = layer_rows(trees, runs, reps)
-    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label], "layers": layers[label]} for label in trees]
+    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label][0], "cold_start_iqr_ms": cold[label][1],
+             "layers": layers[label][0], "layers_iqr": layers[label][1]} for label in trees]
     for workload in (w["name"] for w in spec["workloads"]):  # the trees alternate within each workload
         for row, tree in zip(rows, trees.values()):
             row["workloads"][workload] = workload_line(tree, workload, seconds, args.toy)

@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 # every command parses a scenario; each handler imports what it runs
-from .config import Scenario, ScenarioParams, _apply_params, dump_scenario, parse_scenario
+from .config import Scenario, _apply_params, dump_scenario, parse_scenario
 from .defects import DILUTENESS_RATIO
 from .errors import DilutenessWarning, NumericalError, ValidationError
 
@@ -81,10 +81,10 @@ def _write(writer, result, path: str | None, out) -> None:
             writer(result, fh)
 
 
-def _check_out(params: ScenarioParams) -> None:
+def _check_out(path: str | None) -> None:
     """Refuse, before any work, an --out for propagate or map that names a directory."""
-    if params.out is not None and (os.path.basename(params.out) in ("", ".", "..") or os.path.isdir(params.out)):
-        raise ValidationError(f"--out needs to name a file, not the directory {params.out!r}")
+    if path is not None and (os.path.basename(path) in ("", ".", "..") or os.path.isdir(path)):
+        raise ValidationError(f"--out needs to name a file, not the directory {path!r}")
 
 
 def _first_microcrack(scenario: Scenario):
@@ -96,20 +96,21 @@ def _first_microcrack(scenario: Scenario):
     return defect
 
 
-def _run(command, scenario: Scenario, params: ScenarioParams, out) -> None:
-    """command(scenario, params, out), holding back the DilutenessWarning of each defect it builds, as each
-    scenario defect warned at its line: a companion not dilute beside a dilute microcrack warns once."""
+def _run(command, scenario: Scenario, out) -> None:
+    """command(scenario, out) on the run's one scenario, flags applied to its params, holding back the
+    DilutenessWarning of each defect it builds, as each scenario defect warned at its line: a companion
+    not dilute beside a dilute microcrack warns once."""
     with warnings.catch_warnings(record=True) as caught:
-        command(scenario, params, out)
+        command(scenario, out)
     held = [w.message for w in caught if w.category is DilutenessWarning]
     for w in caught:
         if w.category is not DilutenessWarning:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if held and scenario.defects[0].l_a / scenario.defects[0].d <= DILUTENESS_RATIO:
-        warnings.warn_explicit(f"pair {params.pair} companion: {held[0]}", DilutenessWarning, "scenario", 0)
+        warnings.warn_explicit(f"pair {scenario.params.pair} companion: {held[0]}", DilutenessWarning, "scenario", 0)
 
 
-def _cmd_dipole(scenario: Scenario, params: ScenarioParams, out) -> None:
+def _cmd_dipole(scenario: Scenario, out) -> None:
     from .defects import dipole_matrix
 
     for i, defect in enumerate(scenario.defects, start=1):
@@ -118,14 +119,14 @@ def _cmd_dipole(scenario: Scenario, params: ScenarioParams, out) -> None:
         out.write(f"  M11 = {_fmt(m.m11)}\n  M12 = {_fmt(m.m12)}\n  M22 = {_fmt(m.m22)}\n")
 
 
-def _cmd_sif(scenario: Scenario, params: ScenarioParams, out) -> None:
+def _cmd_sif(scenario: Scenario, out) -> None:
     from .tipfields import coeff_a0, sif_k0
 
     out.write(f"K0 = {_fmt(sif_k0(scenario.loading, scenario.bimaterial))}\n")
     out.write(f"A0 = {_fmt(coeff_a0(scenario.loading, scenario.bimaterial))}\n")
 
 
-def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
+def _cmd_perturb(scenario: Scenario, out) -> None:
     from .oracles import delta_k_defect_quadrature
     from .perturbation import delta_k_defect
     from .propagation import CrackState, _evaluator
@@ -141,17 +142,18 @@ def _cmd_perturb(scenario: Scenario, params: ScenarioParams, out) -> None:
     out.write(f"dK_total = {_fmt(total)}\nK0 = {_fmt(k0)}\nA0 = {_fmt(a0)}\nphi = {_fmt(phi)}\n")
 
 
-def _cmd_propagate(scenario: Scenario, params: ScenarioParams, out) -> None:
-    _check_out(params)
+def _cmd_propagate(scenario: Scenario, out) -> None:
+    _check_out(scenario.params.out)
     from .propagation import CrackState, propagate, write_trace_csv
 
     state = CrackState(0.0, scenario.defects, scenario.loading, scenario.bimaterial)
-    trace = propagate(state, max_iter=params.max_iter, arrest_tol=params.arrest_tol)
-    _write(write_trace_csv, trace, params.out, out)
+    trace = propagate(state, max_iter=scenario.params.max_iter, arrest_tol=scenario.params.arrest_tol)
+    _write(write_trace_csv, trace, scenario.params.out, out)
 
 
-def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
-    _check_out(params)
+def _cmd_map(scenario: Scenario, out) -> None:
+    params = scenario.params
+    _check_out(params.out)
     image = None  # the --pgm path, derived before the scan so a bad --out costs no map
     if params.pgm:
         if params.out is None:
@@ -170,10 +172,10 @@ def _cmd_map(scenario: Scenario, params: ScenarioParams, out) -> None:
     _write(write_map_csv, region_map, params.out, out)
 
 
-def _cmd_neutral(scenario: Scenario, params: ScenarioParams, out) -> None:
+def _cmd_neutral(scenario: Scenario, out) -> None:
     from .perturbation import _companion
 
-    companion = _companion(params.pair, _first_microcrack(scenario), scenario.bimaterial)
+    companion = _companion(scenario.params.pair, _first_microcrack(scenario), scenario.bimaterial)
     out.write(f"defect {{ kind = {companion.kind}, d = {_fmt(companion.d)}, phi = {_fmt(companion.phi)}, "
               f"alpha = {_fmt(companion.alpha)}, la = {_fmt(companion.l_a)} }}\n")
 
@@ -199,11 +201,11 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(text)
         flags = [(key, args.get(key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
-        params = _apply_params(scenario.params, flags)
+        scenario = scenario.replace(params=_apply_params(scenario.params, flags))
         if "dump_config" in args:
-            sys.stdout.write(dump_scenario(scenario.replace(params=params)))
+            sys.stdout.write(dump_scenario(scenario))
             return 0
-        _run(COMMANDS[args["command"]], scenario, params, sys.stdout)
+        _run(COMMANDS[args["command"]], scenario, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

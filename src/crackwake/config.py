@@ -19,7 +19,7 @@ import warnings
 
 from .defects import _KIND_FIELDS, Defect
 from .errors import ConfigError, Record, ValidationError, _check_param, _is_number
-from .loading import Bimaterial, Loading, PointForce, check_balance, three_point_preset
+from .loading import DEFAULT_TIP_CLEARANCE, Bimaterial, Loading, PointForce, check_balance, three_point_preset
 
 _ENTRY = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 _DEG_VALUE = re.compile(r"^([-+0-9.eE]+)\s*deg$")
@@ -192,13 +192,18 @@ def _read(block: _Block) -> dict:
 
 
 def _at_line(line: int, build, *args, **kwargs):
-    """build(*args, **kwargs); a ValidationError it raises keeps its class
-    and gains the scenario line."""
-    try:
-        return build(*args, **kwargs)
-    except ValidationError as exc:
-        exc.args = (f"line {line}: {exc}",)
-        raise
+    """build(*args, **kwargs), the one relay from a constructor to its block's line N: a ValidationError it raises
+    keeps its class and gains `line N:`, and each warning it issues is issued again so prefixed at ("scenario", N)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            built = build(*args, **kwargs)
+        except ValidationError as exc:
+            exc.args = (f"line {line}: {exc}",)
+            raise
+    for w in caught:
+        warnings.warn_explicit(f"line {line}: {w.message}", w.category, "scenario", line)
+    return built
 
 
 def _apply_params(params: ScenarioParams, items) -> ScenarioParams:
@@ -249,17 +254,9 @@ def _build_defect(block: _Block) -> Defect:
     _require(block, e, ("d", "phi") if polar else ("x", "y"))
     alpha = e.get("alpha", 0.0)
     extras = {field: e[key] for key, field in _KEY_FIELDS.items() if key in e}
-    # raise the constructor's warnings again at the defect's line of the scenario
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if polar:
-            defect = _at_line(block.line, Defect, kind, e["d"], e["phi"], alpha, e["la"], **extras)
-        else:
-            defect = _at_line(block.line, Defect.from_cartesian, kind, e["x"], e["y"], alpha=alpha, l_a=e["la"],
-                              **extras)
-    for w in caught:
-        warnings.warn_explicit(f"line {block.line}: {w.message}", w.category, "scenario", block.line)
-    return defect
+    if polar:
+        return _at_line(block.line, Defect, kind, e["d"], e["phi"], alpha, e["la"], **extras)
+    return _at_line(block.line, Defect.from_cartesian, kind, e["x"], e["y"], alpha=alpha, l_a=e["la"], **extras)
 
 
 def _build_bimaterial(block: _Block) -> Bimaterial:
@@ -291,7 +288,7 @@ def parse_scenario(text: str) -> Scenario:
         if name not in built:
             raise ConfigError(f"missing {name} block")
 
-    clearance = 1e-6 * max(1.0, min((df.d for df in defects), default=1.0))
+    clearance = DEFAULT_TIP_CLEARANCE * max(1.0, min((df.d for df in defects), default=1.0))
     check_balance(built["loading"], tip_clearance=clearance)
     return Scenario(built["bimaterial"], built["loading"], tuple(defects), built.get("params", ScenarioParams()))
 

@@ -3,11 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from crackwake import Defect, ScenarioParams, neutral_pair_b, parse_scenario, sif_k0
+from crackwake import Defect, ScenarioParams, dump_scenario, neutral_pair_b, parse_scenario, sif_k0
 from crackwake.cli import main
 
 SYM_PAIR_CFG = """
@@ -310,6 +311,47 @@ def test_each_non_dilute_defect_warns_once_at_its_scenario_line(cfg, tmp_path, c
     proc = subprocess.run([sys.executable, "-c", code, command, "--config", cfg(text), "--grid", "4x2", "--pair", pair],
                           env=env, cwd=tmp_path, timeout=120, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, stderr)
+
+
+class KernelWarning(UserWarning):
+    pass
+
+
+def test_a_kernel_warning_other_than_diluteness_passes_through_the_run(cfg, monkeypatch):
+    """_run holds back only DilutenessWarning: any other warning a command's
+    kernel issues reaches the caller with its own category, message, file
+    and line."""
+    from crackwake import tipfields
+
+    real = tipfields.sif_k0
+
+    def warning_sif_k0(loading, bimaterial):
+        warnings.warn_explicit("kernel note", KernelWarning, "kernel.py", 42)
+        return real(loading, bimaterial)
+
+    monkeypatch.setattr(tipfields, "sif_k0", warning_sif_k0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sif", "--config", cfg(SYM_PAIR_CFG)]) == 0
+    assert [(w.category, str(w.message), w.filename, w.lineno) for w in caught] == [
+        (KernelWarning, "kernel note", "kernel.py", 42)]
+
+
+@pytest.mark.parametrize("command", ["map", "propagate", "neutral"])
+def test_dump_config_dumps_the_scenario_the_command_runs(cfg, capsys, monkeypatch, command):
+    """The flags fold into the scenario once: the command's handler gets the
+    scenario that --dump-config prints."""
+    from crackwake import cli
+
+    ran = []
+    monkeypatch.setitem(cli.COMMANDS, command, lambda scenario, out: ran.append(scenario))
+    argv = [command, "--config", cfg(SYM_PAIR_CFG + "params { pair = a, grid = 8x4 }\n"), "--pair", "b",
+            "--grid", "4x2", "--max-iter", "7", "--out", "run.csv"]
+    assert main(argv) == 0
+    assert main([*argv, "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert [dump_scenario(scenario) for scenario in ran] == [dumped]
+    assert ran[0].params == ScenarioParams(grid=(4, 2), max_iter=7, out="run.csv", pair="b")
 
 
 def test_dump_config_round_trip(cfg, capsys):

@@ -362,6 +362,20 @@ def test_each_evaluation_makes_one_gradient_kernel_call(monkeypatch):
         assert calls == [pairs]
 
 
+def test_the_run_and_every_command_handler_take_one_scenario_and_out():
+    """cli.main folds the flags into the scenario once: _run and each
+    handler take (scenario, out) and read its params, and cli names no
+    ScenarioParams beside it."""
+    import inspect
+
+    from crackwake import cli
+
+    assert list(inspect.signature(cli._run).parameters) == ["command", "scenario", "out"]
+    assert {name: list(inspect.signature(handler).parameters) for name, handler in cli.COMMANDS.items()} == {
+        name: ["scenario", "out"] for name in cli.COMMANDS}
+    assert "ScenarioParams" not in Path(cli.__file__).read_text(encoding="utf-8")
+
+
 def test_each_rule_is_named_only_by_its_owner():
     """One copy of the companion choice, the range guard, the verdict
     flags and the map's classification: a second copy elsewhere names a

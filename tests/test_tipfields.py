@@ -567,61 +567,88 @@ def test_zero_end_panels_leave_the_kernels_bit_identical():
 PRESET_3_05 = three_point_preset(1.0, 3.0, 0.5)
 
 
-FACE_DIGITS = pytest.mark.xfail(strict=True, reason="den = 2 cos(phi) + q + 1/q cancels at a loaded station's "
-                                "mirror: measured 9.7e-7/3.4e-6 (upper/lower face) at gap 1e-5, 8.1e-5/3.3e-4 at 1e-7")
-TIP_DIGITS = pytest.mark.xfail(strict=True, reason="each station's order-1 jump term cancels across the balanced "
-                               "stations and its rounding absorbs the 1/sqrt(q) K-field: against the converged "
-                               "reference, 1.9e-2 off at d = 1e-30, 1.2e33 at 1e-100, and (0.0, 0.0) at 1e-200 "
-                               "and 1e-300")
+STATION_MODULI = ((Bimaterial(1.0, 3.0), ""), (Bimaterial(2.0, 0.5), "-mu2,0.5"))  # (moduli, id suffix)
 
 
-@pytest.mark.parametrize("gap", [0.1, pytest.param(1e-5, marks=FACE_DIGITS), pytest.param(1e-7, marks=FACE_DIGITS)])
-@pytest.mark.parametrize("face", [1.0, -1.0], ids=["upper", "lower"])
-def test_station_gradient_near_a_face_keeps_its_digits(gap, face):
-    bm, d, phi = Bimaterial(1.0, 3.0), 3.0 * (1.0 + 1e-6), face * (math.pi - gap)
+def station_params(cases, why):
+    """The params of each (values, id, misses) case once per STATION_MODULI
+    entry, the moduli after values and the entry's suffix after id.  misses
+    holds, per entry, the error against the converged reference where the
+    case misses the bound 1e-12, quoted by its strict xfail, or None."""
+    for column, (bm, suffix) in enumerate(STATION_MODULI):
+        for values, case_id, misses in cases:
+            miss = misses[column]
+            marks = () if miss is None else pytest.mark.xfail(strict=True, raises=AssertionError,
+                                                                reason=f"{why}: the error is {miss}, above 1e-12")
+            yield pytest.param(*values, bm, marks=marks, id=case_id + suffix)
+
+
+# (face, gap), id, and the error of Bimaterial(1, 3) and (2, 0.5) where it misses the bound
+FACE_CASES = [
+    ((1.0, 0.1), "upper-0.1", (None, None)),
+    ((1.0, 1e-5), "upper-1e-05", ("9.7e-7", "9.7e-7")),
+    ((1.0, 1e-7), "upper-1e-07", ("8.1e-5", "8.1e-5")),
+    ((-1.0, 0.1), "lower-0.1", (None, None)),
+    ((-1.0, 1e-5), "lower-1e-05", ("3.4e-6", "9.0e-7")),
+    ((-1.0, 1e-7), "lower-1e-07", ("3.3e-4", "8.8e-5")),
+]
+
+
+@pytest.mark.parametrize("face, gap, bm", station_params(
+    FACE_CASES, "den = 2 cos(phi) + q + 1/q cancels at a loaded station's mirror"))
+def test_station_gradient_near_a_face_keeps_its_digits(face, gap, bm):
+    d, phi = 3.0 * (1.0 + 1e-6), face * (math.pi - gap)
     grad = grad_u0(PRESET_3_05, bm, FieldPoint(d, phi))
     assert gradient_error(grad, converged(station_gradient_mp, PRESET_3_05, bm, d, phi)) < 1e-12
 
 
-@pytest.mark.parametrize("d", [1e-8, *(pytest.param(d, marks=TIP_DIGITS) for d in (1e-30, 1e-100, 1e-200, 1e-300))])
-def test_station_gradient_near_the_tip_keeps_the_k_field(d):
+_ZERO_GRADIENT = "1 (grad_u0 is (0.0, 0.0))"
+TIP_CASES = [
+    ((1e-8,), "1e-08", (None, None)),
+    ((1e-30,), "1e-30", ("1.9e-2", "6.3e-2")),
+    ((1e-100,), "1e-100", ("1.2e33", "9.6e33")),
+    ((1e-200,), "1e-200", (_ZERO_GRADIENT, _ZERO_GRADIENT)),
+    ((1e-300,), "1e-300", (_ZERO_GRADIENT, "2.4e133 (grad_u0 is (0.0, -2.2e282))")),
+]
+
+
+@pytest.mark.parametrize("d, bm", station_params(
+    TIP_CASES, "each station's order-1 jump term cancels across the balanced stations and its rounding absorbs "
+    "the 1/sqrt(q) K-field at phi = 0.3"))
+def test_station_gradient_near_the_tip_keeps_the_k_field(d, bm):
     """The converged reference keeps the K-field at every d."""
-    bm = Bimaterial(1.0, 3.0)
     reference = converged(station_gradient_mp, PRESET_3_05, bm, d, 0.3)
     assert gradient_error(grad_u0(PRESET_3_05, bm, FieldPoint(d, 0.3)), reference) < 1e-12
 
 
+FAR_STATION_ANGLES = (0.3, 2.5, -2.5)
 FAR_STATION_DISTANCES = (1e2, 1e4, 1e8, 1e12, 1e16)
-# The error against the converged reference measured where it misses 1e-12, by phi, at d = 1e12 and 1e16
-FAR_STATION_MISSES = {0.3: ("9.5e-12", "7.1e-10"), 2.5: ("1.4e-11", "6.3e-10"), -2.5: ("1.9e-11", "3.6e-09")}
+# The error of Bimaterial(1, 3) and (2, 0.5) by (phi, d) where it misses the bound; it meets it below 1e12
+FAR_STATION_MISSES = {
+    (0.3, 1e12): ("9.5e-12", "2.7e-11"), (0.3, 1e16): ("7.1e-10", "3.4e-9"),
+    (2.5, 1e12): ("1.4e-11", "2.1e-11"), (2.5, 1e16): ("6.3e-10", "2.2e-9"),
+    (-2.5, 1e12): ("1.9e-11", "8.6e-12"), (-2.5, 1e16): ("3.6e-9", "1.0e-10"),
+}
+FAR_CASES = [((phi, d), f"{phi:+}-{d:g}", FAR_STATION_MISSES.get((phi, d), (None, None)))
+             for phi in FAR_STATION_ANGLES for d in FAR_STATION_DISTANCES]
 
 
-def far_station_params():
-    for phi, misses in FAR_STATION_MISSES.items():
-        for d, miss in zip(FAR_STATION_DISTANCES, (None, None, None, *misses)):
-            marks = () if miss is None else pytest.mark.xfail(
-                strict=True, raises=AssertionError,
-                reason=f"the station sum cancels far from the load: at d = {d:g} the error is {miss}, above 1e-12")
-            yield pytest.param(phi, d, marks=marks, id=f"{phi:+}-{d:g}")
-
-
-@pytest.mark.parametrize("phi, d", far_station_params())
-def test_station_gradient_far_from_the_load_keeps_its_digits(phi, d):
+@pytest.mark.parametrize("phi, d, bm", station_params(FAR_CASES, "the station sum cancels far from the load"))
+def test_station_gradient_far_from_the_load_keeps_its_digits(phi, d, bm):
     """Far from the stations the gradient falls off like d^(-3/2), while
     each station's summands are of order 1/d and cancel; the bound is the
     near-face and near-tip siblings' 1e-12."""
-    bm = Bimaterial(1.0, 3.0)
     reference = converged(station_gradient_mp, PRESET_3_05, bm, d, phi)
     assert gradient_error(grad_u0(PRESET_3_05, bm, FieldPoint(d, phi)), reference) < 1e-12
 
 
-@pytest.mark.parametrize("d", FAR_STATION_DISTANCES)
-def test_station_gradient_far_from_the_load_stays_within_a_ceiling(d):
+@pytest.mark.parametrize("d, bm", [pytest.param(d, bm, id=f"{d}{suffix}") for bm, suffix in STATION_MODULI
+                                   for d in FAR_STATION_DISTANCES])
+def test_station_gradient_far_from_the_load_stays_within_a_ceiling(d, bm):
     """A plain ceiling of 1e-8 at every far d and angle, which the strict
     xfails above do not give: a kernel that lost digits far away (1.2e-7 at
     d = 1e16) would fail it."""
-    bm = Bimaterial(1.0, 3.0)
-    for phi in FAR_STATION_MISSES:
+    for phi in FAR_STATION_ANGLES:
         reference = converged(station_gradient_mp, PRESET_3_05, bm, d, phi)
         assert gradient_error(grad_u0(PRESET_3_05, bm, FieldPoint(d, phi)), reference) < 1e-8
 
