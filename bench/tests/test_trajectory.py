@@ -30,9 +30,10 @@ def check_schema(bench: dict, number: float = math.inf) -> None:
     """A machine block, the settings and one row per tree: each workload's
     run.py result line, verbatim, and a positive cold start per command;
     in every file from BENCH_37 on, the positive layer rows and their
-    repeat count, and from BENCH_38 on the quartiles of each cold start
-    and layer row.  number is the file's; a fresh run has all of them."""
-    layers, quartiles = number >= 37, number >= 38
+    repeat count, from BENCH_38 on the quartiles of each cold start and
+    layer row, and from BENCH_39 on the bytecode cold starts and their
+    quartiles.  number is the file's; a fresh run has all of them."""
+    layers, quartiles, bytecode = number >= 37, number >= 38, number >= 39
     assert set(bench) == {"machine", "settings", "rows"}
     machine = bench["machine"]
     assert set(machine) == {"nproc", "python", "numpy", "scipy", "commit", "python_c_pass_ms"}
@@ -43,7 +44,8 @@ def check_schema(bench: dict, number: float = math.inf) -> None:
     assert bench["rows"] and len({row["tree"] for row in bench["rows"]}) == len(bench["rows"])
     for row in bench["rows"]:
         keys = {"tree", "workloads", "cold_start_ms"} | ({"layers"} if layers else set())
-        assert set(row) == (keys | {"cold_start_iqr_ms", "layers_iqr"} if quartiles else keys)
+        keys |= {"cold_start_iqr_ms", "layers_iqr"} if quartiles else set()
+        assert set(row) == (keys | {"cold_start_bytecode_ms", "cold_start_bytecode_iqr_ms"} if bytecode else keys)
         if layers:
             assert set(row["layers"]) == LAYERS and all(value > 0.0 for value in row["layers"].values())
         if quartiles:
@@ -54,8 +56,11 @@ def check_schema(bench: dict, number: float = math.inf) -> None:
             result = json.loads(line)
             assert set(result) == {"correct", "attempted", "failed", "metrics"}
             assert {m["name"] for m in SPEC["end_to_end"]} <= set(result["metrics"])
-        assert set(row["cold_start_ms"]) == COLD_COMMANDS
-        assert all(ms > 0.0 for ms in row["cold_start_ms"].values())
+        for mode in ("cold_start_ms", "cold_start_bytecode_ms") if bytecode else ("cold_start_ms",):
+            assert set(row[mode]) == COLD_COMMANDS
+            assert all(ms > 0.0 for ms in row[mode].values())
+        if bytecode:
+            check_quartiles(row["cold_start_bytecode_ms"], row["cold_start_bytecode_iqr_ms"])
 
 
 def test_a_toy_run_writes_one_row_for_this_checkout(tmp_path):

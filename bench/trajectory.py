@@ -12,18 +12,24 @@ tree:
   own `perfbench/run.py --workload W --seed 1 --seconds S --trace 0`,
   copied verbatim;
 - the median cold start, in ms, of `sif`, `perturb` and `propagate` on
-  tests/golden/readme.cfg and of `map --pgm` on tests/golden/map_seed1.cfg;
+  tests/golden/readme.cfg and of `map --pgm` on tests/golden/map_seed1.cfg,
+  in two modes: `cold_start_ms` (source) and `cold_start_bytecode_ms`;
 - two in-process layer rows: `propagate` on readme.cfg in us per
   iteration, and the `scan_map` of map_seed1.cfg (its grid and companion
   d2, as `crackwake map` builds them) in us per cell;
 - beside each median, the first and third quartiles over the same rounds,
-  as [q1, q3]: `cold_start_iqr_ms` per command and `layers_iqr` per layer,
-  so two rows can be told apart from the host's noise.
+  as [q1, q3]: `cold_start_iqr_ms` and `cold_start_bytecode_iqr_ms` per
+  command and `layers_iqr` per layer, so two rows can be told apart from
+  the host's noise.
 
 A cold start is one fresh interpreter running `python -m crackwake.cli`
 with PYTHONDONTWRITEBYTECODE=1 on a copy of the tree's src/ that holds no
-__pycache__, so crackwake is compiled from source on every run while the
-standard library keeps its bytecode.  The runs of every tree and command
+__pycache__.  In the source mode crackwake is compiled from source on
+every run while the standard library keeps its bytecode.  In the bytecode
+mode every run reads its bytecode under a PYTHONPYCACHEPREFIX in the
+script's scratch directory, which one untimed run per tree and command
+with bytecode writing on has filled; the difference between the two modes
+is each command's compile cost.  The runs of every tree, mode and command
 and of `python -c pass` are interleaved, COLD_RUNS rounds of them (3 with
 --toy), so a drift of the host's speed reaches every figure alike.  Both
 trees read this checkout's scenario files.  --toy passes --toy to run.py.
@@ -53,7 +59,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-COLD_RUNS, TOY_COLD_RUNS = 11, 3
+COLD_RUNS, TOY_COLD_RUNS = 21, 3
 LAYER_REPS, TOY_LAYER_REPS = 25, 3
 SEED = 1
 # One round of the layer rows in a child interpreter: argv is readme.cfg, map_seed1.cfg and the repeat count.
@@ -133,8 +139,9 @@ def _medians_and_quartiles(samples: dict) -> tuple[dict, dict]:
 
 
 def cold_starts(trees: dict, runs: int, work: Path) -> tuple[float, dict]:
-    """Median ms of `python -c pass`, and per tree the medians and
-    quartiles, in ms, of each cold command, over runs interleaved rounds."""
+    """Median ms of `python -c pass`, and per tree and mode ("source",
+    "bytecode") the medians and quartiles, in ms, of each cold command,
+    over runs interleaved rounds."""
     commands = cold_commands(work / "map.csv")
     base = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
     base["PYTHONDONTWRITEBYTECODE"] = "1"
@@ -142,14 +149,20 @@ def cold_starts(trees: dict, runs: int, work: Path) -> tuple[float, dict]:
     for label, tree in trees.items():
         src = work / f"src{len(envs)}"
         shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        envs[label] = {**base, "PYTHONPATH": str(src)}
-    bare, times = [], {label: {name: [] for name in commands} for label in trees}
+        source = {**base, "PYTHONPATH": str(src)}
+        bytecode = {**source, "PYTHONPYCACHEPREFIX": str(work / f"pycache{len(envs)}")}
+        writing = {key: value for key, value in bytecode.items() if key != "PYTHONDONTWRITEBYTECODE"}
+        for argv in commands.values():  # untimed: fills the prefix with the bytecode the command reads
+            _timed_ms(["-m", "crackwake.cli", *argv], writing)
+        envs[label] = {"source": source, "bytecode": bytecode}
+    bare, times = [], {(label, mode): {name: [] for name in commands} for label in trees for mode in envs[label]}
     for _ in range(runs):
         bare.append(_timed_ms(["-c", "pass"], base))
-        for label, env in envs.items():
+        for label, modes in envs.items():
             for name, argv in commands.items():
-                times[label][name].append(_timed_ms(["-m", "crackwake.cli", *argv], env))
-    return statistics.median(bare), {label: _medians_and_quartiles(row) for label, row in times.items()}
+                for mode, env in modes.items():
+                    times[label, mode][name].append(_timed_ms(["-m", "crackwake.cli", *argv], env))
+    return statistics.median(bare), {key: _medians_and_quartiles(row) for key, row in times.items()}
 
 
 def layer_rows(trees: dict, rounds: int, reps: int) -> dict:
@@ -217,8 +230,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="trajectory-") as work:
         pass_ms, cold = cold_starts(trees, runs, Path(work))
     layers = layer_rows(trees, runs, reps)
-    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label][0], "cold_start_iqr_ms": cold[label][1],
-             "layers": layers[label][0], "layers_iqr": layers[label][1]} for label in trees]
+    rows = [{"tree": label, "workloads": {}, "cold_start_ms": cold[label, "source"][0],
+             "cold_start_iqr_ms": cold[label, "source"][1], "cold_start_bytecode_ms": cold[label, "bytecode"][0],
+             "cold_start_bytecode_iqr_ms": cold[label, "bytecode"][1], "layers": layers[label][0],
+             "layers_iqr": layers[label][1]} for label in trees]
     for workload in (w["name"] for w in spec["workloads"]):  # the trees alternate within each workload
         for row, tree in zip(rows, trees.values()):
             row["workloads"][workload] = workload_line(tree, workload, seconds, args.toy)

@@ -7,6 +7,7 @@ zero) among them.  All numbers print with 9 significant digits.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import warnings
@@ -221,5 +222,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def script() -> None:
+    """The `crackwake` script and `python -m crackwake.cli`: exit with main()'s status, its live objects
+    frozen out of the interpreter's final collection, which would only walk a heap that exit drops."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -311,6 +312,65 @@ def test_each_non_dilute_defect_warns_once_at_its_scenario_line(cfg, tmp_path, c
     proc = subprocess.run([sys.executable, "-c", code, command, "--config", cfg(text), "--grid", "4x2", "--pair", pair],
                           env=env, cwd=tmp_path, timeout=120, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, stderr)
+
+
+# map_seed1.cfg with its microcrack next to the tip: la**2 of its dipole matrix underflows
+UNDERFLOW_MAP_CFG = MAP_SEED1_CFG.replace("d = 0.25,", "d = 1e-200,").replace("la = 0.025", "la = 1e-201")
+
+
+def script_run(argv, cwd):
+    """`python -m crackwake.cli argv` in a child interpreter: the launch path of the benchmark."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "crackwake.cli", *argv], env=env, cwd=cwd, timeout=120,
+                          capture_output=True, text=True)
+
+
+def test_the_script_entry_writes_the_map_that_main_writes(tmp_path, capsys):
+    argv = ["map", "--config", str(Path(__file__).parent / "golden" / "map_seed1.cfg"), "--grid", "8x4", "--pgm"]
+    proc = script_run([*argv, "--out", str(tmp_path / "a.csv")], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr() == ("", "")
+    for suffix in (".csv", ".pgm"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("text, grid, status, err", [
+    (MAP_SEED1_CFG, "1x4", 1, "error: --grid: grid must be at least 2x2, got 1x4\n"),
+    (UNDERFLOW_MAP_CFG, "8x4", 2, "numerical failure: dipole matrix of the microcrack with la = 1e-201 underflows\n"),
+], ids=["grid-1x4", "underflowing-microcrack"])
+def test_the_script_entry_exits_with_the_status_and_error_line_of_main(cfg, tmp_path, capsys, text, grid, status, err):
+    argv = ["map", "--config", cfg(text), "--grid", grid, "--out", str(tmp_path / "a.csv"), "--pgm"]
+    proc = script_run(argv, tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, "", err)
+    assert main(argv) == status
+    assert capsys.readouterr() == ("", err)
+    assert not list(tmp_path.glob("a.*"))
+
+
+def test_the_script_entry_freezes_the_live_heap_before_the_exit(cfg, tmp_path, capsys):
+    """An atexit handler still runs after cli.script, and by then the live
+    objects are frozen out of the interpreter's final collection."""
+    path = cfg(SYM_PAIR_CFG)
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "from crackwake.cli import script\n"
+            f"sys.argv[1:] = ['sif', '--config', {path!r}]\n"
+            "script()\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, timeout=120, capture_output=True,
+                          text=True)
+    assert main(["sif", "--config", path]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out + "frozen True\n", "")
+
+
+def test_main_leaves_the_collector_as_it_found_it(cfg, tmp_path, capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(["sif", "--config", cfg(SYM_PAIR_CFG)]) == 0
+    assert main(["map", "--config", cfg(MAP_SEED1_CFG), "--grid", "4x2", "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["map", "--config", cfg(UNDERFLOW_MAP_CFG), "--grid", "4x2"]) == 2
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class KernelWarning(UserWarning):

@@ -376,6 +376,19 @@ def test_the_run_and_every_command_handler_take_one_scenario_and_out():
     assert "ScenarioParams" not in Path(cli.__file__).read_text(encoding="utf-8")
 
 
+def test_the_installed_script_and_python_m_run_one_entry():
+    """`crackwake` and `python -m crackwake.cli` both call cli.script, and
+    main, the in-process API, makes no gc call."""
+    import inspect
+
+    from crackwake import cli
+
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\ncrackwake = "crackwake.cli:script"\n' in pyproject
+    assert Path(cli.__file__).read_text(encoding="utf-8").endswith('\nif __name__ == "__main__":\n    script()\n')
+    assert "gc." not in inspect.getsource(cli.main)
+
+
 def test_each_rule_is_named_only_by_its_owner():
     """One copy of the companion choice, the range guard, the verdict
     flags and the map's classification: a second copy elsewhere names a
