@@ -1,8 +1,9 @@
 """Command-line front end: crackwake <cmd> --config <path> [options].
 
-Exit status: 0 on success, 1 on configuration/validation errors, 2 on
-numerical failures, any arithmetic failure (an overflow, a division by
-zero) among them.  All numbers print with 9 significant digits.
+Exit status: 0 on success, 1 on configuration/validation errors and on an
+output that cannot be written, 2 on numerical failures, any arithmetic
+failure (an overflow, a division by zero) among them.  All numbers print
+with 9 significant digits.
 """
 
 from __future__ import annotations
@@ -186,29 +187,26 @@ COMMANDS = {"dipole": _cmd_dipole, "sif": _cmd_sif, "perturb": _cmd_perturb, "pr
 
 
 def main(argv=None) -> int:
+    args = None  # a ValidationError while this is None is a usage error
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if "help" in args:
+            sys.stdout.write(USAGE)
+        else:
+            try:
+                text = Path(args["config"]).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ValidationError(f"cannot read config: {exc}") from None
+            scenario = parse_scenario(text)
+            flags = [(key, args.get(key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
+            scenario = scenario.replace(params=_apply_params(scenario.params, flags))
+            if "dump_config" in args:
+                sys.stdout.write(dump_scenario(scenario))
+            else:
+                _run(COMMANDS[args["command"]], scenario, sys.stdout)
+        sys.stdout.flush()  # an output that cannot be written fails here, as one error line
     except ValidationError as exc:  # a usage error is a configuration error
-        print(f"{USAGE}crackwake: error: {exc}", file=sys.stderr)
-        return 1
-    if "help" in args:
-        sys.stdout.write(USAGE)
-        return 0
-    try:
-        text = Path(args["config"]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        scenario = parse_scenario(text)
-        flags = [(key, args.get(key), "--" + key.replace("_", "-")) for key in PARAMS_FLAGS]
-        scenario = scenario.replace(params=_apply_params(scenario.params, flags))
-        if "dump_config" in args:
-            sys.stdout.write(dump_scenario(scenario))
-            return 0
-        _run(COMMANDS[args["command"]], scenario, sys.stdout)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}" if args is not None else f"{USAGE}crackwake: error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -226,6 +224,10 @@ def script() -> None:
     """The `crackwake` script and `python -m crackwake.cli`: exit with main()'s status, its live objects
     frozen out of the interpreter's final collection, which would only walk a heap that exit drops."""
     status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # main reported it: fd 1 on os.devnull, so the exit flush cannot turn the status into 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     gc.freeze()
     sys.exit(status)
 

@@ -103,7 +103,8 @@ def scan_map(
     phi1 spans (-pi, pi) and alpha1 spans (0, pi), both sampled at cell
     centers.  A member's dK = a + b cos 2alpha + c sin 2alpha takes
     (a, b, c) from phi1 (rows) and the angles from alpha1 (columns); a
-    cell sums both members, bit-identical to delta_k_defect cell by cell.
+    cell sums both members, bit-identical to delta_k_defect cell by cell
+    but for a negative zero, which is folded into 0.
     Cells whose ratio is not finite are marked invalid, never skipped.
     threads is accepted so older callers keep working, and ignored.
     """
@@ -134,7 +135,7 @@ def scan_map(
     members = [(d, phi, iso, dev) for member, member_phis in zip(zip(*by_row), (phis, phis2))
                for (d, iso, dev), phi in zip(member, member_phis)]
     harmonics = _harmonics(points, table, bimaterial, members)  # every member-1 row, then every member-2 row
-    rows = [[(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 for x1, y1, x2, y2 in cols]
+    rows = [[(a1 + b1 * x1 + c1 * y1 + (a2 + b2 * x2 + c2 * y2)) / k0 + 0.0 for x1, y1, x2, y2 in cols]
             for (a1, b1, c1), (a2, b2, c2) in zip(harmonics, harmonics[n_phi:])]
 
     return RegionMap(phis, alphas, *_classify(rows, delta))

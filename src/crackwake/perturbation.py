@@ -125,7 +125,8 @@ def _companion_angles(pair: str, phi: float, alpha: float) -> tuple[float, float
 def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial | None, d2: float | None = None) -> Defect:
     """The microcrack's rigid-line companion at d2 by the arrangement rule
     pair: "a" is neutral_pair_a (d2 = 2 d by default), "b" neutral_pair_b
-    (d2 = d by default, sized by the moduli opposite both members)."""
+    (d2 = d by default, sized by the moduli opposite both members);
+    NumericalError where its size underflows to 0 or overflows to inf."""
     if microcrack.kind != "microcrack":
         raise InvalidDefect(f"companion construction needs a microcrack, got {microcrack.kind!r}")
     d = microcrack.d
@@ -136,4 +137,7 @@ def _companion(pair: str, microcrack: Defect, bimaterial: Bimaterial | None, d2:
     else:
         mu_ratio = _opposite_mu(microcrack.phi, bimaterial) / _opposite_mu(phi2, bimaterial)
         l2 = microcrack.l_a * (d2 / d) * math.sqrt(mu_ratio)
+    if not 0.0 < l2 < math.inf:
+        fault = "overflows" if l2 else "underflows"
+        raise NumericalError(f"pair {pair} companion of the microcrack with la = {microcrack.l_a:g} {fault}")
     return Defect("rigid_line", d=d2, phi=phi2, alpha=alpha2, l_a=l2)

@@ -136,6 +136,9 @@ def _table_sums(x, avg, jump, d: float, trigs, mu_bs, mu_sum: float, eta: float)
     for xk, ak, jk in zip(reversed(x), reversed(avg), reversed(jump)):
         em = (-xk - d) / d
         r = sqrt(em + 1.0)
+        if not 0.0 < r < math.inf:
+            fault = "overflows" if r else "underflows"
+            raise NumericalError(f"table knot x1={xk:g} {fault} against d={d:g}: -x1/d rounds to {em + 1.0:g}")
         knots.append((xk, em, r, em / r, em * em / (r * (r + 1.0) ** 2), r + 1.0 / r, jk, 2.0 * ak + eta * jk))
     panels = []  # the far knot's terms, then the panel's, at any angle
     jr = c0 = 0.0  # int J r dr and int (2<p> + eta [p]) dr
@@ -201,10 +204,10 @@ def _gradients(points, table, bimaterial: Bimaterial, pairs) -> list:
     """Gradient at each (d, phi) of pairs of point stations (x1, avg, jump),
     summed in order, plus a table (x, avg, jump) or None.  Each run of equal
     d forms each station's factors once and makes one _table_sums call for
-    its angles; a station whose q = -x1/d underflows to 0 or overflows to
-    inf is a NumericalError.  Each angle meets _check_face, the face rule of
-    every entry; a station on the kernel's pole, up to about 1.05e-8 rad off
-    a face, is OnCrackFaceUnderLoad too."""
+    its angles; a station or table knot whose q = -x1/d underflows to 0 or
+    overflows to inf is a NumericalError.  Each angle meets _check_face, the
+    face rule of every entry; a station on the kernel's pole, up to about
+    1.05e-8 rad off a face, is OnCrackFaceUnderLoad too."""
     mu_sum, eta = bimaterial.mu_sum, bimaterial.contrast
     out = []
     for d, run in groupby(pairs, lambda pair: pair[0]):

@@ -137,6 +137,21 @@ def test_propagate_prints_a_negative_zero_k0_as_sif_and_perturb_do(cfg, capsys):
     assert perturb[1] == "K0 = 0"
 
 
+# at equal moduli pair b's mirrored companion (d2 = d1) cancels the microcrack exactly in 6 of the 8x4
+# cells, each to -0.0 before the fold
+MIRRORED_PAIR_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 1 }
+loading { three_point { P = 1, a = 3, b = 0 } }
+defect { kind = microcrack, d = 1, phi = 0.3, alpha = 0, la = 0.1 }
+"""
+
+
+def test_map_prints_a_negative_zero_ratio_as_0(cfg, capsys):
+    assert main(["map", "--config", cfg(MIRRORED_PAIR_CFG), "--pair", "b", "--grid", "8x4"]) == 0
+    ratios = [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(ratios) == 32 and "-0" not in ratios and ratios.count("0") == 6
+
+
 def test_perturb_and_oracles_never_import_scipy(cfg):
     """Both oracles run on crackwake's own quadrature: perturb, the
     weight-function oracle and the displacement oracle, on a table too,
@@ -318,11 +333,13 @@ def test_each_non_dilute_defect_warns_once_at_its_scenario_line(cfg, tmp_path, c
 UNDERFLOW_MAP_CFG = MAP_SEED1_CFG.replace("d = 0.25,", "d = 1e-200,").replace("la = 0.025", "la = 1e-201")
 
 
-def script_run(argv, cwd):
-    """`python -m crackwake.cli argv` in a child interpreter: the launch path of the benchmark."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+def script_run(argv, cwd, stdout=subprocess.PIPE):
+    """`python -m crackwake.cli argv` in a child interpreter: the launch path of the benchmark, with
+    PYTHONUNBUFFERED unset, so stdout is block-buffered as it is there."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
     return subprocess.run([sys.executable, "-m", "crackwake.cli", *argv], env=env, cwd=cwd, timeout=120,
-                          capture_output=True, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_the_script_entry_writes_the_map_that_main_writes(tmp_path, capsys):
@@ -346,6 +363,21 @@ def test_the_script_entry_exits_with_the_status_and_error_line_of_main(cfg, tmp_
     assert main(argv) == status
     assert capsys.readouterr() == ("", err)
     assert not list(tmp_path.glob("a.*"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["sif", "--config", str(Path(__file__).parent / "golden" / "readme.cfg")],
+    ["map", "--config", str(Path(__file__).parent / "golden" / "map_seed1.cfg"), "--grid", "8x4"],
+], ids=["help", "sif", "map"])
+def test_the_script_entry_reports_a_stdout_that_cannot_be_written_as_one_error_line(tmp_path, argv):
+    """The output fits the stdout buffer, so the write fails only when it is
+    flushed: in main, not in the interpreter's exit, which would print
+    "Exception ignored" and exit 120."""
+    with open("/dev/full", "w") as full:
+        proc = script_run(argv, tmp_path, stdout=full)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_the_script_entry_freezes_the_live_heap_before_the_exit(cfg, tmp_path, capsys):
@@ -543,6 +575,21 @@ def test_numerical_failure_exits_2(cfg, capsys, command, text, message):
     assert "inf" not in out
     if message is not None:
         assert err == message
+
+
+# one microcrack next to the tip: the size l_a d2/d of its companion underflows before the division
+UNDERFLOW_COMPANION_CFG = """
+bimaterial { mu_plus = 1, mu_minus = 5 }
+loading { three_point { P = 1, a = 3, b = 0 } }
+defect { kind = microcrack, d = 1e-200, phi = 0.3, alpha = 0, la = 1e-201 }
+"""
+
+
+@pytest.mark.parametrize("argv", [["map", "--grid", "4x2"], ["neutral"]], ids=["map", "neutral"])
+def test_a_companion_whose_size_underflows_exits_2(cfg, capsys, argv):
+    assert main([*argv, "--config", cfg(UNDERFLOW_COMPANION_CFG)]) == 2
+    assert capsys.readouterr() == (
+        "", "numerical failure: pair a companion of the microcrack with la = 1e-201 underflows\n")
 
 
 def test_map_reads_only_k0_when_a0_overflows(cfg, capsys):

@@ -263,6 +263,23 @@ def test_neutral_pair_requires_microcrack(bm_equal):
         neutral_pair_b(rl, bm_equal)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: neutral_pair_a(Defect("microcrack", d=1e300, phi=0.3, alpha=0.0, l_a=1e100)),
+     "pair a companion of the microcrack with la = 1e+100 overflows"),
+    (lambda: neutral_pair_a(Defect("microcrack", d=1e-200, phi=0.3, alpha=0.0, l_a=1e-201)),
+     "pair a companion of the microcrack with la = 1e-201 underflows"),
+    (lambda: neutral_pair_b(Defect("microcrack", d=1e100, phi=0.3, alpha=0.0, l_a=1e-200), Bimaterial(1.0, 5.0),
+                            d2=1e-300),
+     "pair b companion of the microcrack with la = 1e-200 underflows"),
+], ids=["a-overflows", "a-underflows", "b-underflows"])
+def test_a_companion_size_out_of_the_float_range_is_a_numerical_error(make, message):
+    """l_a d2/d of a finite, positive microcrack size and distances leaves
+    the float range: a numerical failure, not an invalid defect."""
+    with pytest.raises(NumericalError) as info:
+        make()
+    assert str(info.value) == message and not isinstance(info.value, ValidationError)
+
+
 def test_remote_convergence_monotone(bm_equal):
     defect = Defect("microcrack", d=1.0, phi=0.7, alpha=0.9, l_a=0.1)
     want = delta_k_remote(defect, bm_equal)
