@@ -206,28 +206,36 @@ def main(argv=None) -> int:
                 _run(COMMANDS[args["command"]], scenario, sys.stdout)
         sys.stdout.flush()  # an output that cannot be written fails here, as one error line
     except ValidationError as exc:  # a usage error is a configuration error
-        print(f"error: {exc}" if args is not None else f"{USAGE}crackwake: error: {exc}", file=sys.stderr)
-        return 1
+        status, line = 1, f"error: {exc}" if args is not None else f"{USAGE}crackwake: error: {exc}"
     except (NumericalError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        status, line = 2, f"numerical failure: {exc}"
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        status, line = 1, f"error: cannot write output: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        status, line = 1, f"error: out of memory: {exc}"
+    else:
+        return 0
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # a stderr that cannot be written keeps the run's status
+        pass
+    return status
 
 
 def script() -> None:
     """The `crackwake` script and `python -m crackwake.cli`: exit with main()'s status, its live objects
-    frozen out of the interpreter's final collection, which would only walk a heap that exit drops."""
+    frozen out of the interpreter's final collection, which would only walk a heap that exit drops.
+    A closed stdout or stderr (None) writes into os.devnull, and a stream that failed to flush has its
+    fd put on os.devnull, so that neither the run nor the exit's flush can change the status."""
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w"))
     status = main()
-    try:
-        sys.stdout.flush()
-    except OSError:  # main reported it: fd 1 on os.devnull, so the exit flush cannot turn the status into 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    for fd, stream in enumerate((sys.stdout, sys.stderr), start=1):
+        try:
+            stream.flush()
+        except OSError:  # main reported it, or could not: the exit flush cannot turn the status into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
     gc.freeze()
     sys.exit(status)
 

@@ -333,13 +333,14 @@ def test_each_non_dilute_defect_warns_once_at_its_scenario_line(cfg, tmp_path, c
 UNDERFLOW_MAP_CFG = MAP_SEED1_CFG.replace("d = 0.25,", "d = 1e-200,").replace("la = 0.025", "la = 1e-201")
 
 
-def script_run(argv, cwd, stdout=subprocess.PIPE):
-    """`python -m crackwake.cli argv` in a child interpreter: the launch path of the benchmark, with
-    PYTHONUNBUFFERED unset, so stdout is block-buffered as it is there."""
+def script_run(argv, cwd, stdout=subprocess.PIPE, redirect=""):
+    """`python -m crackwake.cli argv` in a child interpreter, under the shell redirection redirect (such
+    as 2>&-): the launch path of the benchmark, with PYTHONUNBUFFERED unset, so stdout is block-buffered
+    as it is there."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    return subprocess.run([sys.executable, "-m", "crackwake.cli", *argv], env=env, cwd=cwd, timeout=120,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return subprocess.run(["sh", "-c", f'exec "$0" -m crackwake.cli "$@" {redirect}', sys.executable, *argv],
+                          env=env, cwd=cwd, timeout=120, stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def test_the_script_entry_writes_the_map_that_main_writes(tmp_path, capsys):
@@ -378,6 +379,33 @@ def test_the_script_entry_reports_a_stdout_that_cannot_be_written_as_one_error_l
     with open("/dev/full", "w") as full:
         proc = script_run(argv, tmp_path, stdout=full)
     assert (proc.returncode, proc.stderr) == (1, "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("redirect", [">&-", ">/dev/full", "2>&-", "2>/dev/full"],
+                         ids=["stdout-closed", "stdout-full", "stderr-closed", "stderr-full"])
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["sif", "--config", str(Path(__file__).parent / "golden" / "readme.cfg")],
+    ["frobnicate"],
+    ["sif", "--config", "{tmp}/missing.cfg"],
+    ["map", "--config", "{under}", "--grid", "8x4", "--out", "{tmp}/u.csv"],
+], ids=["help", "sif", "unknown-command", "missing-config", "underflowing-microcrack"])
+def test_a_closed_or_unwritable_standard_stream_keeps_the_exit_status(cfg, tmp_path, capsys, redirect, argv):
+    """The script's status is main's for the same run, a closed stdout read
+    as os.devnull; a stdout on /dev/full that main writes to is the one
+    line "error: cannot write output:" and exit 1.  Never exit 120, and the
+    stream left open gets main's text: no traceback, and no error line that
+    a closed stderr sent to stdout."""
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full, a device whose writes fail")
+    argv = [arg.format(tmp=tmp_path, under=cfg(UNDERFLOW_MAP_CFG)) for arg in argv]
+    proc = script_run(argv, tmp_path, redirect=redirect)
+    status = main(argv)
+    out, err = capsys.readouterr()
+    if redirect == ">/dev/full" and out:
+        status, err = 1, "error: cannot write output: [Errno 28] No space left on device\n"
+    assert proc.returncode == status
+    assert (proc.stderr == err) if redirect.startswith(">") else (proc.stdout == out)  # the stream left open
 
 
 def test_the_script_entry_freezes_the_live_heap_before_the_exit(cfg, tmp_path, capsys):
